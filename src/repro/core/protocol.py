@@ -297,7 +297,7 @@ class PEASNetwork:
         category = frame_category(packet.kind, direction)
         remaining = node.battery.charge_frame(self.sim.now, direction, airtime, category)
         if self.tracer is not None:
-            joules = node.battery.profile.frame_energy(direction, airtime)
+            joules = node.battery.frame_joules(direction, airtime)
             self.tracer.emit(
                 trace_events.energy(self.sim.now, node_id, category, joules)
             )

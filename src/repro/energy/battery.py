@@ -75,6 +75,15 @@ class NodeBattery:
             return None
         return remaining / power
 
+    def frame_joules(self, direction: str, airtime: float) -> float:
+        """Energy of one ``direction`` frame of ``airtime`` seconds: the
+        memoized value :meth:`charge_frame` charges."""
+        key = (direction, airtime)
+        joules = self._frame_j.get(key)
+        if joules is None:
+            joules = self._frame_j[key] = self.profile.frame_energy(direction, airtime)
+        return joules
+
     # ------------------------------------------------------------- mutation
     def set_mode(self, now: float, mode: RadioMode) -> None:
         """Switch the continuous draw; past consumption is settled first."""

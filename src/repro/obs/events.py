@@ -174,10 +174,38 @@ def fault_clear(t: float, fault: str, kind: str) -> Dict[str, Any]:
     return {"t": t, "ev": FAULT_CLEAR, "node": fault, "kind": kind}
 
 
+#: The C encoder ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+#: reaches, built once instead of once per call (with the stock ``default``,
+#: which raises ``TypeError``).  ``markers=None`` skips circular-reference
+#: tracking: events are flat dicts of scalars.  ``None`` on interpreters
+#: without the ``_json`` accelerator.
+_C_MAKE_ENCODER = getattr(json.encoder, "c_make_encoder", None)
+_ENCODE = (
+    None
+    if _C_MAKE_ENCODER is None
+    else _C_MAKE_ENCODER(
+        None,  # markers
+        json.JSONEncoder().default,
+        json.encoder.encode_basestring_ascii,
+        None,  # indent
+        ":",  # key separator
+        ",",  # item separator
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+)
+
+
 def encode_event(event: Dict[str, Any]) -> str:
     """Canonical single-line JSON: sorted keys, no whitespace.
 
     The sorted, compact form is what makes golden traces byte-stable: two
-    runs that emit equal event dicts produce equal NDJSON bytes.
+    runs that emit equal event dicts produce equal NDJSON bytes.  The
+    output is exactly ``json.dumps(event, sort_keys=True,
+    separators=(",", ":"))``, produced by the prebuilt encoder when the
+    interpreter has one.
     """
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    if _ENCODE is None:
+        return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return "".join(_ENCODE(event, 0))

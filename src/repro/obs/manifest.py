@@ -14,6 +14,7 @@ drop ``timing`` (see ``tests/integration/test_perf_invariants.py``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import platform
@@ -108,9 +109,14 @@ def code_fingerprint() -> str:
     return _CODE_FINGERPRINT
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha() -> Optional[str]:
     """The HEAD commit of the repository this package runs from, or ``None``
-    outside a git checkout (e.g. an installed wheel)."""
+    outside a git checkout (e.g. an installed wheel).
+
+    Memoized per process like :func:`code_fingerprint`: every run's
+    manifest asks, and each ``git rev-parse`` is a subprocess spawn.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -11,6 +11,7 @@ Two guarantees hold the tentpole together:
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -33,6 +34,14 @@ TINY = Scenario(
     with_traffic=False,
     max_time_s=4_000.0,
 )
+
+
+#: sha256 of TINY's NDJSON trace bytes.  The other golden tests compare two
+#: runs through the same encoder, so an encoder change that altered bytes
+#: the same way in both would slip past them; this literal would not.  A
+#: deliberate change to the trace format or to the simulation must update
+#: it and say why.
+TINY_TRACE_SHA256 = "16f3ae9e7d1617a2f1012c037b035028fd6dd65179f64302616c74433f45f933"
 
 
 def _trace_to(path):
@@ -58,6 +67,9 @@ class TestGoldenTrace:
         path.write_bytes(raw)
         assert validate_trace_file(path) == []
         assert result.manifest["trace"]["emitted"] == raw.count(b"\n")
+
+    def test_trace_bytes_match_pinned_digest(self, golden):
+        assert hashlib.sha256(golden[0]).hexdigest() == TINY_TRACE_SHA256
 
     def test_rerun_is_byte_identical(self, golden, tmp_path):
         again = tmp_path / "again.ndjson"

@@ -94,6 +94,15 @@ class TestNodeBattery:
         expected = 57.0 - 0.012 * 10 - 0.0006
         assert battery.remaining(10.0) == pytest.approx(expected)
 
+    def test_frame_joules_is_the_charged_amount(self):
+        battery = NodeBattery(MOTE_PROFILE, 57.0)
+        battery.charge_frame(10.0, "rx", 0.010, "reply_rx")
+        charged = battery.by_category["reply_rx"]
+        assert battery.frame_joules("rx", 0.010) == charged
+        assert charged == MOTE_PROFILE.frame_energy("rx", 0.010)
+        fresh = NodeBattery(MOTE_PROFILE, 57.0)
+        assert fresh.frame_joules("tx", 0.010) == MOTE_PROFILE.frame_energy("tx", 0.010)
+
     def test_attribute_does_not_decrement(self):
         battery = NodeBattery(MOTE_PROFILE, 57.0)
         before = battery.remaining(0.0)

@@ -3,6 +3,7 @@ manifests (``repro.obs``)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -25,22 +26,32 @@ from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.obs.schema import iter_trace_file
 
 
+def _dumps(event):
+    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+
+
+def _every_constructor():
+    return [
+        events.state(1.0, 3, "sleeping", "probing"),
+        events.state(2.0, 3, "working", "dead", cause="energy", rate_hz=0.1),
+        events.probe_tx(1.0, 3, wakeup=2, idx=0),
+        events.reply_tx(1.0, "anchor0", lam=None, tw=12.5),
+        events.reply_tx(1.0, 4, lam=0.02, tw=12.5),
+        events.collision(1.0, 3, frames=2),
+        events.drop(1.0, 3, "half_duplex"),
+        events.lambda_hat(1.0, 3, lam=0.05, window=1),
+        events.rate(1.0, 3, old_hz=1.0, new_hz=0.5, lam=0.05),
+        events.fail(1.0, 3),
+        events.energy(1.0, 3, "probe_tx", 0.0006),
+        events.fault_arm(0.0, "fault0", "region_kill"),
+        events.fault_fire(5.0, "fault0", "region_kill", victims=7),
+        events.fault_clear(9.0, "fault1", "transient_outage"),
+    ]
+
+
 class TestEvents:
     def test_every_constructor_validates(self):
-        samples = [
-            events.state(1.0, 3, "sleeping", "probing"),
-            events.state(2.0, 3, "working", "dead", cause="energy", rate_hz=0.1),
-            events.probe_tx(1.0, 3, wakeup=2, idx=0),
-            events.reply_tx(1.0, "anchor0", lam=None, tw=12.5),
-            events.reply_tx(1.0, 4, lam=0.02, tw=12.5),
-            events.collision(1.0, 3, frames=2),
-            events.drop(1.0, 3, "half_duplex"),
-            events.lambda_hat(1.0, 3, lam=0.05, window=1),
-            events.rate(1.0, 3, old_hz=1.0, new_hz=0.5, lam=0.05),
-            events.fail(1.0, 3),
-            events.energy(1.0, 3, "probe_tx", 0.0006),
-        ]
-        for event in samples:
+        for event in _every_constructor():
             assert validate_event(event) is None, event
 
     def test_encode_is_canonical(self):
@@ -50,6 +61,66 @@ class TestEvents:
         assert encode_event(a) == encode_event(b)
         assert "\n" not in encode_event(a)
         assert " " not in encode_event(a)
+
+
+class TestEncoderEquivalence:
+    """``encode_event`` reuses one prebuilt encoder; its bytes must be
+    exactly those of the per-call ``json.dumps`` it replaces."""
+
+    def test_every_constructor_matches_dumps(self):
+        samples = _every_constructor()
+        assert {e["ev"] for e in samples} == set(events.EVENT_TYPES)
+        for event in samples:
+            assert encode_event(event) == _dumps(event), event
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            None,
+            True,
+            False,
+            0,
+            -(2**63),
+            2**64 + 1,
+            10**300,
+            1e-320,
+            -0.0,
+            0.1 + 0.2,
+            np.float64(0.1),
+            np.float64("nan"),
+            'quote"d',
+            "back\\slash",
+            "ctl\x00\x1f\n\t\r",
+            "caf\u00e9 \u03bb\u0302 \U0001f4e1",
+            "\ud800",
+            "\x7f\u2028",
+        ],
+    )
+    def test_edge_values_match_dumps(self, value):
+        event = {"t": 1.0, "ev": "x", "node": value, "j": value}
+        assert encode_event(event) == _dumps(event)
+
+    @pytest.mark.parametrize("value", [np.int64(3), object(), {1, 2}, b"raw"])
+    def test_unserializable_raises_type_error_on_both_paths(self, value):
+        event = {"t": 1.0, "ev": "fail", "node": value}
+        with pytest.raises(TypeError):
+            _dumps(event)
+        with pytest.raises(TypeError):
+            encode_event(event)
+
+    def test_fallback_without_c_encoder_matches(self, monkeypatch):
+        samples = _every_constructor()
+        fast = [encode_event(e) for e in samples]
+        monkeypatch.setattr(events, "_ENCODE", None)
+        assert [encode_event(e) for e in samples] == fast
+
+    def test_prebuilt_encoder_in_use_when_available(self):
+        if json.encoder.c_make_encoder is None:
+            pytest.skip("interpreter has no _json accelerator")
+        assert events._ENCODE is not None
 
 
 class TestSchemaValidation:
@@ -203,6 +274,17 @@ class TestManifest:
         # The test tree is a git checkout; outside one None is acceptable.
         if sha is not None:
             assert len(sha) == 40
+
+    def test_git_sha_is_memoized(self, monkeypatch):
+        from repro.obs import manifest as manifest_module
+
+        first = git_sha()
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("git_sha spawned git twice in one process")
+
+        monkeypatch.setattr(manifest_module.subprocess, "run", no_spawn)
+        assert git_sha() == first
 
     def test_build_manifest_shape(self):
         manifest = build_manifest(
