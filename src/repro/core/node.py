@@ -602,7 +602,7 @@ class PEASNode:
         event = timer._event
         if (
             event is None
-            or event.cancelled
+            or event._cancelled
             or event.time > self.sim.now + ttd + _DEATH_SLACK_S
         ):
             timer.start(ttd)

@@ -95,18 +95,29 @@ class NodeBattery:
         """Charge one frame's tx/rx energy and attribute it to ``category``.
 
         Returns the remaining charge so callers can react to depletion
-        without a second integration pass.
+        without a second integration pass.  The mode draw is settled inline
+        (the same float operations as :meth:`_integrate`): this runs once
+        per frame sent or heard.
         """
-        self._integrate(now)
+        last = self._last_update
+        if now < last:
+            raise ValueError(f"battery time went backwards: {now} < {last}")
+        remaining = self._remaining
+        power = self._power_w
+        if power > 0:
+            remaining = remaining - power * (now - last)
+            remaining = remaining if remaining > 0.0 else 0.0
+        self._last_update = now
         key = (direction, airtime)
         joules = self._frame_j.get(key)
         if joules is None:
             joules = self._frame_j[key] = self.profile.frame_energy(direction, airtime)
-        remaining = self._remaining - joules
+        remaining = remaining - joules
         if remaining < 0.0:
             remaining = 0.0
         self._remaining = remaining
-        self.by_category[category] = self.by_category.get(category, 0.0) + joules
+        by_category = self.by_category
+        by_category[category] = by_category.get(category, 0.0) + joules
         return remaining
 
     def attribute(self, category: str, joules: float) -> None:

@@ -10,9 +10,8 @@ and tests treat them interchangeably:
   one ``is not None`` check per site — the PR-1 fast path keeps its
   numbers.
 * :class:`RingBufferSink` — bounded in-memory buffer keeping the newest
-  events.  Unlike the legacy ``sim.trace.TraceLog`` (which silently
-  stopped recording at capacity) evictions are counted and exposed via
-  ``dropped``.
+  events.  Evictions are counted and exposed via ``dropped``, so a full
+  buffer never passes for a complete record.
 * :class:`NdjsonSink` — streams canonical NDJSON lines to a file, with
   optional size-based rotation for long runs.
 """
@@ -58,9 +57,8 @@ class NullSink:
 class RingBufferSink:
     """Keeps the newest ``capacity`` events in memory.
 
-    When full, the oldest event is evicted and ``dropped`` is incremented —
-    the buffer never lies about completeness the way the superseded
-    ``TraceLog`` capacity cap did.
+    When full, the oldest event is evicted and ``dropped`` is incremented,
+    so the buffer never claims to be complete when it is not.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:

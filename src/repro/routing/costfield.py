@@ -18,9 +18,7 @@ maintains:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Optional, Set
-
-from typing import Mapping
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..net.field import Point, distance_sq
 from ..net.neighbors import NeighborCache
@@ -60,6 +58,11 @@ class WorkingTopology:
         self._adjacency: Dict[Hashable, Set[Hashable]] = {}
         #: bumped on every change; cost fields compare against it
         self.version = 0
+        #: (x, y, radius) -> grid.within result, one entry per station point
+        #: (source and sink).  Nodes never move, so an entry stays exact
+        #: while the grid only loses members; see _on_grid_change.
+        self._candidates: Dict[Tuple[float, float, float], List[Hashable]] = {}
+        grid.add_listener(self._on_grid_change)
 
     # ------------------------------------------------------------- mutation
     def add_working(self, node_id: Hashable, position: Point) -> None:
@@ -122,13 +125,29 @@ class WorkingTopology:
     def working_within(self, point: Point, radius: float) -> List[Hashable]:
         """Working nodes within ``radius`` of an arbitrary point (used to
         attach the source and sink stations to the network)."""
+        key = (point[0], point[1], radius)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            candidates = self._candidates[key] = self.grid.within(point, radius)
+        positions = self._positions
         r_sq = radius * radius
         return [
             node_id
-            for node_id in self.grid.within(point, radius)
-            if node_id in self._positions
-            and distance_sq(self._positions[node_id], point) <= r_sq
+            for node_id in candidates
+            if node_id in positions
+            and distance_sq(positions[node_id], point) <= r_sq
         ]
+
+    def _on_grid_change(self, kind: str, item: Hashable, _position: Point) -> None:
+        """Keep the cached candidates equal to a fresh ``grid.within``: a
+        removed node leaves every list it is in; an insert may add a
+        candidate anywhere, so it drops them all."""
+        if kind == "insert":
+            self._candidates.clear()
+            return
+        for candidates in self._candidates.values():
+            if item in candidates:
+                candidates.remove(item)
 
     def connected_components(self) -> List[Set[Hashable]]:
         """All connected components (used by the §3 connectivity analysis)."""

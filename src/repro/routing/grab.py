@@ -18,7 +18,7 @@ maintains a routable working set between the corners (§5.2).
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Optional  # noqa: F401 (Hashable in hints)
+from typing import Hashable, List, Optional, Tuple  # noqa: F401 (Hashable in hints)
 
 from ..net.field import Point
 from .costfield import CostField, WorkingTopology
@@ -93,6 +93,9 @@ class GrabRouter:
         self.mesh_width = mesh_width
         self.rng = rng if rng is not None else random.Random(0)
         self.cost_field = CostField(topology, sink, attach_radius)
+        #: gradient_path's last result and the topology version it is for
+        self._path: Optional[Tuple[Hashable, ...]] = None
+        self._path_version = -1
 
     # -------------------------------------------------------------- queries
     def source_attachments(self) -> List[Hashable]:
@@ -115,7 +118,18 @@ class GrabRouter:
 
     def gradient_path(self) -> Optional[List[Hashable]]:
         """One minimum-cost gradient path from the entry node to the sink
-        attachment ring (greedy descent over the cost field)."""
+        attachment ring (greedy descent over the cost field).
+
+        The descent is reused while the topology version is unchanged (the
+        cost field is keyed the same way); each caller gets its own list.
+        """
+        version = self.topology.version
+        if version != self._path_version:
+            self._path = self._descend()
+            self._path_version = version
+        return None if self._path is None else list(self._path)
+
+    def _descend(self) -> Optional[Tuple[Hashable, ...]]:
         entry = self.best_entry()
         if entry is None:
             return None
@@ -135,7 +149,7 @@ class GrabRouter:
                 return None  # cost field stale relative to topology: no path
             path.append(next_hop)
             current = next_hop
-        return path
+        return tuple(path)
 
     # ------------------------------------------------------------- delivery
     def deliver(self) -> DeliveryOutcome:

@@ -35,7 +35,7 @@ from .events import (
 from .process import PeriodicProcess, Timer, start_process
 from .rng import RngRegistry, derive_seed
 from .streams import STREAM_NAMES, stream_declared
-from .trace import CounterSet, SeriesRecorder, TimeWeightedValue, TraceLog
+from .trace import CounterSet, SeriesRecorder, TimeWeightedValue
 
 __all__ = [
     "Simulator",
@@ -63,5 +63,4 @@ __all__ = [
     "CounterSet",
     "TimeWeightedValue",
     "SeriesRecorder",
-    "TraceLog",
 ]

@@ -17,7 +17,11 @@ table maps ``seq`` to the live :class:`Event`.  Cancelling removes the slot
 immediately (the heap entry becomes a tombstone popped lazily); when
 tombstones outnumber live entries the queue is compacted in one pass, so
 reaping cost is amortized O(1) per cancellation instead of a rescan per
-``peek``.
+``peek``.  The entries stay bare on purpose.  A variant that also stored
+the ``Event`` in each tuple ran the duty-cycle benchmark about 15 % slower:
+a tuple holding an object stays tracked by the cyclic garbage collector,
+cancelled events stay alive until their tombstones are popped, and the
+collector ran about four times as often.
 
 Example
 -------
@@ -43,6 +47,10 @@ from .handlers import RestoreContext, SnapshotError
 from .profiling import _GAUGE_PERIOD, EngineProfiler
 
 __all__ = ["Simulator", "SimulationError"]
+
+#: Allocates an :class:`Event` without running ``__init__`` (see
+#: :meth:`Simulator.schedule`).
+_new_event = Event.__new__
 
 #: Compaction threshold: never compact below this many tombstones (the
 #: rebuild is O(n); tiny queues are cheaper to drain lazily).
@@ -126,17 +134,29 @@ class Simulator:
         ``handler`` is the optional plain-data descriptor that lets the
         event survive a snapshot (see :mod:`repro.sim.handlers`).
         """
-        if delay < 0:
+        if not delay >= 0:  # also catches NaN, which would corrupt heap order
+            if delay != delay:
+                raise ValueError("event time must not be NaN")
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``float`` matters: ``_now`` is an int after ``run(until=<int>)``
+        # and event times flow into trace bytes.
+        time = float(self._now + delay)
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(
-            self._now + delay, fn, args,
-            priority=priority, label=label, handler=handler, seq=seq,
-        )
+        # Built slot by slot rather than through the keyword ``__init__``:
+        # this runs once per event and the direct build is ~3x cheaper.
+        event = _new_event(Event)
+        event.time = time
+        event.fn = fn
+        event.args = args
+        event.priority = priority
+        event.seq = seq
+        event.label = label
+        event.handler = handler
+        event._cancelled = False
         event._on_cancel = self._discard
         self._slots[seq] = event
-        heapq.heappush(self._queue, (event.time, event.priority, seq))
+        heapq.heappush(self._queue, (time, priority, seq))
         return event
 
     def schedule_at(
@@ -149,19 +169,27 @@ class Simulator:
         handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
     ) -> Event:
         """Schedule ``fn(*args)`` at the absolute simulation ``time``."""
-        if time < self._now:
+        if not time >= self._now:
+            if time != time:
+                raise ValueError("event time must not be NaN")
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
+        time = float(time)
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(
-            time, fn, args,
-            priority=priority, label=label, handler=handler, seq=seq,
-        )
+        event = _new_event(Event)
+        event.time = time
+        event.fn = fn
+        event.args = args
+        event.priority = priority
+        event.seq = seq
+        event.label = label
+        event.handler = handler
+        event._cancelled = False
         event._on_cancel = self._discard
         self._slots[seq] = event
-        heapq.heappush(self._queue, (event.time, event.priority, seq))
+        heapq.heappush(self._queue, (time, priority, seq))
         return event
 
     # -------------------------------------------------------------- execution

@@ -49,7 +49,8 @@ class Timer:
 
     @property
     def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        event = self._event
+        return event is not None and not event._cancelled
 
     @property
     def expiry(self) -> Optional[float]:
@@ -57,7 +58,10 @@ class Timer:
         return self._event.time if self.armed else None
 
     def start(self, delay: float, *args: Any) -> None:
-        self.cancel()
+        event = self._event
+        if event is not None:
+            event.cancel()
+            self._event = None
         if self._handler is not None and args:
             raise ValueError(
                 "a snapshot-serializable Timer must be armed without extra "

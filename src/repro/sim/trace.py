@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["CounterSet", "TimeWeightedValue", "SeriesRecorder", "TraceLog"]
+__all__ = ["CounterSet", "TimeWeightedValue", "SeriesRecorder"]
 
 
 class CounterSet:
@@ -146,43 +146,3 @@ class SeriesRecorder:
                 return time
         return None
 
-
-class TraceLog:
-    """Optional structured event log, disabled by default for speed.
-
-    .. deprecated::
-        Superseded by the typed trace pipeline in :mod:`repro.obs`
-        (schema'd events, pluggable sinks, NDJSON output).  This shim is
-        kept for existing callers; new instrumentation should emit through
-        a :class:`repro.obs.Tracer`.
-
-    Unlike the original implementation, entries refused because
-    ``capacity`` was reached are now *counted* in :attr:`dropped` — a full
-    log no longer silently pretends to be complete (the ring-buffer sink
-    in :mod:`repro.obs.sinks` exposes the same counter).
-    """
-
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self.capacity = capacity
-        #: entries rejected because the log was at capacity
-        self.dropped = 0
-        self._entries: List[Tuple[float, str, Tuple[object, ...]]] = []
-
-    def log(self, time: float, kind: str, *details: object) -> None:
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            self.dropped += 1
-            return
-        self._entries.append((time, kind, details))
-
-    def entries(
-        self, kind: Optional[str] = None
-    ) -> List[Tuple[float, str, Tuple[object, ...]]]:
-        if kind is None:
-            return list(self._entries)
-        return [e for e in self._entries if e[1] == kind]
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -8,6 +8,8 @@ transmit, via ``REPRO_NEIGHBOR_CACHE=0``).
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -21,6 +23,16 @@ GOLDEN = Scenario(
     failure_per_5000s=5.0,
     measure_gaps=True,
     keep_series=True,
+)
+
+
+#: sha256 of GOLDEN's canonical fingerprint JSON (see ``fingerprint_sha256``).
+#: The other tests here compare two runs of the same code, so an output
+#: drift that happens identically in both would slip past them; this
+#: literal would not.  A deliberate change to the simulation must update it
+#: and say why.
+GOLDEN_FINGERPRINT_SHA256 = (
+    "8dfec5742f7fadd36d27e11ad23ef23c5580e660e56c50a18dcdc71fc9aaff61"
 )
 
 
@@ -38,6 +50,15 @@ def result_fingerprint(result):
     return fingerprint
 
 
+def fingerprint_sha256(result):
+    """sha256 of the fingerprint as sorted-key compact JSON (floats keep
+    their exact ``repr``, so any drift in any field changes the digest)."""
+    text = json.dumps(
+        result_fingerprint(result), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def cached_result():
     return run_scenario(GOLDEN)
@@ -47,6 +68,9 @@ class TestGoldenSeedDeterminism:
     def test_rerun_is_bit_identical(self, cached_result):
         again = run_scenario(GOLDEN)
         assert result_fingerprint(again) == result_fingerprint(cached_result)
+
+    def test_result_matches_pinned_digest(self, cached_result):
+        assert fingerprint_sha256(cached_result) == GOLDEN_FINGERPRINT_SHA256
 
     def test_neighbor_cache_off_is_bit_identical(self, cached_result, monkeypatch):
         monkeypatch.setenv("REPRO_NEIGHBOR_CACHE", "0")

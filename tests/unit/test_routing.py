@@ -70,6 +70,21 @@ class TestWorkingTopology:
         topo.add_working(1, (40.0, 40.0))
         assert topo.working_within((0.0, 0.0), 5.0) == [0]
 
+    def test_working_within_follows_grid_changes(self):
+        """Cached station candidates track removals and re-inserts exactly."""
+        topo, grid = make_topology()
+        for i, p in enumerate([(2.0, 2.0), (3.0, 3.0)]):
+            grid.insert(i, p)
+            topo.add_working(i, p)
+        assert topo.working_within((0.0, 0.0), 5.0) == [0, 1]
+        grid.remove(0)  # left the medium, still in the working set
+        assert topo.working_within((0.0, 0.0), 5.0) == [1]
+        grid.insert(2, (1.0, 1.0))
+        topo.add_working(2, (1.0, 1.0))
+        assert topo.working_within((0.0, 0.0), 5.0) == [1, 2]
+        grid.insert(0, (2.0, 2.0))  # re-inserted: last in canonical order
+        assert topo.working_within((0.0, 0.0), 5.0) == [1, 2, 0]
+
     def test_connected_components(self):
         topo, grid = make_topology()
         positions = {0: (0.0, 0.0), 1: (5.0, 0.0), 2: (40.0, 40.0)}
@@ -287,6 +302,16 @@ class TestGradientPath:
         topo, grid = make_topology()
         router = GrabRouter(topo, (0.0, 0.0), (50.0, 50.0), attach_radius=10.0)
         assert router.gradient_path() is None
+
+    def test_path_is_reused_until_the_topology_changes(self):
+        topo, grid = build_corridor()
+        router = GrabRouter(topo, (0.0, 0.0), (50.0, 50.0), attach_radius=10.0)
+        path = router.gradient_path()
+        path.append("corrupt")  # callers own the returned list
+        again = router.gradient_path()
+        assert again == path[:-1]
+        topo.remove_working(again[1])
+        assert router.gradient_path() != again
 
     def test_outcome_carries_path(self):
         topo, _ = build_corridor()

@@ -29,6 +29,25 @@ class TestScheduling:
         sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
 
+    def test_nan_and_negative_delays_queue_nothing(self, sim):
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(-1, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert (sim.pending_events, sim.live_events) == (1, 1)
+
+    def test_times_stay_float_after_int_until(self, sim):
+        sim.run(until=5)
+        event = sim.schedule(3, lambda: None)
+        assert type(event.time) is float and event.time == 8.0
+        at = sim.schedule_at(9, lambda: None)
+        assert type(at.time) is float
+        sim.run()
+        assert type(sim.now) is float and sim.now == 9.0
+
 
 class TestExecutionOrder:
     def test_events_fire_in_time_order(self, sim):
@@ -195,6 +214,15 @@ class TestCancellation:
         drop.cancel()
         sim.run()
         assert sim.events_executed == 1
+
+    def test_cancelling_a_fired_event_leaves_tombstones_alone(self, sim):
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, lambda: None).cancel()  # tombstone behind a live event
+        sim.run(until=1.5)
+        assert sim.tombstones == 1
+        fired.cancel()
+        assert (sim.tombstones, sim.live_events) == (1, 1)
 
 
 class TestHooks:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CounterSet, SeriesRecorder, TimeWeightedValue, TraceLog
+from repro.sim import CounterSet, SeriesRecorder, TimeWeightedValue
 
 
 class TestCounterSet:
@@ -108,44 +108,3 @@ class TestSeriesRecorder:
         series.record("cov", 0, 1.0)
         assert series.first_time_below("cov", 0.9) is None
 
-
-class TestTraceLog:
-    def test_disabled_by_default(self):
-        log = TraceLog()
-        log.log(0.0, "evt", "detail")
-        assert len(log) == 0
-
-    def test_enabled_records(self):
-        log = TraceLog(enabled=True)
-        log.log(1.0, "probe", 42)
-        assert log.entries() == [(1.0, "probe", (42,))]
-
-    def test_kind_filter(self):
-        log = TraceLog(enabled=True)
-        log.log(1.0, "a")
-        log.log(2.0, "b")
-        assert [e[1] for e in log.entries("a")] == ["a"]
-
-    def test_capacity_cap(self):
-        log = TraceLog(enabled=True, capacity=2)
-        for i in range(5):
-            log.log(float(i), "x")
-        assert len(log) == 2
-
-    def test_capacity_refusals_are_counted(self):
-        log = TraceLog(enabled=True, capacity=2)
-        for i in range(5):
-            log.log(float(i), "x")
-        assert log.dropped == 3
-
-    def test_disabled_log_drops_nothing(self):
-        log = TraceLog(enabled=False, capacity=1)
-        for i in range(5):
-            log.log(float(i), "x")
-        assert log.dropped == 0  # not recording is not dropping
-
-    def test_unbounded_log_never_drops(self):
-        log = TraceLog(enabled=True)
-        for i in range(100):
-            log.log(float(i), "x")
-        assert log.dropped == 0 and len(log) == 100
