@@ -17,7 +17,7 @@ top by :mod:`repro.routing`.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..energy import (
     MOTE_PROFILE,
@@ -149,8 +149,6 @@ class PEASNetwork:
         self.nodes: Dict[Hashable, PEASNode] = {}
         self._alive: set = set()
         self._working: set = set()
-        #: (packet kind, direction) -> energy category, read per frame
-        self._frame_categories: Dict[Tuple[str, str], str] = {}
         reception_filter = ReceptionFilter(config, self.radio)
         hooks = NodeHooks(
             on_working_start=self._node_started_working,
@@ -296,10 +294,7 @@ class PEASNetwork:
         self, node_id: Hashable, direction: str, airtime: float, packet: Packet
     ) -> None:
         node = self.nodes[node_id]
-        key = (packet.kind, direction)
-        category = self._frame_categories.get(key)
-        if category is None:
-            category = self._frame_categories[key] = frame_category(*key)
+        category = frame_category(packet.kind, direction)
         remaining = node.battery.charge_frame(self.sim.now, direction, airtime, category)
         if self.tracer is not None:
             joules = node.battery.frame_joules(direction, airtime)

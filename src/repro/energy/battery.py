@@ -95,29 +95,15 @@ class NodeBattery:
         """Charge one frame's tx/rx energy and attribute it to ``category``.
 
         Returns the remaining charge so callers can react to depletion
-        without a second integration pass.  The mode draw is settled inline
-        (the same float operations as :meth:`_integrate`): this runs once
-        per frame sent or heard.
+        without a second integration pass.
         """
-        last = self._last_update
-        if now < last:
-            raise ValueError(f"battery time went backwards: {now} < {last}")
-        remaining = self._remaining
-        power = self._power_w
-        if power > 0:
-            remaining = remaining - power * (now - last)
-            remaining = remaining if remaining > 0.0 else 0.0
-        self._last_update = now
-        key = (direction, airtime)
-        joules = self._frame_j.get(key)
-        if joules is None:
-            joules = self._frame_j[key] = self.profile.frame_energy(direction, airtime)
-        remaining = remaining - joules
+        self._integrate(now)
+        joules = self.frame_joules(direction, airtime)
+        remaining = self._remaining - joules
         if remaining < 0.0:
             remaining = 0.0
         self._remaining = remaining
-        by_category = self.by_category
-        by_category[category] = by_category.get(category, 0.0) + joules
+        self.by_category[category] = self.by_category.get(category, 0.0) + joules
         return remaining
 
     def attribute(self, category: str, joules: float) -> None:

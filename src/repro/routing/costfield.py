@@ -56,7 +56,8 @@ class WorkingTopology:
         self.neighbor_cache = neighbors
         self._positions: Dict[Hashable, Point] = {}
         self._adjacency: Dict[Hashable, Set[Hashable]] = {}
-        #: bumped on every change; cost fields compare against it
+        #: bumped on every change, including a working node leaving or
+        #: entering the grid; cost fields and gradient paths compare against it
         self.version = 0
         #: (x, y, radius) -> grid.within result, one entry per station point
         #: (source and sink).  Nodes never move, so an entry stays exact
@@ -141,7 +142,13 @@ class WorkingTopology:
     def _on_grid_change(self, kind: str, item: Hashable, _position: Point) -> None:
         """Keep the cached candidates equal to a fresh ``grid.within``: a
         removed node leaves every list it is in; an insert may add a
-        candidate anywhere, so it drops them all."""
+        candidate anywhere, so it drops them all.
+
+        A working node that leaves or re-enters the grid changes the
+        station attachments without a working-set change, so it bumps the
+        version too (a death detaches the node before it stops working)."""
+        if item in self._positions:
+            self.version += 1
         if kind == "insert":
             self._candidates.clear()
             return

@@ -122,6 +122,8 @@ class GrabRouter:
 
         The descent is reused while the topology version is unchanged (the
         cost field is keyed the same way); each caller gets its own list.
+        The version also moves when a working node leaves or re-enters the
+        grid, which changes the station attachments on its own.
         """
         version = self.topology.version
         if version != self._path_version:

@@ -6,6 +6,9 @@ candidates while the grid only loses members.  Both are pure
 optimizations, so after any sequence of working-set churn, node deaths
 (grid removals) and grid inserts, the long-lived router must answer
 exactly as a topology and router built from scratch over the same state.
+A death is also queried half-way, after the node left the grid but before
+it left the working set; there the router must match a new router over
+the same topology, and the station attachments a brute-force scan.
 """
 
 import random
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Field, NeighborCache, make_spatial_grid
+from repro.net.field import distance_sq
 from repro.routing import GrabRouter, WorkingTopology
 
 SIDE = 20.0
@@ -45,15 +49,19 @@ deployments = st.builds(
 #: (op, node index) steps; an "insert" index past the deployment adds a new
 #: node, a dead one's revives it (re-inserted ids get a new canonical order)
 steps = st.tuples(
-    st.sampled_from(["add", "add", "remove", "kill", "kill", "insert"]),
+    st.sampled_from(["add", "add", "remove", "kill", "kill", "detach", "insert"]),
     st.integers(min_value=0, max_value=200),
 )
 
 
+def build_router_over(topology):
+    """A new router (cold cost field and path) over an existing topology."""
+    return GrabRouter(topology, source=SOURCE, sink=SINK, attach_radius=COMM_RANGE)
+
+
 def build_router(grid, neighbors=None):
     topology = WorkingTopology(grid, comm_range=COMM_RANGE, neighbors=neighbors)
-    router = GrabRouter(topology, source=SOURCE, sink=SINK, attach_radius=COMM_RANGE)
-    return topology, router
+    return topology, build_router_over(topology)
 
 
 def fresh_answers(backend, grid, topology):
@@ -71,6 +79,13 @@ def fresh_answers(backend, grid, topology):
     for node_id in topology.nodes():
         fresh_topology.add_working(node_id, topology.position(node_id))
     return answers(fresh_router)
+
+
+def attached(topology):
+    """Working nodes attached to either station (source first)."""
+    return topology.working_within(SOURCE, COMM_RANGE) + topology.working_within(
+        SINK, COMM_RANGE
+    )
 
 
 def answers(router):
@@ -116,6 +131,21 @@ def test_cached_queries_match_fresh_rebuild(
                 topology.add_working(index, positions[index])
             elif op == "remove" and index in topology:
                 topology.remove_working(index)
+            elif op == "detach" and attached(topology):
+                # A death queried half-way: a station-attached node has left
+                # the medium but not yet the working set.
+                victim = attached(topology)[index % len(attached(topology))]
+                grid.remove(victim)
+                assert answers(router) == answers(build_router_over(topology))
+                for station in (SOURCE, SINK):
+                    assert topology.working_within(station, COMM_RANGE) == [
+                        item
+                        for item in grid.within(station, COMM_RANGE)
+                        if item in topology
+                        and distance_sq(topology.position(item), station)
+                        <= COMM_RANGE * COMM_RANGE
+                    ]
+                topology.remove_working(victim)
             elif op == "kill" and index in grid:
                 # A death: the node leaves the medium, then the working set.
                 grid.remove(index)

@@ -313,6 +313,17 @@ class TestGradientPath:
         topo.remove_working(again[1])
         assert router.gradient_path() != again
 
+    def test_path_follows_a_working_node_leaving_the_grid(self):
+        """A death detaches the node before it stops working; a query in
+        between must already see the sink attachments without it."""
+        topo, grid = build_corridor()
+        router = GrabRouter(topo, (0.0, 0.0), (50.0, 50.0), attach_radius=10.0)
+        assert router.gradient_path()[-1] == 9
+        grid.remove(9)
+        fresh = GrabRouter(topo, (0.0, 0.0), (50.0, 50.0), attach_radius=10.0)
+        assert router.gradient_path() == fresh.gradient_path()
+        assert router.gradient_path()[-1] == 10
+
     def test_outcome_carries_path(self):
         topo, _ = build_corridor()
         router = GrabRouter(topo, (0.0, 0.0), (50.0, 50.0), attach_radius=10.0)

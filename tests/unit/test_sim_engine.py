@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import EventQueueEmpty, SimulationError, Simulator
+from repro.sim.events import Event
 
 
 class TestScheduling:
@@ -28,6 +29,15 @@ class TestScheduling:
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
+
+    def test_schedule_sets_every_event_slot(self, sim):
+        """``schedule`` builds events without ``Event.__init__``; a slot it
+        forgot would only fail when read."""
+        event = sim.schedule(1.0, print, "x", label="tag", handler=("h", ()))
+        built = Event(1.0, print, ("x",), label="tag", handler=("h", ()), seq=event.seq)
+        built._on_cancel = sim._discard
+        for name in Event.__slots__:
+            assert getattr(event, name) == getattr(built, name), name
 
     def test_nan_and_negative_delays_queue_nothing(self, sim):
         sim.schedule(1.0, lambda: None)
