@@ -1,4 +1,4 @@
-"""Incremental K-coverage computation on a sampling lattice.
+"""Lazy K-coverage computation on a sampling lattice.
 
 §5.1 of the paper: "The sensing coverage is defined as the percentage of the
 field monitored by working nodes.  An application may require that each
@@ -7,22 +7,31 @@ K-coverage as the percentage of the field size monitored by at least K
 working nodes."
 
 The field is sampled on a regular lattice (default 1 m).  Each sample point
-keeps the count of working nodes whose sensing disk covers it; adding or
-removing a working node touches only the points inside its disk (a numpy
-boolean mask over the disk's bounding box).  Cumulative counters
-``points with count >= K`` are maintained via threshold-crossing counts so
-that coverage fractions are O(1) to read.
+keeps the count of working nodes whose sensing disk covers it.  Nodes are
+stationary, so each position's disk is computed once as an array of flat
+lattice indices.  The working set changes far more often than coverage is
+read (every toggle vs. every 10 s sample), so adding or removing a working
+node only queues its disk.  The first read after a change folds the queue
+into the counts (one ``bincount`` per 32 queued disks), then rebuilds the
+``points with count >= K`` counters from one ``bincount`` of the lattice.
+Counts are integer sums, so the result does not depend on the order of the
+changes, and ``fraction`` stays an O(1) read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..net.field import Field, Point
 
 __all__ = ["CoverageGrid"]
+
+#: Queued disks folded per ``bincount``.  This bounds the concatenated
+#: index array (about 80 KB for a 10 m disk on a 1 m lattice), so many
+#: changes between two reads do not raise the process's peak memory.
+_FOLD_CHUNK = 32
 
 
 class CoverageGrid:
@@ -67,21 +76,26 @@ class CoverageGrid:
         #: row-major view over the same buffer; disk index arrays address it
         self._counts_flat = self._counts.reshape(-1)
         self.num_points = nx * ny
-        #: number of sample points covered by at least K nodes, K = 1..max_k
+        #: number of sample points covered by at least K nodes, K = 0..max_k
         self._num_ge = np.zeros(max_k + 1, dtype=np.int64)
         self._num_ge[0] = self.num_points
-        #: position -> flat lattice indices of its sensing disk.  Nodes are
-        #: stationary, so each position's disk geometry is computed exactly
-        #: once and every later add/remove is a pure gather/scatter.  The
-        #: index order equals the row-major order of the old mask gather,
-        #: keeping the bincount inputs (and so all counters) byte-identical.
+        #: position -> flat lattice indices of its sensing disk, computed
+        #: once per position (nodes are stationary).
         self._disk_index: Dict[Point, np.ndarray] = {}
+        #: position -> number of working nodes there, so a removal with no
+        #: matching add fails at the call, not at the deferred fold.
+        self._working: Dict[Point, int] = {}
+        #: disks added / removed since the last fold
+        self._pending_add: List[np.ndarray] = []
+        self._pending_remove: List[np.ndarray] = []
 
     # -------------------------------------------------------------- queries
     def fraction(self, k: int) -> float:
         """Fraction of the field covered by at least ``k`` working nodes."""
         if k <= 0:
             return 1.0
+        if self._pending_add or self._pending_remove:
+            self._fold()
         if k > self.max_k:
             # Rare path (beyond the maintained counters): compute directly.
             return float(np.count_nonzero(self._counts >= k)) / self.num_points
@@ -92,6 +106,8 @@ class CoverageGrid:
 
     def count_at(self, point: Point) -> int:
         """Coverage count at the lattice point nearest ``point``."""
+        if self._pending_add or self._pending_remove:
+            self._fold()
         ix = int(round(point[0] / self.resolution))
         iy = int(round(point[1] / self.resolution))
         ix = min(max(ix, 0), self._counts.shape[0] - 1)
@@ -101,11 +117,16 @@ class CoverageGrid:
     # ------------------------------------------------------------- mutation
     def add_node(self, position: Point) -> None:
         """A node at ``position`` started working: cover its sensing disk."""
-        self._apply(position, +1)
+        self._pending_add.append(self._disk_flat_index(position))
+        self._working[position] = self._working.get(position, 0) + 1
 
     def remove_node(self, position: Point) -> None:
         """A node at ``position`` stopped working: uncover its disk."""
-        self._apply(position, -1)
+        held = self._working.get(position, 0)
+        if held <= 0:
+            raise ValueError(f"no working node at {position} to remove")
+        self._working[position] = held - 1
+        self._pending_remove.append(self._disk_flat_index(position))
 
     # ------------------------------------------------------------ internals
     def _disk_slice(self, position: Point):
@@ -138,23 +159,18 @@ class CoverageGrid:
             self._disk_index[position] = index
         return index
 
-    def _apply(self, position: Point, delta: int) -> None:
-        flat = self._disk_flat_index(position)
-        if flat.size == 0:
-            return
+    def _fold(self) -> None:
+        """Apply every queued add/remove to the counts and K counters."""
         counts = self._counts_flat
-        before = counts[flat]
-        if delta < 0 and before.min() <= 0:
-            raise ValueError(
-                f"removing node at {position} would drive a coverage count negative"
-            )
-        # Threshold crossings: adding moves points with count K-1 into the
-        # ">= K" bucket; removing moves points with count K out of it.
-        # ``minlength`` guarantees bins[0..max_k] exist, so both updates are
-        # single vectorized slice operations.
-        bins = np.bincount(before, minlength=self.max_k + 1)
-        if delta > 0:
-            self._num_ge[1:] += bins[: self.max_k]
-        else:
-            self._num_ge[1:] -= bins[1 : self.max_k + 1]
-        counts[flat] = before + delta
+        for pending, apply in (
+            (self._pending_add, np.add),
+            (self._pending_remove, np.subtract),
+        ):
+            for start in range(0, len(pending), _FOLD_CHUNK):
+                disks = np.concatenate(pending[start : start + _FOLD_CHUNK])
+                folded = np.bincount(disks, minlength=self.num_points)
+                apply(counts, folded, out=counts)
+            pending.clear()
+        # bins[c] = points with count c; _num_ge[k] = sum of bins[k:].
+        bins = np.bincount(counts, minlength=self.max_k + 1)
+        self._num_ge[:] = np.cumsum(bins[::-1])[::-1][: self.max_k + 1]

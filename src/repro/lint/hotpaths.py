@@ -58,7 +58,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "NeighborCache._materialize",
     }),
     "repro/coverage/grid.py": frozenset({
-        "CoverageGrid._apply",
+        "CoverageGrid._fold",
         "CoverageGrid._disk_flat_index",
     }),
     "repro/core/node.py": frozenset({

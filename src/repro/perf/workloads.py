@@ -62,7 +62,8 @@ def spatial_grid_query_throughput() -> int:
 
 
 def coverage_update_throughput() -> float:
-    """200 sensing disks added then removed from the K-coverage lattice."""
+    """200 sensing disks added then removed from the K-coverage lattice,
+    read every 20 updates as the coverage tracker's samples do."""
     from repro.coverage import CoverageGrid
     from repro.net import Field
 
@@ -70,10 +71,12 @@ def coverage_update_throughput() -> float:
     field = Field(50.0, 50.0)
     grid = CoverageGrid(field, sensing_range=10.0, resolution=1.0)
     nodes = [field.random_point(rng) for _ in range(200)]
-    for node in nodes:
-        grid.add_node(node)
-    for node in nodes:
-        grid.remove_node(node)
+    updates = [(grid.add_node, node) for node in nodes]
+    updates += [(grid.remove_node, node) for node in nodes]
+    for done, (update, node) in enumerate(updates, start=1):
+        update(node)
+        if done % 20 == 0:
+            grid.fraction(1)
     return grid.fraction(1)
 
 

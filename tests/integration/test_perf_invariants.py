@@ -35,6 +35,23 @@ GOLDEN_FINGERPRINT_SHA256 = (
     "8dfec5742f7fadd36d27e11ad23ef23c5580e660e56c50a18dcdc71fc9aaff61"
 )
 
+#: A baseline whose result leans on the coverage lattice alone: no radio,
+#: no PEAS logic, and its K-coverage series vary sample by sample (the
+#: 4-coverage lifetime ends at 70 s, well before the horizon).
+DUTY_CYCLE = Scenario(
+    num_nodes=150,
+    seed=3,
+    protocol="duty_cycle",
+    with_traffic=False,
+    max_time_s=1500.0,
+    keep_series=True,
+)
+
+#: sha256 of DUTY_CYCLE's fingerprint, pinned like GOLDEN's.
+DUTY_CYCLE_FINGERPRINT_SHA256 = (
+    "94b3b7f00f1b652e6fad56c2319f3b66a04c404eb5be3d1d8494ff3080d22c92"
+)
+
 
 def result_fingerprint(result):
     """Every RunResult field, exact — no tolerances anywhere.
@@ -82,3 +99,10 @@ class TestGoldenSeedDeterminism:
         assert cached_result.total_wakeups > 0
         assert cached_result.coverage_lifetimes.get(3, 0.0) > 0.0
         assert cached_result.energy_total_j > 0.0
+
+
+class TestDutyCycleBaselinePin:
+    def test_result_matches_pinned_digest(self):
+        result = run_scenario(DUTY_CYCLE)
+        assert result.coverage_lifetimes[4] == 70.0
+        assert fingerprint_sha256(result) == DUTY_CYCLE_FINGERPRINT_SHA256

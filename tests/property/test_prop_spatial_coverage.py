@@ -55,6 +55,19 @@ class TestSpatialGridProperties:
         assert survivors == set(range(len(positions))) - removed
 
 
+def _recount(active, radius, spacing, side):
+    """Brute-force coverage count at every lattice index ``(ix, iy)``."""
+    return {
+        (ix, iy): sum(
+            1
+            for node in active
+            if distance_sq(node, (ix * spacing, iy * spacing)) <= radius * radius
+        )
+        for ix in range(side)
+        for iy in range(side)
+    }
+
+
 class TestCoverageGridProperties:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -78,17 +91,46 @@ class TestCoverageGridProperties:
             elif not is_add and active:
                 node = active.pop()
                 grid.remove_node(node)
-        # Brute-force recount on the same lattice.
-        xs = [i * 2.0 for i in range(16)]
+        counts = _recount(active, radius=6.0, spacing=2.0, side=16)
         for k in (1, 2, 3):
-            covered = sum(
-                1
-                for x in xs
-                for y in xs
-                if sum(1 for n in active
-                       if distance_sq(n, (x, y)) <= 36.0) >= k
-            )
+            covered = sum(1 for count in counts.values() if count >= k)
             assert grid.fraction(k) * grid.num_points == covered
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(points, min_size=1, max_size=12),
+        st.lists(points, min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_interleaved_reads_match_recount(self, nodes, probes, data):
+        """Updates are folded in lazily at the next read: every read in an
+        interleaving of adds, removes and reads (including ``k > max_k``
+        and ``count_at``) equals a from-scratch recount."""
+        max_k = 3
+        grid = CoverageGrid(
+            Field(30.0, 30.0), sensing_range=6.0, resolution=2.0, max_k=max_k
+        )
+        active = []
+        operations = data.draw(
+            st.lists(st.sampled_from(("add", "remove", "read")), max_size=40)
+        )
+        for operation in operations + ["read"]:
+            if operation == "add":
+                # Drawn with replacement: a position may be working twice.
+                node = data.draw(st.sampled_from(nodes))
+                grid.add_node(node)
+                active.append(node)
+            elif operation == "remove" and active:
+                node = active.pop(data.draw(st.integers(0, len(active) - 1)))
+                grid.remove_node(node)
+            elif operation == "read":
+                counts = _recount(active, radius=6.0, spacing=2.0, side=16)
+                for k in range(1, max_k + 3):
+                    covered = sum(1 for count in counts.values() if count >= k)
+                    assert grid.fraction(k) == covered / grid.num_points
+                for x, y in probes:
+                    nearest = (round(x / 2.0), round(y / 2.0))
+                    assert grid.count_at((x, y)) == counts[nearest]
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(points, min_size=1, max_size=15))
@@ -99,6 +141,11 @@ class TestCoverageGridProperties:
         for node in nodes:
             grid.remove_node(node)
         assert grid.fraction(1) == 0.0
+        assert all(
+            grid.count_at((2.0 * ix, 2.0 * iy)) == 0
+            for ix in range(16)
+            for iy in range(16)
+        )
         assert grid._counts.sum() == 0
 
     @settings(max_examples=25, deadline=None)

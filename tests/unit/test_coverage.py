@@ -41,7 +41,11 @@ class TestCoverageGrid:
         grid.remove_node((10.0, 10.0))
         grid.remove_node((30.0, 30.0))
         assert grid.fraction(1) == 0.0
-        assert grid._counts.sum() == 0
+        assert all(
+            grid.count_at((float(x), float(y))) == 0
+            for x in range(51)
+            for y in range(51)
+        )
 
     def test_k_coverage_monotone_in_k(self):
         grid = CoverageGrid(Field(30.0, 30.0), sensing_range=10.0)
@@ -52,12 +56,23 @@ class TestCoverageGrid:
         assert fractions == sorted(fractions, reverse=True)
 
     def test_matches_brute_force(self):
+        self._check_against_brute_force(num_nodes=15, num_removed=0)
+
+    def test_matches_brute_force_across_fold_chunks(self):
+        # More queued adds and removes than one fold chunk takes.
+        self._check_against_brute_force(num_nodes=80, num_removed=40)
+
+    @staticmethod
+    def _check_against_brute_force(num_nodes, num_removed):
         field = Field(25.0, 25.0)
         grid = CoverageGrid(field, sensing_range=6.0, resolution=1.0)
         rng = random.Random(9)
-        nodes = [(rng.uniform(0, 25), rng.uniform(0, 25)) for _ in range(15)]
+        nodes = [(rng.uniform(0, 25), rng.uniform(0, 25)) for _ in range(num_nodes)]
         for node in nodes:
             grid.add_node(node)
+        for node in nodes[:num_removed]:
+            grid.remove_node(node)
+        nodes = nodes[num_removed:]
         for k in (1, 2, 3, 4):
             covered = 0
             total = 0
@@ -80,6 +95,18 @@ class TestCoverageGrid:
         grid = CoverageGrid(Field(20.0, 20.0))
         with pytest.raises(ValueError):
             grid.remove_node((10.0, 10.0))
+
+    def test_double_removal_rejected_when_neighbours_cover_the_disk(self):
+        grid = CoverageGrid(Field(50.0, 50.0), sensing_range=10.0)
+        centre = (25.0, 25.0)
+        grid.add_node(centre)
+        for neighbour in ((24.5, 25.0), (25.5, 25.0), (25.0, 24.5), (25.0, 25.5)):
+            grid.add_node(neighbour)
+        grid.remove_node(centre)
+        with pytest.raises(ValueError):
+            grid.remove_node(centre)
+        # The rejected call left no trace: the neighbours' coverage stands.
+        assert grid.count_at(centre) == 4
 
     def test_node_outside_lattice_bounds_is_noop(self):
         grid = CoverageGrid(Field(20.0, 20.0), sensing_range=1.0)
