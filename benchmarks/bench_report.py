@@ -43,7 +43,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.paper import bench_seeds  # noqa: E402
-from repro.net.columnar import backend_default  # noqa: E402
 from repro.perf import (  # noqa: E402
     KERNEL_WORKLOADS,
     SCALING_NODE_COUNTS,
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
         "date": today,
         "scale": args.scale,
         "metadata": {
-            "backend": backend_default(),
+            "backend": "columnar",
             "effective_scale": args.scale,
             "scale_env": os.environ.get("REPRO_BENCH_SCALE"),
             "macro_num_nodes": None if args.skip_macro else 480,

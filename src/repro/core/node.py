@@ -74,11 +74,6 @@ class NodeHooks:
 class PEASNode:
     """One sensor running PEAS.  See module docstring for the lifecycle."""
 
-    #: This endpoint keeps the channel's columnar ``listening`` column
-    #: current (see :meth:`BroadcastChannel.note_listening`), enabling the
-    #: vectorized broadcast audience path.
-    publishes_listening = True
-
     def __init__(
         self,
         node_id: Hashable,
@@ -140,8 +135,8 @@ class PEASNode:
             handler=("node.depletion", (node_id,)),
         )
         self._probe_airtime = channel.radio.airtime(PACKET_SIZE_BYTES)
-        #: bound once: radio-state publication to the channel (a no-op on
-        #: the scalar backend, a column store on the columnar one)
+        #: bound once: radio-state publication to the channel, which picks
+        #: broadcast audiences by the published flag
         self._note_listening = channel.note_listening
         # Control-plane timing is constant for a run (config + airtime
         # never change): hoist the per-wakeup burst offsets, the reply

@@ -33,12 +33,12 @@ from ..obs.tracer import Tracer
 from ..net import (
     PACKET_SIZE_BYTES,
     BroadcastChannel,
+    ColumnarSpatialGrid,
     Field,
     NeighborCache,
     Packet,
     Point,
     RadioModel,
-    make_spatial_grid,
 )
 from ..sim import CounterSet, RngRegistry, Simulator
 from .config import PEASConfig
@@ -131,7 +131,7 @@ class PEASNetwork:
         validate_timing(config, self.radio)
 
         self.counters = CounterSet()
-        self.grid = make_spatial_grid(field, cell_size=config.probe_range_m)
+        self.grid = ColumnarSpatialGrid(field, cell_size=config.probe_range_m)
         self.neighbors = NeighborCache(self.grid, enabled=neighbor_cache)
         self.channel = BroadcastChannel(
             sim,

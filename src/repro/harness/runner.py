@@ -30,7 +30,6 @@ from ..experiments.metrics import (
 )
 from ..experiments.scenario import Scenario
 from ..faults import FaultEngine
-from ..net.columnar import backend_default
 from ..obs import build_manifest
 from ..obs.manifest import peak_rss_mb, wall_clock_s
 from ..obs.metrics import RunMetrics
@@ -227,7 +226,8 @@ class LiveRun:
         if options.metrics:
             self.run_metrics = RunMetrics(
                 protocol=scenario.protocol if not self._custom_protocol else "custom",
-                backend=backend_default(),
+                # the only index; the label stays so exports compare with older runs
+                backend="columnar",
             )
 
         # --- coverage metric ---------------------------------------------

@@ -55,7 +55,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/net/neighbors.py": frozenset({
         "NeighborCache.columnar_entry",
         "NeighborCache.neighbors_with_distance",
-        "NeighborCache._materialize",
+        "NeighborCache.row_distances",
     }),
     "repro/coverage/grid.py": frozenset({
         "CoverageGrid._fold",

@@ -3,7 +3,10 @@
 This package implements everything below the PEAS protocol:
 
 * :class:`~repro.net.field.Field` — the 2-D deployment area;
-* :class:`~repro.net.spatial.SpatialGrid` — range queries over node positions;
+* :class:`~repro.net.spatial.SpatialGrid` — range queries over node positions,
+  and its columnar subclass :class:`~repro.net.columnar.ColumnarSpatialGrid`
+  that every simulation runs on;
+* :class:`~repro.net.neighbors.NeighborCache` — memoized neighborhoods;
 * :mod:`~repro.net.deployment` — node placement generators;
 * :class:`~repro.net.radio.RadioModel` — bitrate/airtime, path loss, RSSI;
 * :class:`~repro.net.channel.BroadcastChannel` — shared medium with
@@ -12,12 +15,7 @@ This package implements everything below the PEAS protocol:
 """
 
 from .channel import BroadcastChannel, RadioEndpoint, Reception
-from .columnar import (
-    ColumnarNodeStore,
-    ColumnarSpatialGrid,
-    backend_default,
-    make_spatial_grid,
-)
+from .columnar import ColumnarNodeStore, ColumnarSpatialGrid
 from .deployment import (
     DEPLOYMENTS,
     clustered_deployment,
@@ -49,8 +47,6 @@ __all__ = [
     "SpatialGrid",
     "ColumnarNodeStore",
     "ColumnarSpatialGrid",
-    "backend_default",
-    "make_spatial_grid",
     "NeighborCache",
     "build_neighbor_lists",
     "DEPLOYMENTS",

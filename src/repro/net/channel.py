@@ -26,7 +26,11 @@ Nodes are stationary, so the set of potential receivers of a broadcast is a
 function of ``(sender, range)`` alone; lookups go through a
 :class:`~repro.net.neighbors.NeighborCache` (memoized, sorted by distance,
 invalidated on node death) instead of re-running the grid range query per
-frame.
+frame.  The channel runs over a
+:class:`~repro.net.columnar.ColumnarSpatialGrid`: attached endpoints publish
+their radio state into its store (:meth:`BroadcastChannel.note_listening`),
+and every broadcast picks its audience in one loop over store rows, traced
+or not.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Protocol
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs pulls net)
     from ..obs.tracer import Tracer
 
@@ -44,11 +46,11 @@ from ..obs import events as trace_events
 from ..sim import CounterSet, Simulator, register_handler
 from ..sim.events import PRIORITY_HIGH
 from ..sim.handlers import RestoreContext
+from .columnar import ColumnarSpatialGrid
 from .field import Point
 from .neighbors import NeighborCache
 from .packet import Packet, ensure_uid_floor, packet_from_dict, packet_to_dict
 from .radio import RadioModel
-from .spatial import SpatialGrid
 
 __all__ = ["BroadcastChannel", "RadioEndpoint", "Reception"]
 
@@ -58,12 +60,10 @@ EnergyHook = Callable[[Hashable, str, float, Packet], None]
 class RadioEndpoint(Protocol):
     """What the channel needs to know about an attached node.
 
-    Endpoints that keep the columnar store's ``listening`` column current
-    (by calling :meth:`BroadcastChannel.note_listening` on every radio
-    state change) declare ``publishes_listening = True``; the channel then
-    filters broadcast audiences with one vectorized mask instead of one
-    ``is_listening()`` call per candidate.  Endpoints without the attribute
-    are handled via the per-candidate path.
+    :meth:`BroadcastChannel.attach` reads ``is_listening()`` once; after
+    that the endpoint must call :meth:`BroadcastChannel.note_listening` on
+    every change of its radio state, since broadcasts pick their audience
+    from the published flag.
     """
 
     @property
@@ -99,7 +99,8 @@ class BroadcastChannel:
     sim:
         The simulation engine.
     grid:
-        Spatial index over *all* node positions (nodes are stationary).
+        Columnar spatial index over *all* node positions (nodes are
+        stationary).
     radio:
         Physical-layer model (airtime, RSSI).
     loss_rate:
@@ -120,7 +121,7 @@ class BroadcastChannel:
     def __init__(
         self,
         sim: Simulator,
-        grid: SpatialGrid,
+        grid: ColumnarSpatialGrid,
         radio: RadioModel,
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
@@ -160,18 +161,11 @@ class BroadcastChannel:
         self._pending_tx: Dict[int, tuple] = {}
         #: receiver id -> {packet uid: in-flight reception at that receiver}
         self._incoming: Dict[Hashable, Dict[int, Reception]] = {}
-        #: node id -> absolute time its own transmission ends (half duplex)
+        #: node id -> absolute time its own transmission ends (half duplex),
+        #: read by carrier sense and the snapshot; the audience loop reads
+        #: the same deadlines from the store's ``tx_until_py`` by row
         self._transmitting_until: Dict[Hashable, float] = {}
-        #: the grid's columnar store (None on the scalar backend).  The
-        #: half-duplex deadline is dual-written to ``store.tx_until`` so the
-        #: vectorized audience mask can read it as a column; the dict above
-        #: stays authoritative for the per-candidate paths, keeping both
-        #: backends on byte-identical bookkeeping.
-        self._store = getattr(grid, "store", None)
-        #: True while every attached endpoint keeps ``store.listening``
-        #: current via :meth:`note_listening`; one legacy endpoint flips
-        #: this off and large broadcasts fall back to per-candidate checks.
-        self._all_publish = True
+        self._store = grid.store
         #: per-transmit memos (ranges are validated and airtimes computed
         #: once per distinct value, not once per frame)
         self._valid_ranges: Dict[float, float] = {}
@@ -186,30 +180,20 @@ class BroadcastChannel:
         self._endpoints[node_id] = endpoint
         if node_id not in self.grid:
             self.grid.insert(node_id, endpoint.position)
-        store = self._store
-        if store is not None:
-            if getattr(endpoint, "publishes_listening", False):
-                row = store.row_of[node_id]
-                flag = endpoint.is_listening()
-                store.listening[row] = flag
-                store.listening_py[row] = flag
-            else:
-                self._all_publish = False
+        self.note_listening(node_id, endpoint.is_listening())
 
     def note_listening(self, node_id: Hashable, flag: bool) -> None:
-        """Endpoint radio-state publication (columnar backend).
+        """Endpoint radio-state publication.
 
-        Publishing endpoints call this on every ``is_listening()``
-        transition; the channel mirrors it into the store's ``listening``
-        column, which is what lets :meth:`transmit` mask whole audiences in
-        one vectorized step.  A no-op on the scalar backend.
+        Endpoints call this on every ``is_listening()`` transition; the
+        channel mirrors it into the store's ``listening`` columns, which
+        are what :meth:`transmit` filters audiences by.
         """
         store = self._store
-        if store is not None:
-            row = store.row_of.get(node_id)
-            if row is not None:
-                store.listening[row] = flag
-                store.listening_py[row] = flag
+        row = store.row_of.get(node_id)
+        if row is not None:
+            store.listening[row] = flag
+            store.listening_py[row] = flag
 
     def detach(self, node_id: Hashable) -> None:
         """Remove a (dead) node from the medium entirely.
@@ -278,14 +262,12 @@ class BroadcastChannel:
         # Half duplex: transmitting corrupts anything the sender was receiving
         # and blocks reception until the transmission ends.
         store = self._store
+        tx_until = store.tx_until_py
         transmitting = self._transmitting_until
         prior = transmitting.get(sender_id, 0.0)
         deadline = end if end > prior else prior
         transmitting[sender_id] = deadline
-        if store is not None:
-            sender_row = store.row_of[sender_id]
-            store.tx_until[sender_row] = deadline
-            store.tx_until_py[sender_row] = deadline
+        tx_until[store.row_of[sender_id]] = deadline
         own_incoming = self._incoming.get(sender_id)
         if own_incoming:
             for reception in own_incoming.values():
@@ -294,109 +276,46 @@ class BroadcastChannel:
         if self.energy_hook is not None:
             self.energy_hook(sender_id, "tx", airtime, packet)
 
-        uid = packet.uid
-        endpoints = self._endpoints
-        incoming = self._incoming
-        tracer = self.tracer
-        receivers: List[Hashable] = []
-        prefiltered = False
-        if sender_id not in self.grid:
+        # Candidates as parallel store-row / distance lists in canonical
+        # (distance, insertion index) order.
+        neighbors = self.neighbors
+        if sender_id in self.grid:
+            entry = neighbors.columnar_entry(sender_id, tx_range)
+            rows = entry[2]
+            if rows is not None:
+                dists = entry[3]
+            else:
+                # Large audience: one mask drops the sleepers before any
+                # per-candidate work (order preserved).
+                rows = entry[0]
+                rows, dists = neighbors.row_distances(
+                    sender.position, rows[store.listening[rows]]
+                )
+        else:
             # Sender already left the grid (death raced a pending frame):
             # resolve its audience from the recorded position, uncached.
-            survivors = self.neighbors.neighbors_at(
-                sender.position, tx_range, exclude=sender_id
-            )
-        elif store is None:
-            survivors = self.neighbors.neighbors_with_distance(sender_id, tx_range)
-        else:
-            entry = self.neighbors.columnar_entry(sender_id, tx_range)
-            memo = entry[2]
-            if not self._all_publish or tracer is not None:
-                # A legacy endpoint is attached (no published listening
-                # state), or a tracer wants its drop/collision events
-                # interleaved per candidate — exactly as the scalar backend
-                # emits them, byte-identical traces being the gate.  Either
-                # way: per-candidate filters below.
-                if memo is not None:
-                    survivors = memo
-                elif entry[3] is not None:
-                    ids = store.ids
-                    survivors = [
-                        (ids[row], dist)
-                        for row, dist in zip(entry[3], entry[4])
-                    ]
-                else:
-                    survivors = self.neighbors._materialize(sender_id, entry[0])
-            elif entry[3] is not None:
-                # Small/mid-size audience: filter by plain list index over
-                # the store's listening/half-duplex mirrors — the same two
-                # checks as the per-candidate loop below, minus the method
-                # call and dict lookups per candidate (and minus the
-                # vectorized mask's fixed numpy overhead, which dominates
-                # below a few hundred candidates).
-                listening_py = store.listening_py
-                tx_py = store.tx_until_py
-                survivors = []
-                keep = survivors.append
-                n_hd = 0
-                if memo is not None:
-                    for pair, row in zip(memo, entry[3]):
-                        if listening_py[row]:
-                            if tx_py[row] > now:
-                                n_hd += 1
-                            else:
-                                keep(pair)
-                else:
-                    ids = store.ids
-                    dists_list = entry[4]
-                    for index, row in enumerate(entry[3]):
-                        if listening_py[row]:
-                            if tx_py[row] > now:
-                                n_hd += 1
-                            else:
-                                keep((ids[row], dists_list[index]))
-                if n_hd:
-                    incr("half_duplex_losses", n_hd)
-                prefiltered = True
-            else:
-                # Large audience: one vectorized mask over the store's
-                # listening/half-duplex columns replaces per-candidate
-                # checks.  Rows arrive in canonical (distance, insertion
-                # index) order and the mask preserves it, so the survivor
-                # loop below runs in exactly the order the per-candidate
-                # path would.
-                rows = entry[0]
-                cand_listen = store.listening[rows]
-                keep_mask = cand_listen & (store.tx_until[rows] <= now)
-                n_hd = int(np.count_nonzero(cand_listen)) - int(
-                    np.count_nonzero(keep_mask)
-                )
-                if n_hd:
-                    incr("half_duplex_losses", n_hd)
-                survivor_rows = rows[keep_mask]
-                cx, cy = sender.position
-                dx = store.xs[survivor_rows] - cx
-                dy = store.ys[survivor_rows] - cy
-                dists = np.sqrt(dx * dx + dy * dy)
-                ids = store.ids
-                survivors = [
-                    (ids[row], dist)
-                    for row, dist in zip(survivor_rows.tolist(), dists.tolist())
-                ]
-                prefiltered = True
-        for node_id, dist in survivors:
-            if not prefiltered:
-                # Per-candidate path: the prefiltered branches above have
-                # already applied exactly these two filters.
-                endpoint = endpoints.get(node_id)
-                if endpoint is None or not endpoint.is_listening():
-                    continue
-                if transmitting.get(node_id, 0.0) > now:
-                    # Receiver is itself on the air: frame is lost to it.
-                    incr("half_duplex_losses")
-                    if tracer is not None:
-                        tracer.emit(trace_events.drop(now, node_id, "half_duplex"))
-                    continue
+            row_of = store.row_of
+            pairs = neighbors.neighbors_at(sender.position, tx_range, exclude=sender_id)
+            rows = [row_of[node_id] for node_id, _ in pairs]
+            dists = [dist for _, dist in pairs]
+
+        uid = packet.uid
+        incoming = self._incoming
+        tracer = self.tracer
+        listening = store.listening_py
+        ids = store.ids
+        receivers: List[Hashable] = []
+        n_hd = 0
+        for row, dist in zip(rows, dists):
+            if not listening[row]:
+                continue
+            node_id = ids[row]
+            if tx_until[row] > now:
+                # Receiver is itself on the air: frame is lost to it.
+                n_hd += 1
+                if tracer is not None:
+                    tracer.emit(trace_events.drop(now, node_id, "half_duplex"))
+                continue
             reception = Reception(packet, end, dist)
             active = incoming.get(node_id)
             if active is None:
@@ -418,12 +337,13 @@ class BroadcastChannel:
                         )
                 active[uid] = reception
             receivers.append(node_id)
+        if n_hd:
+            incr("half_duplex_losses", n_hd)
 
         if not receivers:
             # Nobody will hear this frame: the tx-side energy and counters
             # are already charged above, so skip scheduling a completion
-            # event outright.  Both backends compute the same (empty)
-            # audience, so the event stream stays backend-identical.
+            # event outright.
             return
         kind = packet.kind
         label = self._rx_labels.get(kind)
@@ -590,11 +510,9 @@ class BroadcastChannel:
         for node_id, deadline in state["transmitting_until"]:
             deadline = float(deadline)
             self._transmitting_until[node_id] = deadline
-            if store is not None:
-                row = store.row_of.get(node_id)
-                if row is not None:
-                    store.tx_until[row] = deadline
-                    store.tx_until_py[row] = deadline
+            row = store.row_of.get(node_id)
+            if row is not None:
+                store.tx_until_py[row] = deadline
 
 
 @register_handler("channel.rx")

@@ -6,21 +6,17 @@ call, half-duplex deadlines in a dict — which is exactly the layout the
 simulator-survey literature blames for the 10k-node wall: every range query
 and every broadcast fan-out walks pointers one node at a time.
 
-:class:`ColumnarNodeStore` holds the same state as parallel numpy arrays
-(positions, insertion index, alive mask, listening flag, half-duplex
-``tx_until``), and :class:`ColumnarSpatialGrid` answers range queries as a
-bounding-box slice over an x-sorted view plus a squared-distance mask —
-identical arithmetic to the scalar bucket scan, so results match the scalar
-backend *bit for bit* (same ids, same canonical order).
+:class:`ColumnarNodeStore` holds the same state as parallel arrays
+(positions, alive mask, listening flag, half-duplex deadline), and
+:class:`ColumnarSpatialGrid` answers range queries as a bounding-box slice
+over an x-sorted view plus a squared-distance mask — identical arithmetic
+to the scalar bucket scan of :class:`~repro.net.spatial.SpatialGrid`, so
+both return the same ids in the same canonical order.
 
-Backend selection
------------------
-``REPRO_BACKEND=scalar|columnar`` picks the spatial-index implementation
-(default ``columnar``); :func:`make_spatial_grid` is the single
-construction point used by the PEAS network, the baselines and the
-analysis helpers.  Both backends share every consumer code path, which is
-what makes the scalar/columnar golden-trace byte-identity gate
-(``tests/integration/test_columnar_identity.py``) meaningful.
+:class:`ColumnarSpatialGrid` is the spatial index every simulation runs on
+(the PEAS network, the baselines' routing topology, the neighbor cache and
+the broadcast channel).  The scalar grid stays as the oracle the property
+tests check it against and as the index of the analysis helpers.
 
 Rows are append-only: node death marks ``alive[row] = False`` but never
 reuses the row, so a row index doubles as the node's grid insertion index
@@ -30,7 +26,6 @@ the row of a node whose death raced its own in-flight frame).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -38,47 +33,7 @@ import numpy as np
 from .field import Field, Point
 from .spatial import SpatialGrid
 
-__all__ = [
-    "ColumnarNodeStore",
-    "ColumnarSpatialGrid",
-    "backend_default",
-    "make_spatial_grid",
-]
-
-_ENV_BACKEND = "REPRO_BACKEND"
-_BACKENDS = ("scalar", "columnar")
-
-
-def backend_default() -> str:
-    """The spatial-index backend selected by ``REPRO_BACKEND``.
-
-    ``columnar`` (the default) uses :class:`ColumnarSpatialGrid`;
-    ``scalar`` keeps the pure-Python bucket grid.  Any other value raises,
-    so typos cannot silently fall back to the slow path.
-    """
-    value = os.environ.get(_ENV_BACKEND, "columnar").lower()
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"{_ENV_BACKEND} must be one of {_BACKENDS}, got {value!r}"
-        )
-    return value
-
-
-def make_spatial_grid(
-    field: Field, cell_size: float, backend: Optional[str] = None
-) -> SpatialGrid:
-    """Construct the spatial index for the selected backend.
-
-    ``backend=None`` reads ``REPRO_BACKEND`` (default ``columnar``).  Both
-    implementations satisfy the full :class:`SpatialGrid` contract and
-    return element-for-element identical query results.
-    """
-    chosen = backend_default() if backend is None else backend.lower()
-    if chosen == "scalar":
-        return SpatialGrid(field, cell_size)
-    if chosen == "columnar":
-        return ColumnarSpatialGrid(field, cell_size)
-    raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+__all__ = ["ColumnarNodeStore", "ColumnarSpatialGrid"]
 
 
 class ColumnarNodeStore:
@@ -92,17 +47,19 @@ class ColumnarNodeStore:
         False once the node left the index (death); dead rows are
         tombstones excluded by every query mask.
     ``listening``
-        Radio-on flag published by protocol endpoints via
+        Radio-on flag published by every attached endpoint via
         :meth:`repro.net.channel.BroadcastChannel.note_listening`; lets the
-        broadcast fan-out filter an entire neighborhood with one mask
-        instead of one ``is_listening()`` call per candidate.
-    ``tx_until``
-        Absolute time the node's own transmission ends (half duplex),
-        maintained by the channel.
+        broadcast fan-out drop the sleepers of a large neighborhood with
+        one mask instead of one check per candidate.
+    ``listening_py`` / ``tx_until_py``
+        Plain lists: the listening flag again, and the absolute time the
+        node's own transmission ends (half duplex, maintained by the
+        channel).  The channel's per-candidate loop reads them, and a list
+        index is several times cheaper than a numpy scalar read.
     """
 
     __slots__ = (
-        "xs", "ys", "alive", "listening", "tx_until",
+        "xs", "ys", "alive", "listening",
         "listening_py", "tx_until_py",
         "ids", "row_of", "size", "death_epoch", "_capacity",
     )
@@ -113,10 +70,6 @@ class ColumnarNodeStore:
         self.ys = np.zeros(capacity, dtype=np.float64)
         self.alive = np.zeros(capacity, dtype=bool)
         self.listening = np.zeros(capacity, dtype=bool)
-        self.tx_until = np.zeros(capacity, dtype=np.float64)
-        #: plain-list mirrors of ``listening`` / ``tx_until``: small
-        #: broadcast audiences filter per candidate, where a list index is
-        #: several times cheaper than a numpy scalar read or a method call
         self.listening_py: List[bool] = []
         self.tx_until_py: List[float] = []
         #: row -> id (rows of removed nodes keep their id; rows never recycle)
@@ -138,7 +91,6 @@ class ColumnarNodeStore:
         self.ys[row] = y
         self.alive[row] = True
         self.listening[row] = False
-        self.tx_until[row] = 0.0
         self.listening_py.append(False)
         self.tx_until_py.append(0.0)
         self.ids.append(item)
@@ -156,7 +108,7 @@ class ColumnarNodeStore:
 
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
-        for name in ("xs", "ys", "alive", "listening", "tx_until"):
+        for name in ("xs", "ys", "alive", "listening"):
             old = getattr(self, name)
             grown = np.zeros(new_capacity, dtype=old.dtype)
             grown[: self.size] = old[: self.size]

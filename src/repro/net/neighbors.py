@@ -5,10 +5,9 @@ bucket-grid range query for every PROBE/REPLY broadcast and every routing
 update.  :class:`NeighborCache` exploits immobility: the answer to "who is
 within radius r of node x" can only change when a node *leaves* the index
 (death) or a new one is attached, so it is safe to memoize per
-``(node_id, radius)`` with explicit invalidation hooked into
-:meth:`repro.net.spatial.SpatialGrid` mutations.
+``(node_id, radius)`` with invalidation hooked into grid mutations.
 
-Cached lists are **sorted by distance** (ties broken by grid insertion
+Neighborhoods are **sorted by distance** (ties broken by grid insertion
 order, which is deterministic), carry the precomputed Euclidean distance,
 and exclude the center node itself.  Every consumer — the broadcast
 channel, the working-topology/cost-field routing layer, and the
@@ -16,7 +15,8 @@ GAF/Span/AFECA baselines — reads the same canonical ordering, which is what
 makes runs bit-identical whether the cache is enabled or bypassed: the
 brute-force path runs the exact same computation, just without memoizing.
 
-The cache can be disabled (for golden-seed determinism tests and A/B
+The cache runs over a :class:`~repro.net.columnar.ColumnarSpatialGrid`
+only.  It can be disabled (for golden-seed determinism tests and A/B
 benchmarking) via ``enabled=False`` or the ``REPRO_NEIGHBOR_CACHE=0``
 environment variable.
 """
@@ -29,8 +29,8 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .columnar import ColumnarSpatialGrid
 from .field import Field, Point
-from .spatial import SpatialGrid
 
 __all__ = ["NeighborCache", "build_neighbor_lists"]
 
@@ -39,27 +39,18 @@ Neighbor = Tuple[Hashable, float]
 
 _ENV_FLAG = "REPRO_NEIGHBOR_CACHE"
 
-#: Columnar backend: neighborhoods at or below this size also memoize the
-#: materialized ``(id, dist)`` list (per-frame scalar iteration beats numpy
-#: there); larger neighborhoods memoize only the compact row array and
-#: consumers batch against the columnar store.
-_LIST_CACHE_MAX = 32
-
-#: Columnar backend: neighborhoods at or below this size additionally
-#: memoize plain python lists of their store rows and distances.  The
-#: broadcast channel then filters the audience with a python loop over the
-#: store's list mirrors — below a few hundred candidates that beats the
-#: vectorized mask, whose fixed per-call numpy overhead (two fancy gathers
-#: plus boolean combines) dominates small and mid-size audiences.  Above
-#: this size the per-element advantage of the mask wins and the extra
-#: memory of boxed lists (which at 50 k nodes x ~500-row neighborhoods
-#: would run to hundreds of MB) is not paid.
+#: Neighborhoods at or below this size additionally memoize plain python
+#: lists of their store rows and distances, which the broadcast channel
+#: iterates directly.  Larger audiences are first masked by the store's
+#: numpy ``listening`` column, whose fixed per-call overhead only pays off
+#: above a few hundred candidates; skipping the boxed lists there also
+#: saves memory (at 50 k nodes x ~500-row neighborhoods they would run to
+#: hundreds of MB).
 _SCALAR_AUDIENCE_MAX = 256
 
-#: Columnar backend: populations at or below this size use exact eager
-#: invalidation (a row -> cache-keys reverse index, like the scalar
-#: backend's ``_containing`` map), making a cache hit one dict lookup with
-#: no numpy at all.  Above it the reverse index would cost
+#: Populations at or below this size use exact eager invalidation (a
+#: row -> cache-keys reverse index), making a cache hit one dict lookup
+#: with no numpy at all.  Above it the reverse index would cost
 #: O(nodes x neighborhood) memory — tens of millions of set entries at
 #: 50k nodes — so entries carry the store's death epoch instead and
 #: revalidate lazily against the alive mask when a death has occurred.
@@ -72,37 +63,39 @@ def cache_enabled_default() -> bool:
 
 
 class NeighborCache:
-    """Per-``(node_id, radius)`` memo of sorted-by-distance neighbor lists.
+    """Per-``(node_id, radius)`` memo of sorted-by-distance neighborhoods.
 
     Parameters
     ----------
     grid:
-        The spatial index to memoize over.  The cache registers itself as a
-        mutation listener: an ``insert`` flushes everything (new nodes only
-        appear during setup), a ``remove`` drops exactly the entries whose
-        neighborhoods contained — or were centered on — the removed node.
+        The :class:`~repro.net.columnar.ColumnarSpatialGrid` to memoize
+        over (any other grid raises :class:`TypeError`).  The cache
+        registers itself as a mutation listener: an ``insert`` flushes
+        everything (new nodes only appear during setup), a ``remove`` drops
+        the entries whose neighborhoods contained — or were centered on —
+        the removed node.
     enabled:
         ``False`` turns the memo off; queries then recompute from the grid
         every time through the *same* code path (identical results, used to
         prove determinism).  ``None`` reads ``REPRO_NEIGHBOR_CACHE``.
     """
 
-    def __init__(self, grid: SpatialGrid, enabled: Optional[bool] = None) -> None:
+    def __init__(
+        self, grid: ColumnarSpatialGrid, enabled: Optional[bool] = None
+    ) -> None:
+        if not isinstance(grid, ColumnarSpatialGrid):
+            raise TypeError(
+                f"NeighborCache needs a ColumnarSpatialGrid, got {type(grid).__name__}"
+            )
         self.grid = grid
         self.enabled = cache_enabled_default() if enabled is None else bool(enabled)
-        self._lists: Dict[Tuple[Hashable, float], List[Neighbor]] = {}
-        #: member id -> keys of cached lists that must die with it
-        self._containing: Dict[Hashable, Set[Tuple[Hashable, float]]] = {}
-        #: columnar backend only: (id, radius) -> mutable entry
-        #: ``[rows, epoch, memoized (id, dist) list or None, row list or
-        #: None, distance list or None]`` where ``epoch`` is ``None`` for
-        #: exactly-invalidated entries (small populations) or the store's
-        #: death epoch at (re)validation time
-        self._rows: Dict[Tuple[Hashable, float], list] = {}
-        #: columnar exact mode: store row -> keys of entries containing it
+        self._store = grid.store
+        #: (id, radius) -> mutable entry ``[rows, epoch, row list or None,
+        #: distance list or None]`` (see :meth:`columnar_entry`)
+        self._entries: Dict[Tuple[Hashable, float], list] = {}
+        #: exact mode: store row -> keys of entries containing or centered
+        #: on it
         self._row_keys: Dict[int, Set[Tuple[Hashable, float]]] = {}
-        #: the grid's columnar store, or None on the scalar backend
-        self._store = getattr(grid, "store", None)
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -116,136 +109,81 @@ class NeighborCache:
     def neighbors_with_distance(self, item: Hashable, radius: float) -> List[Neighbor]:
         """``(neighbor_id, distance)`` pairs, sorted by distance.
 
-        ``item`` itself is excluded.  The returned list is owned by the
-        cache — treat it as read-only.
+        ``item`` itself is excluded.  Built fresh from the cached entry on
+        every call.
         """
-        if self._store is not None:
-            entry = self.columnar_entry(item, radius)
-            result = entry[2]
-            if result is None:
-                if entry[3] is not None:
-                    # Mid-size neighborhood: assemble from the cached row
-                    # and distance lists (same floats as ``_materialize``,
-                    # which ran the identical subtract/square/sqrt once at
-                    # entry-build time).
-                    ids = self._store.ids
-                    result = [
-                        (ids[row], dist)
-                        for row, dist in zip(entry[3], entry[4])
-                    ]
-                else:
-                    result = self._materialize(item, entry[0])
-            return result
-        key = (item, radius)
-        if self.enabled:
-            cached = self._lists.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        grid = self.grid
-        annotated = grid.within_annotated(grid.position(item), radius)
-        annotated.sort()
-        sqrt = math.sqrt
-        result = [
-            (node_id, sqrt(d_sq))
-            for d_sq, _, node_id in annotated
-            if node_id != item
-        ]
-        if self.enabled:
-            self._lists[key] = result
-            containing = self._containing
-            containing.setdefault(item, set()).add(key)
-            for node_id, _ in result:
-                containing.setdefault(node_id, set()).add(key)
-        return result
+        entry = self.columnar_entry(item, radius)
+        rows, dists = entry[2], entry[3]
+        if rows is None:
+            rows, dists = self.row_distances(self.grid.position(item), entry[0])
+        ids = self._store.ids
+        return [(ids[row], dist) for row, dist in zip(rows, dists)]
 
     def columnar_entry(self, item: Hashable, radius: float) -> list:
-        """The cache entry for ``item`` against a columnar grid.
+        """The cache entry for the neighborhood of ``item``.
 
-        Returns the mutable 5-slot entry ``[rows, epoch, memo, row_list,
+        Returns the mutable 4-slot entry ``[rows, epoch, row_list,
         dists_list]``: ``rows`` is the canonical ``(dist, insertion
-        index)``-sorted store row array; ``memo`` the materialized
-        ``(id, dist)`` list for neighborhoods of at most
-        ``_LIST_CACHE_MAX`` nodes; ``row_list`` / ``dists_list`` plain
-        python lists of the rows and their distances for neighborhoods of
-        at most ``_SCALAR_AUDIENCE_MAX`` nodes (the broadcast channel
-        filters those audiences by list index with no numpy at all);
-        slots are ``None`` beyond their size tier and consumers batch
-        against the store instead.  Invalidation reaches the exact same
-        recomputation points as the scalar backend's remove listener:
-        small populations evict eagerly through a row reverse index (a
-        hit is then one dict lookup, no numpy), large ones tag entries
-        with the store's death epoch and revalidate against the alive
-        mask only when a death has happened since.
+        index)``-sorted store row array; ``row_list`` / ``dists_list``
+        are plain python lists of the rows and their distances for
+        neighborhoods of at most ``_SCALAR_AUDIENCE_MAX`` nodes, ``None``
+        above that (consumers then batch against the store).  Small
+        populations evict eagerly through a row reverse index (a hit is
+        then one dict lookup, no numpy); large ones tag entries with the
+        store's death epoch and revalidate against the alive mask only
+        when a death has happened since.
         """
         key = (item, radius)
         store = self._store
         if self.enabled:
-            entry = self._rows.get(key)
+            entry = self._entries.get(key)
             if entry is not None:
                 epoch = entry[1]
                 if epoch is None or epoch == store.death_epoch:
                     self.hits += 1
                     return entry
-                if np.all(store.alive[entry[0]]):
+                if store.alive[store.row_of[item]] and np.all(store.alive[entry[0]]):
                     entry[1] = store.death_epoch
                     self.hits += 1
                     return entry
                 self.invalidations += 1
-                del self._rows[key]
+                del self._entries[key]
         self.misses += 1
         grid = self.grid
-        rows_full, d_sq = grid.query_rows(  # type: ignore[attr-defined]
-            grid.position(item), radius,
-            exclude_row=grid.row_index(item),  # type: ignore[attr-defined]
-        )
-        rows = rows_full.astype(np.int32)
-        result: Optional[List[Neighbor]] = None
-        row_list: Optional[List[int]] = None
-        dists_list: Optional[List[float]] = None
+        position = grid.position(item)
+        center = grid.row_index(item)
+        rows, d_sq = grid.query_rows(position, radius, exclude_row=center)
+        entry = [rows.astype(np.int32), store.death_epoch, None, None]
         if rows.shape[0] <= _SCALAR_AUDIENCE_MAX:
-            row_list = rows_full.tolist()
-            dists_list = np.sqrt(d_sq).tolist()
-            if rows.shape[0] <= _LIST_CACHE_MAX:
-                ids = store.ids
-                result = [
-                    (ids[row], dist)
-                    for row, dist in zip(row_list, dists_list)
-                ]
-        entry = [rows, store.death_epoch, result, row_list, dists_list]
+            entry[2] = rows.tolist()
+            entry[3] = np.sqrt(d_sq).tolist()
         if self.enabled:
+            self._entries[key] = entry
             if store.size <= _EXACT_INVALIDATION_MAX:
                 entry[1] = None
-                self._rows[key] = entry
                 row_keys = self._row_keys
-                for row in rows.tolist():
+                for row in rows.tolist() + [center]:
                     members = row_keys.get(row)
                     if members is None:
                         row_keys[row] = {key}
                     else:
                         members.add(key)
-            else:
-                self._rows[key] = entry
         return entry
 
-    def _materialize(self, item: Hashable, rows: np.ndarray) -> List[Neighbor]:
-        """Build the ``(id, dist)`` list for a large columnar row array.
+    def row_distances(
+        self, position: Point, rows: np.ndarray
+    ) -> Tuple[List[int], List[float]]:
+        """``rows`` and their distances from ``position``, as plain lists.
 
-        Recomputes distances from the store's position columns — the same
-        subtraction/square/sqrt sequence the scalar path runs, so the floats
-        are bit-identical.
+        Runs the same subtraction/square/sqrt sequence as the grid query
+        behind :meth:`columnar_entry`, so the floats are bit-identical to a
+        memoized ``dists_list``.
         """
         store = self._store
-        cx, cy = self.grid.position(item)
+        cx, cy = position
         dx = store.xs[rows] - cx
         dy = store.ys[rows] - cy
-        dists = np.sqrt(dx * dx + dy * dy)
-        ids = store.ids
-        return [
-            (ids[row], dist)
-            for row, dist in zip(rows.tolist(), dists.tolist())
-        ]
+        return rows.tolist(), np.sqrt(dx * dx + dy * dy).tolist()
 
     def neighbors_at(
         self, position: Point, radius: float, exclude: Optional[Hashable] = None
@@ -266,9 +204,7 @@ class NeighborCache:
         ]
 
     def __len__(self) -> int:
-        if self._store is not None:
-            return len(self._rows)
-        return len(self._lists)
+        return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -280,48 +216,23 @@ class NeighborCache:
 
     # ------------------------------------------------------------ internals
     def _on_grid_change(self, kind: str, item: Hashable, position: Point) -> None:
+        entries = self._entries
         if kind == "insert":
             # Inserts only happen during deployment setup; a blanket flush is
             # both correct and cheap there.
-            if self._lists or self._rows:
-                self.invalidations += max(len(self._lists), len(self._rows))
-                self._lists.clear()
-                self._rows.clear()
+            if entries:
+                self.invalidations += len(entries)
+                entries.clear()
                 self._row_keys.clear()
-                self._containing.clear()
             return
-        store = self._store
-        if store is not None:
-            # Columnar exact mode: evict every entry whose rows contain the
-            # removed node.  Lazily-validated (epoch-tagged) entries are not
-            # reverse-indexed; their stale rows are caught by the epoch
-            # check on their next lookup.
-            row = store.row_of.get(item)
-            keys = self._row_keys.pop(row, None) if row is not None else None
-            if keys:
-                rows_cache = self._rows
-                for key in keys:
-                    if rows_cache.pop(key, None) is not None:
-                        self.invalidations += 1
-            return
-        # Removal (node death): drop exactly the affected entries.
-        keys = self._containing.pop(item, None)
-        if not keys:
-            return
-        lists = self._lists
-        containing = self._containing
-        for key in keys:
-            cached = lists.pop(key, None)
-            if cached is None:
-                continue
-            self.invalidations += 1
-            for node_id, _ in cached:
-                members = containing.get(node_id)
-                if members is not None:
-                    members.discard(key)
-            center_keys = containing.get(key[0])
-            if center_keys is not None:
-                center_keys.discard(key)
+        # Removal (node death), exact mode: evict every entry whose rows
+        # contain the removed node or that is centered on it.  Epoch-tagged
+        # entries are not reverse-indexed; their next lookup revalidates.
+        keys = self._row_keys.pop(self._store.row_of[item], None)
+        if keys:
+            for key in keys:
+                if entries.pop(key, None) is not None:
+                    self.invalidations += 1
 
 
 def build_neighbor_lists(
@@ -338,9 +249,7 @@ def build_neighbor_lists(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    from .columnar import make_spatial_grid
-
-    grid = make_spatial_grid(field, cell_size=cell_size if cell_size else radius)
+    grid = ColumnarSpatialGrid(field, cell_size=cell_size if cell_size else radius)
     for node_id, position in positions.items():
         grid.insert(node_id, position)
     cache = NeighborCache(grid, enabled=True)

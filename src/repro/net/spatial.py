@@ -13,7 +13,8 @@ death must not scan a bucket) and iteration order is reproducible:
 :meth:`SpatialGrid.within` returns its results **sorted by insertion
 index** — a canonical order that depends only on the insertion history,
 never on hash values, removal patterns or bucket geometry, and that the
-columnar backend (:mod:`repro.net.columnar`) reproduces exactly.  Bucket
+columnar subclass (:mod:`repro.net.columnar`) that simulations run on
+reproduces exactly; this grid is its test oracle.  Bucket
 values carry the position and the item's insertion index inline, so range
 scans never do a secondary id->position lookup.
 
@@ -121,14 +122,14 @@ class SpatialGrid:
     def within(self, center: Point, radius: float) -> List[Hashable]:
         """Indexed items within ``radius`` of ``center`` (inclusive),
         sorted by insertion index (the canonical reproducible order shared
-        with the columnar backend)."""
+        with the columnar grid)."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         r_sq = radius * radius
         cx, cy = center
         # Closed x-window |px - cx| <= radius, checked on the *coordinates*:
         # squared distances underflow to 0.0 for pathologically close
-        # points, and the columnar backend's searchsorted x-slice (the same
+        # points, and the columnar grid's searchsorted x-slice (the same
         # closed window) would exclude what the underflowed d_sq admits.
         win_lo = cx - radius
         win_hi = cx + radius

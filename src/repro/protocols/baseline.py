@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..net import DEPLOYMENTS, Field, NeighborCache, make_spatial_grid
+from ..net import DEPLOYMENTS, ColumnarSpatialGrid, Field, NeighborCache
 from ..routing import WorkingTopology
 from .base import ProtocolRun, ProtocolSpec
 from .registry import register_protocol
@@ -64,7 +64,7 @@ class BaselineRun(ProtocolRun):
     def topology(self, scenario: "Scenario") -> WorkingTopology:
         # Baselines have no control-plane spatial index; build one over the
         # full deployment so GRAB sees the same geometry as under PEAS.
-        spatial = make_spatial_grid(
+        spatial = ColumnarSpatialGrid(
             self.network.field, cell_size=scenario.config.probe_range_m
         )
         cache = NeighborCache(spatial)

@@ -1,13 +1,12 @@
-"""Scalar/columnar backend equivalence, element for element.
+"""Columnar index against the scalar bucket grid, element for element.
 
-The columnar backend's whole correctness story is that it is a drop-in
-replacement: for any insert/remove history and any query, ``SpatialGrid``
-and ``ColumnarSpatialGrid`` (and a :class:`NeighborCache` over each) must
-return the *same ids in the same canonical order with bit-equal
-distances*.  These properties drive both indexes through arbitrary
-mutation/query interleavings; the full-run corollary (byte-identical
-golden traces under ``REPRO_BACKEND=scalar|columnar``) lives in
-``tests/integration/test_columnar_identity.py``.
+:class:`ColumnarSpatialGrid` is the spatial index every run uses; the
+scalar :class:`SpatialGrid` it subclasses is the oracle.  For any
+insert/remove history and any query both must return the *same ids in the
+same canonical order*, and a :class:`NeighborCache` over the columnar grid
+must return what a sorted ``SpatialGrid.within_annotated`` scan gives, with
+bit-equal distances.  These properties drive both through arbitrary
+mutation/query interleavings.
 """
 
 import math
@@ -16,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Field, SpatialGrid
-from repro.net.columnar import (
-    ColumnarSpatialGrid,
-    backend_default,
-    make_spatial_grid,
-)
+from repro.net.columnar import ColumnarSpatialGrid
 from repro.net.neighbors import NeighborCache
 
 coords = st.floats(
@@ -47,6 +42,14 @@ operations = st.lists(
 )
 
 
+def oracle_neighbors(grid, item, radius):
+    """Canonical ``(id, distance)`` neighborhood by a sorted bucket scan."""
+    annotated = sorted(grid.within_annotated(grid.position(item), radius))
+    return [
+        (node_id, math.sqrt(d_sq)) for d_sq, _, node_id in annotated if node_id != item
+    ]
+
+
 def _build_pair(positions):
     field = Field(50.0, 50.0)
     scalar = SpatialGrid(field, cell_size=3.0)
@@ -62,8 +65,7 @@ class TestGridEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_queries_agree_across_mutation_histories(self, positions, ops):
         scalar, columnar = _build_pair(positions)
-        scalar_cache = NeighborCache(scalar, enabled=True)
-        columnar_cache = NeighborCache(columnar, enabled=True)
+        cache = NeighborCache(columnar, enabled=True)
         live = list(range(len(positions)))
 
         for op in ops:
@@ -89,11 +91,11 @@ class TestGridEquivalence:
                 _, index, radius = op
                 item = live[index % len(live)]
                 # Exact equality: same ids, same distance-sorted order, and
-                # bit-equal floats (both backends run the identical
-                # subtract/square/sqrt arithmetic).
-                assert columnar_cache.neighbors_with_distance(
-                    item, radius
-                ) == scalar_cache.neighbors_with_distance(item, radius)
+                # bit-equal floats (both run the identical subtract/square/
+                # sqrt arithmetic).
+                assert cache.neighbors_with_distance(item, radius) == (
+                    oracle_neighbors(scalar, item, radius)
+                )
 
     @given(positions=st.lists(points, min_size=1, max_size=30), center=points)
     @settings(max_examples=60, deadline=None)
@@ -103,40 +105,15 @@ class TestGridEquivalence:
         def dist(grid, item):
             x, y = grid.position(item)
             dx, dy = x - center[0], y - center[1]
-            # dx*dx + dy*dy, not hypot: both backends *select* by this
+            # dx*dx + dy*dy, not hypot: both grids *select* by this
             # quantity, and hypot would distinguish ties that the selection
             # metric (which underflows for pathologically close points)
             # cannot.
             return dx * dx + dy * dy
 
-        # Ties are broken arbitrarily by the scalar backend (documented),
+        # Ties are broken arbitrarily by the scalar grid (documented),
         # deterministically by the columnar one — the distance is the
         # comparable quantity.
         assert dist(columnar, columnar.nearest(center)) == dist(
             scalar, scalar.nearest(center)
         )
-
-
-class TestBackendSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_default() == "columnar"
-
-    def test_typo_raises_instead_of_silently_falling_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnr")
-        try:
-            backend_default()
-        except ValueError as err:
-            assert "REPRO_BACKEND" in str(err)
-        else:
-            raise AssertionError("expected ValueError for a backend typo")
-
-    def test_factory_honors_explicit_backend(self):
-        field = Field(10.0, 10.0)
-        assert isinstance(
-            make_spatial_grid(field, 3.0, backend="columnar"),
-            ColumnarSpatialGrid,
-        )
-        scalar = make_spatial_grid(field, 3.0, backend="scalar")
-        assert isinstance(scalar, SpatialGrid)
-        assert not isinstance(scalar, ColumnarSpatialGrid)

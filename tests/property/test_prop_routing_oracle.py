@@ -16,7 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Field, NeighborCache, make_spatial_grid
+from repro.net import ColumnarSpatialGrid, Field, NeighborCache
 from repro.net.field import distance_sq
 from repro.routing import GrabRouter, WorkingTopology
 
@@ -64,7 +64,7 @@ def build_router(grid, neighbors=None):
     return topology, build_router_over(topology)
 
 
-def fresh_answers(backend, grid, topology):
+def fresh_answers(grid, topology):
     """The three queries from a topology + router rebuilt from scratch:
     same grid members in the same canonical order, same working members in
     the same insertion order."""
@@ -72,7 +72,7 @@ def fresh_answers(backend, grid, topology):
         (grid.insertion_index(item), item, position)
         for item, position in grid.items()
     )
-    fresh_grid = make_spatial_grid(Field(SIDE, SIDE), cell_size=3.0, backend=backend)
+    fresh_grid = ColumnarSpatialGrid(Field(SIDE, SIDE), cell_size=3.0)
     for _order, item, position in members:
         fresh_grid.insert(item, position)
     fresh_topology, fresh_router = build_router(fresh_grid)
@@ -94,16 +94,13 @@ def answers(router):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    backend=st.sampled_from(["columnar", "scalar"]),
     positions=deployments,
     script=st.lists(steps, min_size=1, max_size=60),
     insert_at=st.integers(min_value=0, max_value=59),
     insert_point=near_station,
 )
-def test_cached_queries_match_fresh_rebuild(
-    backend, positions, script, insert_at, insert_point
-):
-    grid = make_spatial_grid(Field(SIDE, SIDE), cell_size=3.0, backend=backend)
+def test_cached_queries_match_fresh_rebuild(positions, script, insert_at, insert_point):
+    grid = ColumnarSpatialGrid(Field(SIDE, SIDE), cell_size=3.0)
     for index, position in enumerate(positions):
         grid.insert(index, position)
     topology, router = build_router(grid, NeighborCache(grid))
@@ -114,7 +111,7 @@ def test_cached_queries_match_fresh_rebuild(
     script = list(script)
     script.insert(min(insert_at, len(script)), ("insert", len(positions)))
 
-    assert answers(router) == fresh_answers(backend, grid, topology)
+    assert answers(router) == fresh_answers(grid, topology)
     for op, index in script:
         if op == "insert":
             if index < len(positions) and index in grid:
@@ -152,8 +149,8 @@ def test_cached_queries_match_fresh_rebuild(
                 if index in topology:
                     topology.remove_working(index)
         cached = answers(router)
-        assert cached == fresh_answers(backend, grid, topology)
+        assert cached == fresh_answers(grid, topology)
         # Callers own their path: mutating it must not corrupt the cache.
         if cached[0] is not None:
             cached[0].append("corrupt")
-            assert router.gradient_path() == fresh_answers(backend, grid, topology)[0]
+            assert router.gradient_path() == fresh_answers(grid, topology)[0]

@@ -12,14 +12,16 @@ from never having stopped:
 * every ``RunResult`` metric matches exactly (manifest excluded: it
   carries wall time by design).
 
-Covered for PEAS-with-traffic and one baseline (``duty_cycle``), on both
-spatial-index backends (``REPRO_BACKEND=scalar|columnar``).
+Covered for PEAS-with-traffic and one baseline (``duty_cycle``), with the
+broadcast channel taking either candidate source: the per-entry cached
+lists (``scalar``) or, with ``_SCALAR_AUDIENCE_MAX`` forced below every
+audience size, the ``store.listening`` mask prefilter (``columnar``).  Both
+are held to the same golden run, taken on the default path.
 """
 
 import contextlib
 import dataclasses
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.experiments import Scenario
 from repro.harness import LiveRun, RunOptions, resume, run
+from repro.net import neighbors as neighbors_module
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 
@@ -59,19 +62,24 @@ MAX_EVENT_INDEX = 120
 MIN_TRACE_EVENTS = {"peas": 50, "duty_cycle": 2}
 
 
+#: ``_SCALAR_AUDIENCE_MAX`` per candidate source: ``None`` keeps the
+#: default, ``-1`` sends every broadcast (even an empty one) through the mask
+AUDIENCE_MAX = {"scalar": None, "columnar": -1}
+
+
 @contextlib.contextmanager
-def backend_env(backend):
-    """Pin ``REPRO_BACKEND`` without pytest's function-scoped monkeypatch
-    (which Hypothesis rejects: it would be shared across examples)."""
-    old = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = backend
+def audience_source(audience):
+    """Pin the channel's candidate source without pytest's function-scoped
+    monkeypatch (which Hypothesis rejects: it would be shared across
+    examples)."""
+    old = neighbors_module._SCALAR_AUDIENCE_MAX
+    forced = AUDIENCE_MAX[audience]
+    if forced is not None:
+        neighbors_module._SCALAR_AUDIENCE_MAX = forced
     try:
         yield
     finally:
-        if old is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = old
+        neighbors_module._SCALAR_AUDIENCE_MAX = old
 
 
 def comparable(result):
@@ -87,22 +95,21 @@ def canonical(events):
 _golden = {}
 
 
-def golden(name, backend):
-    key = (name, backend)
-    if key not in _golden:
+def golden(name):
+    if name not in _golden:
         sink = RingBufferSink()
         result = run(SCENARIOS[name], RunOptions(), tracer=Tracer(sink))
-        _golden[key] = (comparable(result), canonical(sink.events()))
-    return _golden[key]
+        _golden[name] = (comparable(result), canonical(sink.events()))
+    return _golden[name]
 
 
-@pytest.mark.parametrize("backend", ["scalar", "columnar"])
+@pytest.mark.parametrize("audience", ["scalar", "columnar"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @settings(max_examples=4, deadline=None)
 @given(k=st.integers(min_value=1, max_value=MAX_EVENT_INDEX))
-def test_snapshot_at_any_event_index_is_exact(name, backend, k):
-    with backend_env(backend):
-        want_result, want_trace = golden(name, backend)
+def test_snapshot_at_any_event_index_is_exact(name, audience, k):
+    want_result, want_trace = golden(name)
+    with audience_source(audience):
         scenario = SCENARIOS[name]
 
         prefix_sink = RingBufferSink()

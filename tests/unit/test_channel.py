@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import (
     BroadcastChannel,
+    ColumnarSpatialGrid,
     Field,
     NeighborCache,
     Packet,
@@ -16,13 +17,24 @@ from repro.sim import Simulator
 
 
 class StubEndpoint:
-    """Minimal RadioEndpoint capturing deliveries."""
+    """Minimal RadioEndpoint capturing deliveries; publishes every change
+    of ``listening`` to the channel, as the endpoint contract requires."""
 
-    def __init__(self, node_id, position, listening=True):
+    def __init__(self, channel, node_id, position, listening=True):
+        self._channel = channel
         self._id = node_id
         self._position = position
-        self.listening = listening
+        self._listening = listening
         self.received = []
+
+    @property
+    def listening(self):
+        return self._listening
+
+    @listening.setter
+    def listening(self, flag):
+        self._listening = flag
+        self._channel.note_listening(self._id, flag)
 
     @property
     def node_id(self):
@@ -41,7 +53,7 @@ class StubEndpoint:
 
 def make_channel(loss_rate=0.0, energy_hook=None, seed=1):
     sim = Simulator()
-    grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+    grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
     channel = BroadcastChannel(
         sim, grid, RadioModel(), loss_rate=loss_rate,
         rng=random.Random(seed), energy_hook=energy_hook,
@@ -50,7 +62,7 @@ def make_channel(loss_rate=0.0, energy_hook=None, seed=1):
 
 
 def attach(channel, node_id, position, listening=True):
-    endpoint = StubEndpoint(node_id, position, listening)
+    endpoint = StubEndpoint(channel, node_id, position, listening)
     channel.attach(endpoint)
     return endpoint
 
@@ -177,6 +189,31 @@ class TestHalfDuplex:
         assert a_endpoint.received == []
         assert channel.counters.get("half_duplex_losses") == 1
 
+    def test_large_audience_skips_sleepers_and_transmitters(self):
+        """Above the list-memo size the audience is masked by the published
+        listening column; half-duplex still drops per candidate."""
+        sim, channel = make_channel()
+        attach(channel, "s", (10.0, 10.0))
+        layout = random.Random(5)
+        crowd = [
+            attach(
+                channel,
+                i,
+                (10.0 + layout.uniform(-2, 2), 10.0 + layout.uniform(-2, 2)),
+                listening=i % 3 != 0,
+            )
+            for i in range(300)
+        ]
+        crowd[1].listening = False  # slept after attach
+        crowd[3].listening = True  # woke after attach
+        # 2 is on the air (a whisper nobody hears) when s broadcasts.
+        channel.transmit(2, Packet("REPLY", 2), tx_range=1e-3)
+        channel.transmit("s", Packet("PROBE", "s"), tx_range=3.0)
+        sim.run()
+        heard = {e.node_id for e in crowd if e.received}
+        assert heard == {e.node_id for e in crowd if e.listening} - {2}
+        assert channel.counters.get("half_duplex_losses") == 1
+
     def test_transmission_corrupts_own_ongoing_reception(self):
         sim, channel = make_channel()
         attach(channel, "a", (10.0, 10.0))
@@ -212,7 +249,7 @@ class TestRandomLoss:
 
     def test_invalid_loss_rate(self):
         sim = Simulator()
-        grid = SpatialGrid(Field(10.0, 10.0), cell_size=3.0)
+        grid = ColumnarSpatialGrid(Field(10.0, 10.0), cell_size=3.0)
         with pytest.raises(ValueError):
             BroadcastChannel(sim, grid, RadioModel(), loss_rate=1.0)
 
@@ -271,7 +308,7 @@ class TestNeighborCacheIntegration:
     def _run_traffic(self, cache_enabled, seed=7):
         """Randomized probe traffic; returns (counters, delivery transcript)."""
         sim = Simulator()
-        grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
         cache = NeighborCache(grid, enabled=cache_enabled)
         channel = BroadcastChannel(
             sim, grid, RadioModel(), loss_rate=0.2,

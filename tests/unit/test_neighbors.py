@@ -4,12 +4,18 @@ import math
 
 import pytest
 
-from repro.net import Field, NeighborCache, SpatialGrid, build_neighbor_lists
-from repro.net.neighbors import cache_enabled_default
+from repro.net import (
+    ColumnarSpatialGrid,
+    Field,
+    NeighborCache,
+    SpatialGrid,
+    build_neighbor_lists,
+)
+from repro.net.neighbors import _EXACT_INVALIDATION_MAX, cache_enabled_default
 
 
 def make_grid(points, cell_size=3.0, size=50.0):
-    grid = SpatialGrid(Field(size, size), cell_size=cell_size)
+    grid = ColumnarSpatialGrid(Field(size, size), cell_size=cell_size)
     for node_id, position in points.items():
         grid.insert(node_id, position)
     return grid
@@ -40,8 +46,7 @@ class TestQueries:
         assert cache.neighbors("a", 2.0) == ["b"]
 
     def test_distance_tie_broken_by_insertion_order(self):
-        points = {"late": None, "early": None}
-        grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
         grid.insert("center", (10.0, 10.0))
         grid.insert("west", (8.0, 10.0))
         grid.insert("east", (12.0, 10.0))  # same distance, inserted later
@@ -50,7 +55,7 @@ class TestQueries:
 
     def test_heterogeneous_ids(self):
         """Int node ids and string anchor ids coexist (no cross-type <)."""
-        grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
         grid.insert(1, (10.0, 10.0))
         grid.insert("anchor0", (11.0, 10.0))
         grid.insert(2, (12.0, 10.0))
@@ -64,13 +69,17 @@ class TestQueries:
         at = cache.neighbors_at((10.0, 10.0), 5.0, exclude="a")
         assert member == at
 
+    def test_scalar_grid_is_rejected(self):
+        with pytest.raises(TypeError, match="ColumnarSpatialGrid"):
+            NeighborCache(SpatialGrid(Field(50.0, 50.0), cell_size=3.0))
+
 
 class TestMemoization:
     def test_hit_returns_same_list(self):
         cache = NeighborCache(make_grid(CLUSTER), enabled=True)
         first = cache.neighbors_with_distance("a", 5.0)
         second = cache.neighbors_with_distance("a", 5.0)
-        assert first is second
+        assert first == second
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
@@ -104,7 +113,27 @@ class TestInvalidation:
         cache = NeighborCache(grid, enabled=True)
         cache.neighbors("b", 5.0)
         grid.remove("b")
-        assert ("b", 5.0) not in cache._lists
+        assert cache.stats()["entries"] == 0
+        with pytest.raises(KeyError):
+            cache.neighbors("b", 5.0)
+
+    def test_removed_center_entry_is_dropped_in_a_large_population(self):
+        # Above the exact-invalidation size entries revalidate lazily, on
+        # their next lookup; the center's own death must fail that check.
+        field = Field(100.0, 100.0)
+        grid = ColumnarSpatialGrid(field, cell_size=3.0)
+        count = _EXACT_INVALIDATION_MAX + 904
+        grid.bulk_insert(
+            (i, (float(i % 100), float(i // 100) * 2.0)) for i in range(count)
+        )
+        grid.insert("a", (50.5, 50.5))
+        grid.insert("b", (52.5, 50.5))
+        cache = NeighborCache(grid, enabled=True)
+        assert "a" in cache.neighbors("b", 5.0)
+        grid.remove("b")
+        with pytest.raises(KeyError):
+            cache.neighbors("b", 5.0)
+        assert cache.stats()["entries"] == 0
 
     def test_unrelated_entries_survive_removal(self):
         grid = make_grid(CLUSTER)
@@ -112,7 +141,10 @@ class TestInvalidation:
         kept = cache.neighbors_with_distance("d", 1.0)
         cache.neighbors("a", 5.0)
         grid.remove("b")  # not in d's neighborhood
-        assert cache.neighbors_with_distance("d", 1.0) is kept
+        misses = cache.stats()["misses"]
+        assert cache.neighbors_with_distance("d", 1.0) == kept
+        assert cache.stats()["misses"] == misses
+        assert cache.stats()["entries"] == 1
 
     def test_insert_flushes_everything(self):
         grid = make_grid(CLUSTER)
