@@ -2,11 +2,11 @@
 """Emit a ``BENCH_<date>.json`` perf report for the current tree.
 
 Runs the kernel microbenchmarks (the exact workloads behind
-``benchmarks/bench_kernel.py``), the Fig 9 deployment-sweep macro-benchmark
-(PEAS, N=480), and a scaling curve (PEAS + the duty-cycle baseline at
-1k/10k/50k nodes on the paper's 50x50 field — growing density, traffic and
-failures off), and writes a JSON report so every PR leaves a perf
-trajectory to compare against.  ``--skip-micro --scaling-nodes 1000``
+``benchmarks/bench_kernel.py``) and a scaling curve (PEAS + the duty-cycle
+baseline at 1k/10k/50k nodes on the paper's 50x50 field — growing density,
+traffic and failures off), and writes a JSON report so every PR leaves a
+perf trajectory to compare against.  End-to-end fig9 timing lives in
+``perfbench/run.py --workload fig9-lifetime``.  ``--skip-micro --scaling-nodes 1000``
 (with ``--fail-on-regression``) is the CI smoke variant — scaling walls
 gate at 2x, which survives a machine change, where the 15 % micro gate
 would not; ``--skip-scaling`` drops the curve entirely.
@@ -20,9 +20,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_report.py \
         --baseline BENCH_2026-08-06.json --fail-on-regression
 
-Scale (``REPRO_BENCH_SCALE`` or ``--scale``): ``smoke`` = 10 timing rounds
-and 1 macro seed, ``quick`` = 20/2, ``full`` = 40/5 — the same seed policy
-as the figure sweeps (``repro.experiments.paper.bench_seeds``).
+Scale (``REPRO_BENCH_SCALE`` or ``--scale``): ``smoke`` = 10 timing rounds,
+``quick`` = 20, ``full`` = 40.
 
 ``--against SRC`` measures another source tree on *this* tree's workload
 definitions in a subprocess (honest A/B: byte-identical bench code on both
@@ -42,7 +41,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.paper import bench_seeds  # noqa: E402
 from repro.perf import (  # noqa: E402
     KERNEL_WORKLOADS,
     SCALING_NODE_COUNTS,
@@ -53,7 +51,6 @@ from repro.perf import (  # noqa: E402
     host_fingerprint,
     micro_rounds,
     peak_rss_mb,
-    run_macro,
     run_micro,
     run_scaling,
     write_report,
@@ -72,18 +69,13 @@ def main(argv=None) -> int:
         "--scale",
         default=os.environ.get("REPRO_BENCH_SCALE", "quick").lower(),
         choices=("smoke", "quick", "full"),
-        help="rounds/seeds preset (default: REPRO_BENCH_SCALE or quick)",
+        help="timing-rounds preset (default: REPRO_BENCH_SCALE or quick)",
     )
     parser.add_argument(
         "--output",
         type=Path,
         default=None,
         help="report path (default: benchmarks/BENCH_<date>.json)",
-    )
-    parser.add_argument(
-        "--skip-macro",
-        action="store_true",
-        help="microbenchmarks only (used by the CI smoke job)",
     )
     parser.add_argument(
         "--skip-micro",
@@ -135,14 +127,11 @@ def main(argv=None) -> int:
     if args.against is not None and args.skip_micro:
         parser.error("--skip-micro cannot be combined with --against")
 
-    # Keep the macro seed policy in lockstep with the paper sweeps.
-    os.environ["REPRO_BENCH_SCALE"] = args.scale
     rounds = micro_rounds(args.scale)
-    seeds = bench_seeds()
     today = _datetime.date.today().isoformat()
     output = args.output or REPO_ROOT / "benchmarks" / f"BENCH_{today}.json"
 
-    print(f"[bench] scale={args.scale} rounds={rounds} macro_seeds={seeds}")
+    print(f"[bench] scale={args.scale} rounds={rounds}")
     micro = None
     if not args.skip_micro:
         print(f"[bench] micro: {len(KERNEL_WORKLOADS)} kernel workloads ...")
@@ -152,12 +141,6 @@ def main(argv=None) -> int:
                 f"[bench]   {name:34s} best {stats['best_ms']:8.2f} ms   "
                 f"median {stats['median_ms']:8.2f} ms"
             )
-
-    macro = None
-    if not args.skip_macro:
-        print(f"[bench] macro: fig9 N=480, seeds {seeds} (serial) ...")
-        macro = run_macro(num_nodes=480, seeds=seeds)
-        print(f"[bench]   wall {macro['wall_s_total']:.2f} s total")
 
     scaling_nodes = sorted(
         int(n) for n in args.scaling_nodes.split(",") if n.strip()
@@ -180,13 +163,11 @@ def main(argv=None) -> int:
             "backend": "columnar",
             "effective_scale": args.scale,
             "scale_env": os.environ.get("REPRO_BENCH_SCALE"),
-            "macro_num_nodes": None if args.skip_macro else 480,
             "scaling_nodes": None if args.skip_scaling else scaling_nodes,
         },
         "host": host_fingerprint(),
         "micro_stat": "best_ms",
         "micro": micro,
-        "macro": macro,
         "scaling": scaling,
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
@@ -197,12 +178,7 @@ def main(argv=None) -> int:
             f"this tree vs {args.against} ..."
         )
         ours, other = ab_measure(
-            REPO_ROOT / "src",
-            args.against,
-            rounds,
-            macro_seeds=seeds,
-            skip_macro=args.skip_macro,
-            repeats=args.ab_repeats,
+            REPO_ROOT / "src", args.against, rounds, repeats=args.ab_repeats
         )
         speedups = compare_micro(ours["micro"], other["micro"])
         against = {
@@ -211,21 +187,11 @@ def main(argv=None) -> int:
             "ab_repeats": args.ab_repeats,
             "current_micro": ours["micro"],
             "micro": other["micro"],
-            "macro": other["macro"],
             "peak_rss_mb": round(other["peak_rss_mb"], 1),
             "micro_speedup": {k: round(v, 2) for k, v in speedups.items()},
         }
         for name, speedup in speedups.items():
             print(f"[bench]   {name:34s} {speedup:5.2f}x vs {args.against_label}")
-        if ours.get("macro") is not None and other["macro"] is not None:
-            ours_wall = ours["macro"]["wall_s_total"]
-            macro_speedup = other["macro"]["wall_s_total"] / ours_wall
-            against["current_macro"] = ours["macro"]
-            against["macro_speedup"] = round(macro_speedup, 2)
-            print(
-                f"[bench]   fig9 macro {macro_speedup:5.2f}x "
-                f"({other['macro']['wall_s_total']:.2f} s -> {ours_wall:.2f} s)"
-            )
         report["against"] = against
 
     exit_code = 0

@@ -3,18 +3,19 @@
 The PEAS results are only meaningful because every run is a pure function
 of its seed.  This package turns the conventions that guarantee that —
 named :class:`~repro.sim.rng.RngRegistry` streams, no wall-clock reads in
-simulation code, guarded hot-path tracing, a drift-free trace schema —
-into machine-checked rules with a violations baseline.
+simulation code, snapshot- and fork-safe callbacks — into machine-checked
+rules with a violations baseline.  Only what no runtime check catches is
+linted: trace-schema and metric-name drift fail at run time
+(:func:`repro.obs.schema.validate_event`,
+:class:`repro.obs.metrics.MetricsRegistry`), and hot-path cost is
+measured by the perfbench ledger.
 
 Layout:
 
 * :mod:`repro.lint.framework` — the pluggable AST checker framework;
 * :mod:`repro.lint.rules_determinism` — D1xx determinism rules;
-* :mod:`repro.lint.rules_hotpath` — H2xx hot-path hygiene rules (over the
-  :mod:`repro.lint.hotpaths` registry);
-* :mod:`repro.lint.rules_schema` — S3xx trace-schema consistency;
-* :mod:`repro.lint.rules_metrics` — S302 metric-name drift (call sites vs
-  the :data:`repro.obs.metrics.METRIC_NAMES` catalogue);
+* :mod:`repro.lint.graph` — the whole-program call graph and its cache;
+* :mod:`repro.lint.rules_flow` — W4xx whole-program and capture rules;
 * :mod:`repro.lint.baseline` — the accepted-findings ratchet;
 * :mod:`repro.lint.cli` — ``peas-lint`` / ``peas-repro lint``.
 
@@ -40,18 +41,16 @@ from .framework import (
 )
 from .violations import (
     CATEGORIES,
+    CATEGORY_CONCURRENCY,
     CATEGORY_DETERMINISM,
-    CATEGORY_HOT_PATH,
-    CATEGORY_SCHEMA,
     Violation,
 )
 
 __all__ = [
     "Violation",
     "CATEGORIES",
+    "CATEGORY_CONCURRENCY",
     "CATEGORY_DETERMINISM",
-    "CATEGORY_HOT_PATH",
-    "CATEGORY_SCHEMA",
     "Checker",
     "FileContext",
     "LintError",

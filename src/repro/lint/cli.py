@@ -12,7 +12,7 @@ Also exposed as ``peas-repro lint``.  Typical invocations::
 
 Exit codes: 0 clean (or fully baselined), 1 new findings, 2 usage error.
 
-The whole-program rules (W401/W402/H203) cache per-file call-graph
+The whole-program rules (W401/W402) cache per-file call-graph
 summaries in ``<root>/.peas-lint-cache.json`` keyed by content hash, so
 warm runs skip re-parsing unchanged files; ``--no-cache`` disables this.
 """
@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peas-lint",
         description=(
-            "PEAS reproduction static analysis: determinism, hot-path "
-            "hygiene and trace-schema consistency."
+            "PEAS reproduction static analysis: determinism and "
+            "fork/snapshot safety."
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src"],

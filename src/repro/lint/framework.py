@@ -151,13 +151,7 @@ def all_checkers(
     (``determinism``).
     """
     # Import for registration side effects; late so the modules can import us.
-    from . import (  # noqa: F401
-        rules_determinism,
-        rules_flow,
-        rules_hotpath,
-        rules_metrics,
-        rules_schema,
-    )
+    from . import rules_determinism, rules_flow  # noqa: F401
 
     def matches(cls: Type[Checker], tokens: Sequence[str]) -> bool:
         return cls.rule in tokens or cls.category in tokens or cls.name in tokens
@@ -232,7 +226,7 @@ def lint_paths(
     """Lint every Python file under ``paths`` with the given rule set.
 
     Runs the per-file rules first, then — when the rule set contains
-    whole-program checkers (``W401``/``W402``/``H203``) — builds the
+    whole-program checkers (``W401``/``W402``) — builds the
     :class:`~repro.lint.graph.ProgramGraph` over the same files and runs
     them once.  ``cache_path`` persists per-file graph summaries between
     runs (see :class:`~repro.lint.graph.SummaryCache`); ``None`` disables

@@ -1,23 +1,22 @@
 """Whole-program analysis: symbol table, call graph, cached summaries.
 
-The per-file rules (D1xx/H2xx/S3xx) see one AST at a time, so a helper
-that reads the wall clock is invisible the moment it is *called from*
-sim-scoped code instead of living in it.  This module gives the linter a
-project-wide view:
+The per-file rules (D1xx) see one AST at a time, so a helper that reads
+the wall clock is invisible the moment it is *called from* sim-scoped code
+instead of living in it.  This module gives the linter a project-wide
+view:
 
 * :func:`summarize_module` reduces one file to a JSON-serializable
   :class:`ModuleSummary`: its dotted module name, import bindings,
-  classes/bases, and per-function **call references** (what it calls),
+  classes/bases, per-function **call references** (what it calls) and
   **sinks** (direct wall-clock / global-random call sites, detected with
-  the same matchers as D101/D103) and **allocations** (H202's node set,
-  minus its error-path exemptions);
+  the same matchers as D101/D103), plus its RNG stream acquisitions;
 * :class:`SummaryCache` persists summaries to ``.peas-lint-cache.json``
   keyed by a content hash, so warm runs skip parsing entirely — an
   mtime-only touch is a cache hit, an edit is a miss;
 * :class:`ProgramGraph` resolves call references into edges — local and
   nested defs, ``self.``/inherited methods, imported names (following
   relative imports and package ``__init__`` re-export chains) — and is
-  what the W4xx/H203 rules in :mod:`repro.lint.rules_flow` consume;
+  what the W401/W402 rules in :mod:`repro.lint.rules_flow` consume;
 * :class:`ProgramChecker` is the framework hook: a checker whose
   :meth:`ProgramChecker.check_program` runs once over the graph instead
   of once per file.
@@ -57,7 +56,6 @@ from .rules_determinism import (
     _call_on_module,
     _module_aliases,
 )
-from .rules_hotpath import _none_compares
 from .violations import Violation
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "SUMMARY_VERSION",
     "CallRef",
     "SinkRef",
-    "AllocRef",
     "StreamRef",
     "FunctionInfo",
     "ClassInfo",
@@ -88,7 +85,7 @@ CACHE_FILENAME = ".peas-lint-cache.json"
 
 #: bump when the summary format or extraction logic changes — stale cache
 #: entries from older versions are discarded wholesale
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 SINK_WALLCLOCK = "wallclock"
 SINK_GLOBAL_RANDOM = "global-random"
@@ -138,22 +135,6 @@ class SinkRef:
 
 
 @dataclass(frozen=True)
-class AllocRef:
-    """A per-event allocation (H202's node set, exemptions applied)."""
-
-    kind: str  #: ``"f-string"`` | ``"dict/comprehension"``
-    line: int
-    text: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "line": self.line, "text": self.text}
-
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "AllocRef":
-        return AllocRef(payload["kind"], payload["line"], payload["text"])
-
-
-@dataclass(frozen=True)
 class StreamRef:
     """One ``RngRegistry.stream(...)`` acquisition site.
 
@@ -185,10 +166,8 @@ class FunctionInfo:
     line: int
     cls: Optional[str]  #: innermost enclosing class, if any
     boundary: bool  #: def line carries :data:`BOUNDARY_MARKER`
-    markers: Tuple[str, ...]  #: raw ``# peas-lint:`` markers on the def line
     calls: List[CallRef] = field(default_factory=list)
     sinks: List[SinkRef] = field(default_factory=list)
-    allocs: List[AllocRef] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -196,10 +175,8 @@ class FunctionInfo:
             "line": self.line,
             "cls": self.cls,
             "boundary": self.boundary,
-            "markers": list(self.markers),
             "calls": [c.as_dict() for c in self.calls],
             "sinks": [s.as_dict() for s in self.sinks],
-            "allocs": [a.as_dict() for a in self.allocs],
         }
 
     @staticmethod
@@ -209,10 +186,8 @@ class FunctionInfo:
             line=payload["line"],
             cls=payload["cls"],
             boundary=payload["boundary"],
-            markers=tuple(payload["markers"]),
             calls=[CallRef.from_dict(c) for c in payload["calls"]],
             sinks=[SinkRef.from_dict(s) for s in payload["sinks"]],
-            allocs=[AllocRef.from_dict(a) for a in payload["allocs"]],
         )
 
 
@@ -337,16 +312,9 @@ def _import_bindings(
     return bindings
 
 
-def _def_markers(lines: List[str], fn: AnyFuncDef) -> Tuple[str, ...]:
-    """``# peas-lint:`` markers on the def line (``hot``, ``fast-loop``,
-    ``wallclock-boundary``)."""
-    if not (1 <= fn.lineno <= len(lines)):
-        return ()
-    text = lines[fn.lineno - 1]
-    if "# peas-lint:" not in text:
-        return ()
-    tail = text.split("# peas-lint:", 1)[1].strip()
-    return tuple(token.strip() for token in tail.split(",") if token.strip())
+def _is_boundary(lines: List[str], fn: AnyFuncDef) -> bool:
+    """Does the def line carry :data:`BOUNDARY_MARKER`?"""
+    return 1 <= fn.lineno <= len(lines) and BOUNDARY_MARKER in lines[fn.lineno - 1]
 
 
 class _SinkMatcher:
@@ -389,44 +357,6 @@ class _SinkMatcher:
             ):
                 return f"time.{members[func.id]}()", SINK_WALLCLOCK
         return None
-
-
-_ALLOC_NODES = (ast.JoinedStr, ast.Dict, ast.DictComp, ast.SetComp)
-
-
-def _function_allocs(fn: AnyFuncDef, lines: List[str]) -> List[AllocRef]:
-    """H202's allocation nodes inside ``fn``, with its exemptions applied
-    (``raise``/``assert`` paths and ``is None`` slow branches)."""
-    parents: Dict[ast.AST, ast.AST] = {}
-    for child in ast.iter_child_nodes(fn):
-        parents[child] = fn
-    for node in _walk_own(fn):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-
-    def exempt(node: ast.AST) -> bool:
-        current: ast.AST = node
-        while current is not fn:
-            parent = parents.get(current)
-            if parent is None:
-                return True  # outside fn's own body (nested def)
-            if isinstance(parent, (ast.Raise, ast.Assert)):
-                return True
-            if isinstance(parent, ast.If) and current is not parent.test:
-                if _none_compares(parent.test, ast.Is) or _none_compares(
-                    parent.test, ast.IsNot
-                ):
-                    return True
-            current = parent
-        return False
-
-    found: List[AllocRef] = []
-    for node in _walk_own(fn):
-        if isinstance(node, _ALLOC_NODES) and not exempt(node):
-            kind = "f-string" if isinstance(node, ast.JoinedStr) else "dict/comprehension"
-            lineno = getattr(node, "lineno", fn.lineno)
-            found.append(AllocRef(kind, lineno, _line_text(lines, lineno)))
-    return found
 
 
 def _line_text(lines: List[str], lineno: int) -> str:
@@ -555,7 +485,6 @@ def summarize_module(rel_path: str, source: str, tree: ast.Module) -> ModuleSumm
 
     functions: Dict[str, FunctionInfo] = {}
     for qualname, cls, fn in _index_defs(tree):
-        markers = _def_markers(lines, fn)
         sinks: List[SinkRef] = []
         for node in _walk_own(fn):
             if isinstance(node, ast.Call):
@@ -568,11 +497,9 @@ def summarize_module(rel_path: str, source: str, tree: ast.Module) -> ModuleSumm
             qualname=qualname,
             line=fn.lineno,
             cls=cls,
-            boundary="wallclock-boundary" in markers,
-            markers=markers,
+            boundary=_is_boundary(lines, fn),
             calls=_function_calls(fn, lines),
             sinks=sinks,
-            allocs=_function_allocs(fn, lines),
         )
     return ModuleSummary(
         rel_path=rel_path,

@@ -1,4 +1,4 @@
-"""Whole-program flow rules: nondeterminism and hot-path hygiene across calls.
+"""Whole-program flow rules: nondeterminism and fork safety across calls.
 
 The per-file rules police what a function *does*; these police what it
 *reaches*.  They consume the :class:`~repro.lint.graph.ProgramGraph` built
@@ -25,17 +25,13 @@ are visible in one file):
                                       descriptor in sim-scoped code; such
                                       events make the engine queue
                                       unsnapshottable (peas-snapshot/1).
-``H203``  transitive-fast-loop-alloc  H202's allocation ban, one call level
-                                      deep: helpers invoked from a registered
-                                      engine fast loop must not allocate.
 ========  ==========================  ========================================
 
 Escapes: ``# peas-lint: wallclock-boundary`` on a ``def`` line declares an
-audited provenance-timing helper W401 will not traverse into; registering a
-helper as a fast loop (table or ``# peas-lint: fast-loop``) moves it from
-H203's one-hop check to H202's direct one; ``# peas-lint: snapshot-exempt``
-on a schedule line accepts a deliberately transient event W404 will not
-flag (the engine still refuses to snapshot it, loudly, at run time).
+audited provenance-timing helper W401 will not traverse into;
+``# peas-lint: snapshot-exempt`` on a schedule line accepts a deliberately
+transient event W404 will not flag (the engine still refuses to snapshot
+it, loudly, at run time).
 """
 
 from __future__ import annotations
@@ -52,13 +48,7 @@ from .graph import (
     ProgramGraph,
     SinkRef,
 )
-from .hotpaths import fast_loops_for
-from .violations import (
-    CATEGORY_CONCURRENCY,
-    CATEGORY_DETERMINISM,
-    CATEGORY_HOT_PATH,
-    Violation,
-)
+from .violations import CATEGORY_CONCURRENCY, CATEGORY_DETERMINISM, Violation
 
 __all__ = [
     "STREAMS_MODULE",
@@ -66,7 +56,6 @@ __all__ = [
     "UndeclaredRngStreamChecker",
     "ForkUnsafeCaptureChecker",
     "UnserializableEventCaptureChecker",
-    "TransitiveFastLoopAllocChecker",
     "load_stream_catalogue",
     "stream_name_declared",
 ]
@@ -519,63 +508,3 @@ class UnserializableEventCaptureChecker(Checker):
             _SNAPSHOT_EXEMPT_MARKER in ctx.source_line(line)
             for line in range(call.lineno, end + 1)
         )
-
-
-# --------------------------------------------------------------------------
-# H203: transitive fast-loop allocations.
-# --------------------------------------------------------------------------
-@register
-class TransitiveFastLoopAllocChecker(ProgramChecker):
-    rule = "H203"
-    name = "transitive-fast-loop-alloc"
-    category = CATEGORY_HOT_PATH
-    description = (
-        "helpers called from registered engine fast loops must not "
-        "allocate f-strings or dict/comprehension displays (H202, one "
-        "call level deep)"
-    )
-
-    def check_program(self, graph: ProgramGraph) -> Iterator[Violation]:
-        for summary, info in graph.iter_functions():
-            if not self._is_fast_loop(summary, info):
-                continue
-            symbol = f"{summary.module}:{info.qualname}"
-            reported: Set[str] = set()
-            for target, call in graph.edges_from(symbol):
-                target_summary = graph.summary_of(target)
-                target_info = graph.function(target)
-                if target_summary is None or target_info is None:
-                    continue
-                if self._is_fast_loop(target_summary, target_info):
-                    continue  # H202 polices it directly
-                if not target_info.allocs or target in reported:
-                    continue
-                reported.add(target)
-                alloc_lines = "\n".join(
-                    f"  {graph.rel_path(target)}:{alloc.line}: "
-                    f"{alloc.kind}: {alloc.text}"
-                    for alloc in target_info.allocs
-                )
-                yield Violation(
-                    rule=self.rule,
-                    name=self.name,
-                    category=self.category,
-                    path=summary.rel_path,
-                    line=call.line,
-                    col=0,
-                    message=(
-                        f"{graph.display(target)} allocates "
-                        f"({target_info.allocs[0].kind} at "
-                        f"{graph.rel_path(target)}:{target_info.allocs[0].line}) "
-                        "and is called from an engine fast loop; hoist the "
-                        "allocation or register the helper as a fast loop"
-                    ),
-                    source_line=call.text,
-                    details="allocations in callee:\n" + alloc_lines,
-                )
-
-    @staticmethod
-    def _is_fast_loop(summary: ModuleSummary, info: FunctionInfo) -> bool:
-        if "fast-loop" in info.markers:
-            return True
-        return info.qualname in fast_loops_for(summary.rel_path)

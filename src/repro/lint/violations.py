@@ -15,8 +15,6 @@ from typing import Any, Dict
 __all__ = [
     "Violation",
     "CATEGORY_DETERMINISM",
-    "CATEGORY_HOT_PATH",
-    "CATEGORY_SCHEMA",
     "CATEGORY_CONCURRENCY",
     "CATEGORIES",
 ]
@@ -24,19 +22,10 @@ __all__ = [
 #: Stochastic draws or wall-clock reads that can silently decouple a run
 #: from its seed.  Baseline policy: these must be *fixed*, never suppressed.
 CATEGORY_DETERMINISM = "determinism"
-#: Allocation or unguarded instrumentation inside registered hot functions.
-CATEGORY_HOT_PATH = "hot-path"
-#: Drift between the typed trace constructors and the published schema.
-CATEGORY_SCHEMA = "schema"
 #: Objects that cannot survive the pickle boundary into pool workers.
 CATEGORY_CONCURRENCY = "concurrency"
 
-CATEGORIES = (
-    CATEGORY_DETERMINISM,
-    CATEGORY_HOT_PATH,
-    CATEGORY_SCHEMA,
-    CATEGORY_CONCURRENCY,
-)
+CATEGORIES = (CATEGORY_DETERMINISM, CATEGORY_CONCURRENCY)
 
 
 @dataclass(frozen=True)

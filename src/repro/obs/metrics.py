@@ -18,9 +18,8 @@ Design rules, mirroring the tracer:
   on this module unless ``RunOptions(metrics=True)``; collection never
   touches an RNG, so results are bit-identical with metrics on or off.
 * **Canonical names.**  Every instrument the stack emits is declared in
-  :data:`METRIC_NAMES`; the registry rejects undeclared names (and
-  kind mismatches) unless built with ``strict=False``, the validator
-  flags them in exports, and lint rule S302 flags them statically.
+  :data:`METRIC_NAMES`; the registry rejects undeclared names (and kind
+  mismatches) at the call, and the validator flags them in exports.
 * **Merge semantics.**  Counters add, gauges keep the maximum (they are
   high-water marks here), histograms add bucket-wise — so per-run
   snapshots from pool workers fold into one sweep-level registry.
@@ -66,11 +65,8 @@ BUCKET_COUNT = 28
 _NAME_RE = re.compile(r"^peas_[a-z0-9_]+$")
 
 #: The canonical instrument catalogue: name -> (kind, help).  This table
-#: *is* the peas-metrics/1 vocabulary: the registry enforces it (strict
-#: mode), :func:`validate_metrics_file` checks exports against it, and
-#: lint rule S302 cross-checks every ``.counter("...")``-style call site
-#: in the tree statically.  Keep it a literal dict of string keys and
-#: (kind, help) string tuples — S302 parses it from the AST.
+#: *is* the peas-metrics/1 vocabulary: the registry enforces it and
+#: :func:`validate_metrics_file` checks exports against it.
 METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "peas_runs_total": ("counter", "Simulation runs completed, by status."),
     "peas_run_wall_seconds": ("histogram", "Wall-clock seconds per run."),
@@ -192,33 +188,20 @@ class MetricsRegistry:
     hot-ish paths should hold the returned handle rather than re-resolve.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], _Instrument] = {}
-        #: kind per name actually registered (validated against the table)
-        self._kinds: Dict[str, str] = {}
 
     # ------------------------------------------------------------ access
     def _get(self, kind: str, name: str, labels: Dict[str, Any]) -> _Instrument:
         declared = METRIC_NAMES.get(name)
         if declared is None:
-            if self.strict:
-                raise ValueError(
-                    f"undeclared metric name {name!r}; add it to "
-                    "repro.obs.metrics.METRIC_NAMES or use strict=False"
-                )
-            if not _NAME_RE.match(name):
-                raise ValueError(
-                    f"metric name {name!r} must match {_NAME_RE.pattern}"
-                )
-        elif declared[0] != kind:
+            raise ValueError(
+                f"undeclared metric name {name!r}; add it to "
+                "repro.obs.metrics.METRIC_NAMES"
+            )
+        if declared[0] != kind:
             raise ValueError(
                 f"metric {name!r} is declared as a {declared[0]}, not a {kind}"
-            )
-        known = self._kinds.setdefault(name, kind)
-        if known != kind:
-            raise ValueError(
-                f"metric {name!r} already registered as a {known}, not a {kind}"
             )
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         instrument = self._metrics.get(key)
@@ -487,11 +470,8 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     bounds = bucket_bounds()
     lines: List[str] = []
     for name, entries in by_name.items():
-        declared = METRIC_NAMES.get(name)
-        kind = registry._kinds[name]
-        help_text = declared[1] if declared else ""
-        if help_text:
-            lines.append(f"# HELP {name} {help_text}")
+        kind, help_text = METRIC_NAMES[name]
+        lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
         for labels, instrument in entries:
             if isinstance(instrument, (Counter, Gauge)):

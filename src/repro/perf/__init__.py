@@ -16,7 +16,6 @@ from .report import (
     measure_tree,
     micro_rounds,
     peak_rss_mb,
-    run_macro,
     run_micro,
     run_scaling,
     time_workload,
@@ -35,7 +34,6 @@ __all__ = [
     "measure_tree",
     "micro_rounds",
     "peak_rss_mb",
-    "run_macro",
     "run_micro",
     "run_scaling",
     "time_workload",

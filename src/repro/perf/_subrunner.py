@@ -28,9 +28,6 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workloads", required=True, type=Path)
     parser.add_argument("--rounds", required=True, type=int)
-    parser.add_argument("--macro-num-nodes", type=int, default=480)
-    parser.add_argument("--macro-seeds", default="0")
-    parser.add_argument("--skip-macro", action="store_true")
     args = parser.parse_args()
 
     workloads = _load_workloads(args.workloads)
@@ -66,38 +63,9 @@ def main() -> int:
             "ops_per_sec": (1.0 / best) if best > 0 else math.inf,
         }
 
-    macro = None
-    if not args.skip_macro:
-        from repro.experiments.runner import run_scenario
-        from repro.experiments.scenario import Scenario
-
-        seeds = [int(s) for s in args.macro_seeds.split(",") if s]
-        walls, cov3, wakeups = [], [], []
-        for seed in seeds:
-            scenario = Scenario(
-                num_nodes=args.macro_num_nodes,
-                failure_per_5000s=10.66,
-                seed=seed,
-            )
-            start = time.perf_counter()
-            result = run_scenario(scenario)
-            walls.append(time.perf_counter() - start)
-            cov3.append(result.coverage_lifetimes.get(3))
-            wakeups.append(result.total_wakeups)
-        macro = {
-            "figure": "fig9",
-            "num_nodes": args.macro_num_nodes,
-            "failure_per_5000s": 10.66,
-            "seeds": seeds,
-            "wall_s_per_seed": walls,
-            "wall_s_total": sum(walls),
-            "coverage_lifetime_k3": cov3,
-            "total_wakeups": wakeups,
-        }
-
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_mb = peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
-    json.dump({"micro": micro, "macro": macro, "peak_rss_mb": peak_mb}, sys.stdout)
+    json.dump({"micro": micro, "peak_rss_mb": peak_mb}, sys.stdout)
     return 0
 
 

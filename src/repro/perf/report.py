@@ -6,8 +6,8 @@ Three layers:
   reporting best/median/mean (best-of-N is the headline number: it is the
   least noise-sensitive statistic on a shared machine, and the kernel
   workloads are deterministic so their true cost is a constant);
-* :func:`run_micro` / :func:`run_macro` — execute the kernel workload set
-  and the Fig 9 deployment-sweep macro-benchmark in this process;
+* :func:`run_micro` / :func:`run_scaling` — execute the kernel workload
+  set and the density scaling curve in this process;
 * :func:`measure_tree` — run the *same* workloads against another source
   tree (e.g. the previous release) in a subprocess, for honest A/B
   speedup numbers in the emitted report.
@@ -28,7 +28,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 __all__ = [
     "SCHEMA",
@@ -37,7 +37,6 @@ __all__ = [
     "peak_rss_mb",
     "time_workload",
     "run_micro",
-    "run_macro",
     "run_scaling",
     "measure_tree",
     "ab_measure",
@@ -101,43 +100,6 @@ def run_micro(
     workloads: Dict[str, Callable[[], object]], rounds: int
 ) -> Dict[str, Dict[str, float]]:
     return {name: time_workload(fn, rounds) for name, fn in workloads.items()}
-
-
-def run_macro(
-    num_nodes: int = 480,
-    seeds: Sequence[int] = (0,),
-    failure_per_5000s: float = 10.66,
-) -> Dict[str, object]:
-    """The Fig 9 deployment-sweep point: PEAS at ``num_nodes`` nodes.
-
-    Runs serially (one scenario per seed, no process pool) so the wall-clock
-    number measures the simulator, not pool scheduling.
-    """
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenario import Scenario
-
-    walls: List[float] = []
-    cov3: List[Optional[float]] = []
-    wakeups: List[int] = []
-    for seed in seeds:
-        scenario = Scenario(
-            num_nodes=num_nodes, failure_per_5000s=failure_per_5000s, seed=seed
-        )
-        start = time.perf_counter()
-        result = run_scenario(scenario)
-        walls.append(time.perf_counter() - start)
-        cov3.append(result.coverage_lifetimes.get(3))
-        wakeups.append(result.total_wakeups)
-    return {
-        "figure": "fig9",
-        "num_nodes": num_nodes,
-        "failure_per_5000s": failure_per_5000s,
-        "seeds": list(seeds),
-        "wall_s_per_seed": walls,
-        "wall_s_total": sum(walls),
-        "coverage_lifetime_k3": cov3,
-        "total_wakeups": wakeups,
-    }
 
 
 def run_scaling(
@@ -216,18 +178,12 @@ def compare_scaling(
     return speedups
 
 
-def measure_tree(
-    src: Path,
-    rounds: int,
-    macro_seeds: Sequence[int] = (0,),
-    macro_num_nodes: int = 480,
-    skip_macro: bool = False,
-) -> Dict[str, object]:
+def measure_tree(src: Path, rounds: int) -> Dict[str, object]:
     """Measure another source tree on this tree's workload definitions.
 
     Spawns a subprocess whose ``PYTHONPATH`` is ``src`` alone, loads the
     *current* ``repro/perf/workloads.py`` by file path (its lazy imports
-    then resolve against ``src``), and returns the measured micro/macro
+    then resolve against ``src``), and returns the measured micro
     numbers.  This is how a report carries honest speedups vs. a previous
     checkout: both trees execute byte-identical workload code.
     """
@@ -243,13 +199,7 @@ def measure_tree(
         str(workloads),
         "--rounds",
         str(rounds),
-        "--macro-num-nodes",
-        str(macro_num_nodes),
-        "--macro-seeds",
-        ",".join(str(s) for s in macro_seeds),
     ]
-    if skip_macro:
-        cmd.append("--skip-macro")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     proc = subprocess.run(
@@ -266,8 +216,7 @@ def _merge_min(runs: List[Dict[str, object]]) -> Dict[str, object]:
     """Merge repeated measurements of one tree, keeping per-workload bests.
 
     ``best_ms``/``median_ms``/``mean_ms`` take the minimum across runs (the
-    run least disturbed by machine noise), macro wall-clocks likewise; peak
-    RSS takes the max.
+    run least disturbed by machine noise); peak RSS takes the max.
     """
     merged = dict(runs[0])
     merged["micro"] = {}
@@ -279,14 +228,6 @@ def _merge_min(runs: List[Dict[str, object]]) -> Dict[str, object]:
             1000.0 / stats["best_ms"] if stats["best_ms"] > 0 else math.inf
         )
         merged["micro"][name] = stats
-    if runs[0].get("macro") is not None:
-        macro = dict(runs[0]["macro"])
-        macro["wall_s_per_seed"] = [
-            min(run["macro"]["wall_s_per_seed"][i] for run in runs)
-            for i in range(len(macro["wall_s_per_seed"]))
-        ]
-        macro["wall_s_total"] = sum(macro["wall_s_per_seed"])
-        merged["macro"] = macro
     merged["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
     merged["ab_repeats"] = len(runs)
     return merged
@@ -296,9 +237,6 @@ def ab_measure(
     current_src: Path,
     other_src: Path,
     rounds: int,
-    macro_seeds: Sequence[int] = (0,),
-    macro_num_nodes: int = 480,
-    skip_macro: bool = False,
     repeats: int = 3,
 ) -> tuple:
     """Measure both trees with alternating subprocesses, min-merged.
@@ -312,16 +250,8 @@ def ab_measure(
     current_runs: List[Dict[str, object]] = []
     other_runs: List[Dict[str, object]] = []
     for _ in range(repeats):
-        current_runs.append(
-            measure_tree(
-                current_src, rounds, macro_seeds, macro_num_nodes, skip_macro
-            )
-        )
-        other_runs.append(
-            measure_tree(
-                other_src, rounds, macro_seeds, macro_num_nodes, skip_macro
-            )
-        )
+        current_runs.append(measure_tree(current_src, rounds))
+        other_runs.append(measure_tree(other_src, rounds))
     return _merge_min(current_runs), _merge_min(other_runs)
 
 

@@ -1,4 +1,4 @@
-"""Good/bad fixtures for the whole-program rules (W401-W404/H203).
+"""Good/bad fixtures for the whole-program rules (W401-W404).
 
 Same convention as ``test_lint_rules.py``: every rule gets fixtures that
 must fire and fixtures that must stay silent, run through the real
@@ -326,67 +326,4 @@ def test_w404_quiet_outside_sim_scope_and_for_bound_methods(tmp_path):
                 sim.schedule(1.0, node.wake)
         """,
     }, select=["W404"])
-    assert found == []
-
-
-# --------------------------------------------------------------------- H203
-def test_h203_flags_allocating_helper_called_from_fast_loop(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/sim/engine.py": """
-            def _format(event):
-                return f"event {event}"
-
-            def dispatch(queue):  # peas-lint: fast-loop
-                for event in queue:
-                    _format(event)
-        """,
-    }, select=["H203"])
-    assert rules_of(found) == ["H203"]
-    violation = found[0]
-    assert violation.path == "repro/sim/engine.py"
-    assert "_format" in violation.message
-    assert "f-string" in violation.message
-    assert "allocations in callee" in violation.details
-
-
-def test_h203_skips_helpers_that_are_fast_loops_themselves(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/sim/engine.py": """
-            def _inner(queue):  # peas-lint: fast-loop
-                return {"q": queue}
-
-            def dispatch(queue):  # peas-lint: fast-loop
-                _inner(queue)
-        """,
-    }, select=["H203"])
-    # _inner's own allocation is H202's business, not H203's
-    assert rules_of(found) == []
-
-
-def test_h203_exempts_error_path_allocations_in_helpers(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/sim/engine.py": """
-            def _check(event):
-                if event is None:
-                    raise ValueError(f"bad event {event}")
-                return event
-
-            def dispatch(queue):  # peas-lint: fast-loop
-                for event in queue:
-                    _check(event)
-        """,
-    }, select=["H203"])
-    assert found == []
-
-
-def test_h203_quiet_on_non_fast_loop_callers(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/sim/engine.py": """
-            def _format(event):
-                return f"event {event}"
-
-            def report(queue):
-                return [_format(e) for e in queue]
-        """,
-    }, select=["H203"])
     assert found == []

@@ -49,7 +49,7 @@ def test_summary_round_trips_through_json():
         from ..obs import helper
 
         class Base:
-            def greet(self):  # peas-lint: hot
+            def greet(self):  # peas-lint: wallclock-boundary
                 return helper()
 
         class Child(Base):
@@ -69,7 +69,8 @@ def test_summary_round_trips_through_json():
     restored = ModuleSummary.from_dict(payload)
     assert restored == summary
     assert restored.functions["clocky"].sinks[0].what == "time.time()"
-    assert restored.functions["Base.greet"].markers == ("hot",)
+    assert restored.functions["Base.greet"].boundary
+    assert not restored.functions["clocky"].boundary
     assert restored.classes["Child"].bases == ("Base",)
     assert restored.imports["helper"] == "repro.obs.helper"
 

@@ -13,14 +13,18 @@ import pytest
 from repro.lint import all_checkers, lint_file, lint_paths
 from repro.lint.cli import run_lint
 from repro.lint.framework import LintError
+from repro.lint.graph import CACHE_FILENAME
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def lint_snippet(tmp_path, rel, source, select=None):
+def lint_snippet(tmp_path, rel, source, select=None, ignore=None):
     """Write ``source`` at ``tmp_path/rel`` and lint it with the full rules."""
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_file(path, all_checkers(select=select), root=tmp_path)
+    return lint_file(path, all_checkers(select=select, ignore=ignore),
+                     root=tmp_path)
 
 
 def rules_of(violations):
@@ -219,280 +223,6 @@ def test_d104_allows_sorted_sets_and_non_sim_scope(tmp_path):
     ) == []
 
 
-# --------------------------------------------------------------------- H201
-def test_h201_flags_unguarded_emit_in_marked_hot_function(tmp_path):
-    found = lint_snippet(
-        tmp_path,
-        "repro/anything.py",
-        """
-        class C:
-            def hot(self):  # peas-lint: hot
-                self.tracer.emit({"ev": "x"})
-        """,
-    )
-    assert rules_of(found) == ["H201"]
-
-
-def test_h201_accepts_is_not_none_guards(tmp_path):
-    found = lint_snippet(
-        tmp_path,
-        "repro/anything.py",
-        """
-        class C:
-            def hot(self):  # peas-lint: hot
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.emit({"ev": "x"})
-                if self.ok is not None and self.tracer is not None:
-                    self.tracer.emit({"ev": "y"})
-        """,
-    )
-    assert found == []
-
-
-def test_h201_accepts_is_none_early_exit(tmp_path):
-    found = lint_snippet(
-        tmp_path,
-        "repro/anything.py",
-        """
-        class C:
-            def hot(self):  # peas-lint: hot
-                if self.tracer is None:
-                    return
-                self.tracer.emit({"ev": "x"})
-        """,
-    )
-    assert found == []
-
-
-def test_h201_applies_to_registered_hot_functions(tmp_path):
-    # The registry keys on path suffixes: an unguarded emit inside a function
-    # named like a registered hot path fires without any marker comment.
-    found = lint_snippet(
-        tmp_path,
-        "repro/net/channel.py",
-        """
-        class BroadcastChannel:
-            def transmit(self, packet):
-                self.tracer.emit({"ev": "drop"})
-
-            def unregistered(self):
-                self.tracer.emit({"ev": "fine"})
-        """,
-    )
-    assert rules_of(found) == ["H201"]
-    assert found[0].source_line == 'self.tracer.emit({"ev": "drop"})'
-
-
-# --------------------------------------------------------------------- H202
-def test_h202_flags_alloc_in_fast_loop(tmp_path):
-    found = lint_snippet(
-        tmp_path,
-        "repro/anything.py",
-        """
-        def loop(events):  # peas-lint: fast-loop
-            for event in events:
-                label = f"ev:{event}"
-                meta = {"label": label}
-        """,
-    )
-    assert sorted(rules_of(found)) == ["H202", "H202"]
-
-
-def test_h202_exempts_error_paths_and_memo_misses(tmp_path):
-    found = lint_snippet(
-        tmp_path,
-        "repro/anything.py",
-        """
-        def loop(events, memo, limit):  # peas-lint: fast-loop
-            for event in events:
-                if len(memo) > limit:
-                    raise RuntimeError(f"exceeded {limit}")
-                assert event >= 0, f"bad event {event}"
-                label = memo.get(event)
-                if label is None:
-                    label = memo[event] = f"ev:{event}"
-        """,
-    )
-    assert found == []
-
-
-# --------------------------------------------------------------------- S301
-_SCHEMA_OK = """
-_REQUIRED = {
-    ev.PROBE: (("rng", ("float",)),),
-    ev.DROP: (("reason", ("str",)),),
-}
-"""
-
-_EVENTS_OK = """
-PROBE = "probe"
-DROP = "drop"
-
-def probe(t, node, rng):
-    return {"t": t, "ev": PROBE, "node": node, "rng": rng}
-
-def drop(t, node, reason, detail=None):
-    event = {"t": t, "ev": DROP, "node": node, "reason": reason}
-    if detail is not None:
-        event["detail"] = detail
-    return event
-"""
-
-
-def lint_obs_pair(tmp_path, events_src, schema_src):
-    obs = tmp_path / "repro" / "obs"
-    obs.mkdir(parents=True, exist_ok=True)
-    (obs / "schema.py").write_text(textwrap.dedent(schema_src), encoding="utf-8")
-    events = obs / "events.py"
-    events.write_text(textwrap.dedent(events_src), encoding="utf-8")
-    return lint_file(events, all_checkers(select=["S301"]), root=tmp_path)
-
-
-def test_s301_accepts_matching_constructors(tmp_path):
-    assert lint_obs_pair(tmp_path, _EVENTS_OK, _SCHEMA_OK) == []
-
-
-def test_s301_flags_field_drift(tmp_path):
-    drifted = _EVENTS_OK.replace('"rng": rng}', '"rng": rng, "extra": 1}')
-    found = lint_obs_pair(tmp_path, drifted, _SCHEMA_OK)
-    assert rules_of(found) == ["S301"]
-    assert "extra" in found[0].message
-
-
-def test_s301_flags_missing_constructor_and_undeclared_type(tmp_path):
-    schema = _SCHEMA_OK.replace(
-        "}\n", '    ev.WAKE: (("reason", ("str",)),),\n}\n'
-    )
-    # WAKE has a constant but no constructor; rogue() emits an undeclared type.
-    events = _EVENTS_OK + textwrap.dedent(
-        """
-        WAKE = "wake"
-        ROGUE = "rogue"
-
-        def rogue(t, node):
-            return {"t": t, "ev": ROGUE, "node": node}
-        """
-    )
-    found = lint_obs_pair(tmp_path, events, schema)
-    messages = " | ".join(v.message for v in found)
-    assert rules_of(found) == ["S301", "S301"]
-    assert "no constructor" in messages
-    assert "does not declare" in messages
-
-
-def test_s301_flags_conditional_key_collision(tmp_path):
-    # A *required* field written only conditionally is both an omission and
-    # a collision (the field must stay unconditional or become optional).
-    events = _EVENTS_OK.replace(
-        '"node": node, "reason": reason}', '"node": node}'
-    ).replace('event["detail"] = detail', 'event["reason"] = reason')
-    found = lint_obs_pair(tmp_path, events, _SCHEMA_OK)
-    messages = " | ".join(v.message for v in found)
-    assert rules_of(found) == ["S301", "S301"]
-    assert "omits required" in messages
-    assert "collide" in messages
-
-
-# --------------------------------------------------------------------- S302
-_METRICS_TABLE = """
-METRIC_NAMES = {
-    "peas_runs_total": ("counter", "Runs completed."),
-    "peas_sim_heap_size": ("gauge", "Peak heap size."),
-    "peas_run_wall_seconds": ("histogram", "Wall seconds per run."),
-}
-"""
-
-
-def lint_metric_calls(tmp_path, rel, source, table=_METRICS_TABLE):
-    obs = tmp_path / "repro" / "obs"
-    obs.mkdir(parents=True, exist_ok=True)
-    (obs / "metrics.py").write_text(textwrap.dedent(table), encoding="utf-8")
-    return lint_snippet(tmp_path, rel, source, select=["S302"])
-
-
-def test_s302_accepts_declared_names(tmp_path):
-    assert lint_metric_calls(
-        tmp_path,
-        "repro/experiments/mod.py",
-        """
-        def f(registry, status):
-            registry.counter("peas_runs_total", status=status).inc()
-            registry.gauge("peas_sim_heap_size").set_max(4)
-            registry.histogram("peas_run_wall_seconds").observe(0.5)
-        """,
-    ) == []
-
-
-def test_s302_flags_undeclared_name_and_kind_mismatch(tmp_path):
-    found = lint_metric_calls(
-        tmp_path,
-        "repro/experiments/mod.py",
-        """
-        def f(registry):
-            registry.counter("peas_bogus_total").inc()
-            registry.gauge("peas_runs_total").set(1)
-        """,
-    )
-    messages = " | ".join(v.message for v in found)
-    assert rules_of(found) == ["S302", "S302"]
-    assert "not declared" in messages
-    assert "declared as a counter" in messages
-
-
-def test_s302_checks_the_catalogue_module_itself(tmp_path):
-    # Call sites inside metrics.py are checked against its own table.
-    found = lint_metric_calls(
-        tmp_path,
-        "repro/obs/metrics.py",
-        _METRICS_TABLE
-        + 'def f(registry):\n'
-          '    registry.histogram("peas_retired_seconds").observe(1.0)\n',
-    )
-    assert rules_of(found) == ["S302"]
-
-
-def test_s302_ignores_non_peas_names_and_foreign_trees(tmp_path):
-    # Other objects may have counter()/gauge() methods; only literal
-    # peas_* names are in scope.  Trees without repro/obs/metrics.py are
-    # skipped entirely.
-    assert lint_metric_calls(
-        tmp_path,
-        "repro/experiments/mod.py",
-        """
-        def f(widget):
-            widget.counter("clicks").inc()
-        """,
-    ) == []
-    assert lint_snippet(
-        tmp_path / "elsewhere",
-        "pkg/mod.py",
-        """
-        def f(registry):
-            registry.counter("peas_bogus_total").inc()
-        """,
-        select=["S302"],
-    ) == []
-
-
-def test_s302_flags_unparseable_catalogue_once(tmp_path):
-    # A computed table is reported from metrics.py itself, not from every
-    # call-site file in the tree.
-    table = "METRIC_NAMES = dict(build_table())\n"
-    found = lint_metric_calls(tmp_path, "repro/obs/metrics.py", table, table=table)
-    assert rules_of(found) == ["S302"]
-    assert "statically parseable" in found[0].message
-    assert lint_metric_calls(
-        tmp_path,
-        "repro/experiments/mod.py",
-        """
-        def f(registry):
-            registry.counter("peas_runs_total").inc()
-        """,
-        table=table,
-    ) == []
-
-
 # ---------------------------------------------------------------- framework
 def test_syntax_error_is_a_finding(tmp_path):
     found = lint_snippet(tmp_path, "broken.py", "def f(:\n")
@@ -505,7 +235,8 @@ def test_select_and_ignore_filter_rules(tmp_path):
     x = random.random()
     """
     assert rules_of(lint_snippet(tmp_path, "m.py", source, select=["D101"])) == ["D101"]
-    assert lint_snippet(tmp_path, "m.py", source, select=["hot-path"]) == []
+    assert lint_snippet(tmp_path, "m.py", source, select=["concurrency"]) == []
+    assert lint_snippet(tmp_path, "m.py", source, ignore=["D101"]) == []
     with pytest.raises(LintError):
         all_checkers(select=["NOPE999"])
 
@@ -527,7 +258,11 @@ def test_fingerprint_survives_line_moves(tmp_path):
 
 
 # ---------------------------------------------------------------------- CLI
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    # Without --root the cache lands in the cwd: keep it out of the checkout.
+    repo_cache = REPO_ROOT / CACHE_FILENAME
+    before = repo_cache.read_bytes() if repo_cache.exists() else None
+    monkeypatch.chdir(tmp_path)
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
     dirty = tmp_path / "dirty.py"
@@ -541,8 +276,11 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert run_lint(["--list-rules"]) == 0
     listing = capsys.readouterr().out
-    for rule in ("D101", "D102", "D103", "D104", "H201", "H202", "S301", "S302"):
-        assert rule in listing
+    listed = [line.split()[0] for line in listing.splitlines()[2:]]
+    assert listed == ["D101", "D102", "D103", "D104",
+                      "W401", "W402", "W403", "W404"]
+    assert (tmp_path / CACHE_FILENAME).exists()
+    assert (repo_cache.read_bytes() if repo_cache.exists() else None) == before
 
 
 def test_cli_json_report_and_output_file(tmp_path, capsys):

@@ -1,15 +1,20 @@
 """The metrics registry and the ``peas-metrics/1`` export contract.
 
-Covers the three instrument kinds, the strict-mode name catalogue, the
+Covers the three instrument kinds, the name catalogue (enforced at the
+call, and exercised name by name by a run plus a sweep export), the
 log2 bucketing (exact at power-of-two edges), cross-worker merge
 semantics, NDJSON round-trip + validation, and the Prometheus renderer.
 """
 
+import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments import RunError, Scenario
+from repro.experiments.telemetry import SweepTelemetry
 from repro.obs.metrics import (
     BUCKET_COUNT,
     BUCKET_LOG2_LOW,
@@ -93,15 +98,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         with pytest.raises(ValueError, match="declared as a counter"):
             registry.gauge("peas_runs_total")
-
-    def test_non_strict_allows_new_names_but_enforces_shape(self):
-        registry = MetricsRegistry(strict=False)
-        registry.counter("peas_custom_total").inc()
-        with pytest.raises(ValueError, match="must match"):
-            registry.counter("NotSnake")
-        # One name, one kind — even off-catalogue.
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("peas_custom_total")
 
     def test_label_values_stringify(self):
         registry = MetricsRegistry()
@@ -232,7 +228,7 @@ class TestPrometheusRendering:
         assert f"# HELP peas_runs_total {METRIC_NAMES['peas_runs_total'][1]}" in text
 
     def test_label_escaping(self):
-        registry = MetricsRegistry(strict=False)
+        registry = MetricsRegistry()
         registry.counter("peas_runs_total", status='we"ird\\x').inc()
         text = render_prometheus(registry)
         assert 'status="we\\"ird\\\\x"' in text
@@ -293,9 +289,44 @@ class TestRunMetrics:
         assert "peas_delivery_lifetime_seconds" in names
 
     def test_every_catalogue_name_is_well_formed(self):
-        # The catalogue itself obeys the naming contract the validator and
-        # S302 both build on.
+        # The catalogue itself obeys the naming contract the validator
+        # builds on.
         for name, (kind, help_text) in METRIC_NAMES.items():
             assert name.startswith("peas_")
             assert kind in ("counter", "gauge", "histogram")
             assert help_text.strip()
+
+
+class TestCatalogueCoverage:
+    """Every catalogued name has an emitter, and every emitted name is
+    catalogued (the registry raises at the call on any other)."""
+
+    def test_run_and_sweep_exports_cover_every_catalogue_name(self, tmp_path):
+        run = RunMetrics(protocol="peas", backend="columnar")
+        run.sample_engine(_FakeSim())
+        run.record_channel({"frames_sent": 10, "frames_delivered": 8,
+                            "collisions": 2})
+        run.record_faults(injected=5, events_by_kind={"crash": 5},
+                          recoveries=1)
+        run.finish(_FakeSim(), _FakeResult(), wall_s=1.25, rss_mb=64.0)
+
+        telemetry = SweepTelemetry(tmp_path, stream=io.StringIO(), live=False)
+        telemetry.start(total=2)
+        # What the drain thread does with a pooled worker's heartbeat.
+        telemetry._handle({"kind": "heartbeat", "pid": 101})
+        telemetry.note_retry()
+        telemetry.note_quarantined()
+        telemetry.note_pool_restart()
+        telemetry.note_store(hits=1, misses=2, evictions=1)
+        telemetry.note_warm_start(burn_ins=1, forks=2)
+        scenarios = [Scenario(seed=0), Scenario(seed=1)]
+        results = [
+            SimpleNamespace(metrics=run.registry.snapshot()),
+            RunError(scenarios[1], "RuntimeError", "poison", "",
+                     attempts=3, quarantined=True),
+        ]
+        paths = telemetry.finish(scenarios, results)
+
+        assert validate_metrics_file(paths["metrics"]) == []
+        _header, samples = load_metrics_file(paths["metrics"])
+        assert {sample["name"] for sample in samples} == set(METRIC_NAMES)

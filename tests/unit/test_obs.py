@@ -1,6 +1,7 @@
 """Unit tests for the observability layer: events, sinks, tracer, schema,
 manifests (``repro.obs``)."""
 
+import inspect
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.obs import (
     load_manifest,
     null_tracer,
     save_manifest,
+    schema,
     validate_event,
     validate_trace_file,
 )
@@ -30,29 +32,63 @@ def _dumps(event):
     return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
-def _every_constructor():
+def _constructor_calls():
+    """``(constructor, args, optional)`` covering every public constructor;
+    ``optional`` sets each keyword field the constructor may leave out."""
     return [
-        events.state(1.0, 3, "sleeping", "probing"),
-        events.state(2.0, 3, "working", "dead", cause="energy", rate_hz=0.1),
-        events.probe_tx(1.0, 3, wakeup=2, idx=0),
-        events.reply_tx(1.0, "anchor0", lam=None, tw=12.5),
-        events.reply_tx(1.0, 4, lam=0.02, tw=12.5),
-        events.collision(1.0, 3, frames=2),
-        events.drop(1.0, 3, "half_duplex"),
-        events.lambda_hat(1.0, 3, lam=0.05, window=1),
-        events.rate(1.0, 3, old_hz=1.0, new_hz=0.5, lam=0.05),
-        events.fail(1.0, 3),
-        events.energy(1.0, 3, "probe_tx", 0.0006),
-        events.fault_arm(0.0, "fault0", "region_kill"),
-        events.fault_fire(5.0, "fault0", "region_kill", victims=7),
-        events.fault_clear(9.0, "fault1", "transient_outage"),
+        (events.state, (1.0, 3, "sleeping", "probing"), {}),
+        (events.state, (2.0, 3, "working", "dead"),
+         {"cause": "energy", "rate_hz": 0.1}),
+        (events.probe_tx, (1.0, 3, 2, 0), {}),
+        (events.reply_tx, (1.0, "anchor0", None, 12.5), {}),
+        (events.reply_tx, (1.0, 4, 0.02, 12.5), {}),
+        (events.collision, (1.0, 3, 2), {}),
+        (events.drop, (1.0, 3, "half_duplex"), {}),
+        (events.lambda_hat, (1.0, 3, 0.05, 1), {}),
+        (events.rate, (1.0, 3, 1.0, 0.5, 0.05), {}),
+        (events.fail, (1.0, 3), {}),
+        (events.energy, (1.0, 3, "probe_tx", 0.0006), {}),
+        (events.fault_arm, (0.0, "fault0", "region_kill"), {}),
+        (events.fault_fire, (5.0, "fault0", "region_kill", 7), {}),
+        (events.fault_clear, (9.0, "fault1", "transient_outage"), {}),
     ]
+
+
+def _every_constructor():
+    """Each call built with its optional fields left out and, if it has
+    any, again with all of them set."""
+    built = []
+    for constructor, args, optional in _constructor_calls():
+        built.append(constructor(*args))
+        if optional:
+            built.append(constructor(*args, **optional))
+    return built
 
 
 class TestEvents:
     def test_every_constructor_validates(self):
         for event in _every_constructor():
             assert validate_event(event) is None, event
+
+    def test_constructors_match_the_schema_one_to_one(self):
+        # Constructors are named after the event type they build.
+        public = {
+            name for name in events.__all__
+            if inspect.isfunction(getattr(events, name)) and name != "encode_event"
+        }
+        called = {c.__name__ for c, _args, _optional in _constructor_calls()}
+        built = {event["ev"] for event in _every_constructor()}
+        assert called == public
+        assert built == set(schema._REQUIRED) == public
+
+    def test_optional_fields_are_all_exercised(self):
+        covered = {}
+        for constructor, _args, optional in _constructor_calls():
+            covered.setdefault(constructor, set()).update(optional)
+        for constructor, fields in covered.items():
+            parameters = inspect.signature(constructor).parameters.values()
+            defaults = {p.name for p in parameters if p.default is not p.empty}
+            assert fields == defaults, constructor.__name__
 
     def test_encode_is_canonical(self):
         # Same logical event, different insertion order -> same bytes.
