@@ -26,13 +26,16 @@ dispatch is one run, which is what makes the rest possible:
   dispatched — an interrupted sweep re-run against the same store resumes
   with zero recomputation of completed pairs.
 
-The executor runs in the *parent* process; wall-clock reads here are
-legitimate (``repro.experiments`` is outside the lint's sim scope) and
-never touch simulation state.
+The executor runs in the *parent* process and is the sweep's only source
+of progress: it reports each run's final outcome, each retry, each pool
+restart and each store replay to the attached telemetry at the point it
+decides them.  Wall-clock reads here are legitimate (``repro.experiments``
+is outside the lint's sim scope) and never touch simulation state.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from concurrent.futures import (
@@ -183,7 +186,8 @@ class _Outcome:
 
     result: Optional[RunResult] = None
     error: Optional[RunError] = None
-    retried: bool = field(default=False, compare=False)
+    #: the process that ran the attempt (pooled sweeps count their workers)
+    pid: Optional[int] = field(default=None, compare=False)
 
 
 def _warm_run(
@@ -223,31 +227,26 @@ def _guarded_run(
     options: RunOptions,
     warm_burn_in_s: Optional[float] = None,
 ) -> _Outcome:
-    # The telemetry hooks are process-global no-ops unless this worker was
-    # initialized by a SweepTelemetry bus (see experiments.telemetry).
     # Harness imports stay inside the function: experiments <-> harness is
     # otherwise a package-level import cycle.
     from ..harness.runner import run as _run_scenario
-    from .telemetry import worker_run_finished, worker_run_started
 
-    worker_run_started(scenario)
     try:
         if warm_snapshot is not None:
             result = _warm_run(scenario, warm_snapshot, options, warm_burn_in_s)
         else:
             result = _run_scenario(scenario, options)
-        outcome = _Outcome(result=result)
     except Exception as exc:  # noqa: BLE001 - captured, surfaced by policy
-        outcome = _Outcome(
+        return _Outcome(
             error=RunError(
                 scenario=scenario,
                 error_type=type(exc).__name__,
                 error_message=str(exc),
                 traceback_text=traceback.format_exc(),
-            )
+            ),
+            pid=os.getpid(),
         )
-    worker_run_finished(ok=outcome.error is None)
-    return outcome
+    return _Outcome(result=result, pid=os.getpid())
 
 
 @dataclass
@@ -266,6 +265,9 @@ class _Item:
     first_failure_at: Optional[float] = None
     observed_running: bool = False
     running_since: Optional[float] = None
+    #: pid of the pool worker that returned this run's latest attempt
+    #: (stays None in serial sweeps, which run in the parent)
+    worker: Optional[int] = None
     outcome: Optional[Union[RunResult, RunError]] = None
 
 
@@ -303,21 +305,15 @@ class _Executor:
             if item.outcome is not None:
                 continue
             while item.outcome is None:
-                item.attempts += 1
+                self._charge(item)
                 outcome = self.run_fn(
                     item.scenario,
                     item.warm_snapshot,
                     options=self.options,
                     warm_burn_in_s=self.warm_burn_in_s,
                 )
-                if self.telemetry is not None:
-                    self.telemetry.note_outcome(
-                        ok=outcome.error is None,
-                        scenario=item.scenario,
-                        retry=item.attempts > 1,
-                    )
                 if outcome.error is None:
-                    item.outcome = outcome.result
+                    self._settle(item, outcome.result)
                     break
                 self._record_failure(item, outcome.error)
                 if item.attempts >= self.policy.max_attempts:
@@ -415,7 +411,7 @@ class _Executor:
                         continue
                     except Exception as exc:  # noqa: BLE001 - dispatch plumbing
                         in_flight.pop(future)
-                        item.attempts += 1
+                        self._charge(item)
                         self._record_failure(
                             item,
                             RunError(
@@ -428,9 +424,10 @@ class _Executor:
                         self._schedule_or_finalize(item, pending)
                         continue
                     in_flight.pop(future)
-                    item.attempts += 1
+                    self._charge(item)
+                    item.worker = outcome.pid
                     if outcome.error is None:
-                        item.outcome = outcome.result
+                        self._settle(item, outcome.result)
                     else:
                         self._record_failure(item, outcome.error)
                         self._schedule_or_finalize(item, pending)
@@ -439,6 +436,24 @@ class _Executor:
                     continue
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+
+    # ---------------------------------------------------------- accounting
+    def _charge(self, item: _Item) -> None:
+        """Consume one attempt; every attempt after the first is a retry,
+        so the sweep's retry count is the sum of ``attempts - 1``."""
+        item.attempts += 1
+        if item.attempts > 1 and self.telemetry is not None:
+            self.telemetry.note_retry(scenario=item.scenario)
+
+    def _settle(self, item: _Item, outcome: Union[RunResult, RunError]) -> None:
+        """Record a run's final outcome; reached exactly once per run."""
+        item.outcome = outcome
+        if self.telemetry is not None:
+            self.telemetry.note_outcome(
+                item.scenario,
+                error=outcome if isinstance(outcome, RunError) else None,
+                worker=item.worker,
+            )
 
     # -------------------------------------------------- failure plumbing
     def _record_failure(self, item: _Item, error: RunError) -> None:
@@ -452,7 +467,7 @@ class _Executor:
     ) -> None:
         """A failure detected in the parent (no worker traceback exists):
         consume an attempt and record a structured error naming the run."""
-        item.attempts += 1
+        self._charge(item)
         self._record_failure(
             item,
             RunError(
@@ -462,10 +477,6 @@ class _Executor:
                 traceback_text="",
             ),
         )
-        if self.telemetry is not None:
-            self.telemetry.note_outcome(
-                ok=False, scenario=item.scenario, retry=item.attempts > 1
-            )
 
     def _schedule_or_finalize(self, item: _Item, pending: List[_Item]) -> None:
         if item.attempts >= self.policy.max_attempts:
@@ -474,8 +485,6 @@ class _Executor:
         delay = self.policy.backoff_s(item.attempts, self.jitter_rng)
         item.eligible_at = time.monotonic() + delay
         pending.append(item)
-        if self.telemetry is not None:
-            self.telemetry.note_retry(scenario=item.scenario)
 
     def _finalize_failure(self, item: _Item, *, quarantined: bool) -> None:
         last = item.last_error
@@ -483,7 +492,7 @@ class _Executor:
         retry_wall = 0.0
         if item.first_failure_at is not None and item.attempts > 1:
             retry_wall = time.monotonic() - item.first_failure_at
-        item.outcome = RunError(
+        error = RunError(
             scenario=item.scenario,
             error_type=last.error_type,
             error_message=last.error_message,
@@ -493,8 +502,7 @@ class _Executor:
             trail=tuple(item.trail),
             quarantined=quarantined,
         )
-        if quarantined and self.telemetry is not None:
-            self.telemetry.note_quarantined(scenario=item.scenario)
+        self._settle(item, error)
 
     def _requeue_free(self, item: _Item, pending: List[_Item]) -> None:
         """Re-queue a run that lost its slot through no fault of its own
@@ -560,10 +568,7 @@ class _Executor:
         return self._make_pool()
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        pool_kwargs: Dict[str, Any] = (
-            self.telemetry.pool_kwargs() if self.telemetry is not None else {}
-        )
-        return ProcessPoolExecutor(max_workers=self._pool_size, **pool_kwargs)
+        return ProcessPoolExecutor(max_workers=self._pool_size)
 
     def _coords(self, item: _Item) -> str:
         scenario = item.scenario

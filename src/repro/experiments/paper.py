@@ -115,8 +115,8 @@ def get_deployment_results(
 
     ``options`` applies one capability stack (sanitize / trace-to-path /
     metrics) to every run in the sweep, pooled or serial.  ``telemetry``
-    (a :class:`~repro.experiments.telemetry.SweepTelemetry`) attaches the
-    live-progress/export bus; it is not part of the memo key, so it only
+    (a :class:`~repro.experiments.telemetry.SweepTelemetry`) attaches live
+    progress and exports; it is not part of the memo key, so it only
     takes effect when the sweep actually executes (always true for fresh
     CLI processes).
     """

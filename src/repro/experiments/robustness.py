@@ -94,8 +94,8 @@ def get_robustness_results(
     """Robustness-sweep results grouped by regime name, in regime order.
 
     Individual run failures are collected (as :class:`RunError` entries in
-    the regime's list), not raised.  ``telemetry`` attaches the sweep
-    telemetry bus (live progress + exports); like the paper sweeps it is
+    the regime's list), not raised.  ``telemetry`` attaches sweep
+    telemetry (live progress + exports); like the paper sweeps it is
     not part of the memo key.
     """
     seeds = tuple(seeds if seeds is not None else bench_seeds())

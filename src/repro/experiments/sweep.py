@@ -184,23 +184,10 @@ def _prepare_warm_starts(
     return paths
 
 
-def _default_chunksize(num_scenarios: int, processes: int) -> int:
-    """Batch pool work items explicitly instead of ``pool.map``'s default.
-
-    Retained for callers that sized their own batches: the resumable
-    executor dispatches runs individually (per-run timeouts and worker
-    -death tracking need one future per run), so this value no longer
-    affects execution — per-item dispatch overhead is negligible next to
-    seconds-long runs, and it removes the straggler problem chunking had.
-    """
-    return max(1, num_scenarios // (processes * 4))
-
-
 def run_sweep(
     scenarios: Sequence[Scenario],
     processes: Optional[int] = None,
     options: Optional[RunOptions] = None,
-    chunksize: Optional[int] = None,
     errors: str = "raise",
     telemetry=None,
     warm_start: Optional[WarmStart] = None,
@@ -212,9 +199,9 @@ def run_sweep(
     Results are returned in the order of the input scenarios either way, so
     downstream grouping is deterministic.  ``options`` applies the same
     capability stack (profile / sanitize / trace-to-path / metrics /
-    result store) to every run, pooled or serial; ``chunksize`` is
-    accepted for compatibility but ignored — the executor dispatches runs
-    individually so it can time them out and survive worker death.
+    result store) to every run, pooled or serial.  Pooled sweeps dispatch
+    one run at a time, so the executor can time each out and survive
+    worker death.
 
     ``options.store_dir`` attaches a :class:`repro.store.ResultStore`:
     runs already recorded there (same scenario, seed, code fingerprint,
@@ -231,8 +218,9 @@ def run_sweep(
     attached, burn-in snapshots are cached in it across sweeps.
 
     ``telemetry`` (a :class:`~repro.experiments.telemetry.SweepTelemetry`)
-    attaches the sweep telemetry bus: pooled workers ship heartbeats to a
-    live progress line, and once the sweep finishes — including the
+    attaches sweep telemetry: the executor reports every run's outcome,
+    retry, pool restart and store replay from the parent to a live
+    progress line, and once the sweep finishes — including the
     ``errors="raise"`` path, so a partly-failed sweep still leaves its
     exports behind — the merged ``peas-metrics/1`` / Prometheus / manifest
     files are written to the telemetry's output directory.
@@ -250,7 +238,6 @@ def run_sweep(
     """
     if errors not in ("raise", "collect"):
         raise ValueError(f"errors must be 'raise' or 'collect', got {errors!r}")
-    del chunksize  # legacy batching hint; the executor dispatches per run
     options = options if options is not None else RunOptions()
     policy = retry if retry is not None else RetryPolicy()
     store = None
@@ -261,7 +248,7 @@ def run_sweep(
             store = ResultStore(options.store_dir)
     pooled = processes is not None and processes > 1
     if telemetry is not None:
-        telemetry.start(len(scenarios), processes=processes if pooled else 1)
+        telemetry.start(len(scenarios))
     warm_paths: Optional[List[str]] = None
     if warm_start is not None:
         warm_paths = _prepare_warm_starts(
@@ -279,10 +266,8 @@ def run_sweep(
         run_fn=_run_fn if _run_fn is not None else _guarded_run,
     )
     if store is not None and telemetry is not None:
-        hits = store.session["hits"]
         telemetry.note_store(
-            hits=hits,
-            misses=len(scenarios) - hits,
+            misses=len(scenarios) - telemetry.store_hits,
             evictions=store.session["evictions"] + store.session["quarantined"],
         )
     failures = [r for r in results if isinstance(r, RunError)]

@@ -1,147 +1,46 @@
-"""Sweep-scale telemetry: worker heartbeats, live progress, exports.
+"""Sweep-scale telemetry: live progress and exports.
 
 ``run_sweep`` executes a seed battery in silence by default.  A
-:class:`SweepTelemetry` attached to it adds three things, none of which
+:class:`SweepTelemetry` attached to it adds two things, none of which
 touches simulation state:
 
-1. **Worker heartbeats.**  Pool workers are initialized with a
-   :func:`_worker_init` hook that installs a process-global
-   :class:`_WorkerReporter`; the guarded run wrapper pings it at run
-   start/finish, and it ships small dict messages (runs completed, current
-   scenario coordinates, elapsed wall time, peak RSS, error count) over a
-   ``multiprocessing.Manager`` queue to the parent.  A plain
-   ``multiprocessing.Queue`` cannot ride ``ProcessPoolExecutor`` initargs
-   (it pickles through the call path and raises), hence the manager proxy.
-   Telemetry sends are fire-and-forget: a full or broken queue must never
-   fail a run.
+1. **Live progress.**  The sweep executor runs in the parent process and
+   reports every fact as it decides it: each run's final outcome (with
+   the pid of the pool worker that produced it), each retry, each pool
+   restart and each store replay.  The session keeps those counts in its
+   :class:`~repro.obs.metrics.MetricsRegistry` instruments and folds them
+   into a single status line (done/total, percentage, ETA from the
+   observed run rate, workers seen, errors, the most recent run's
+   coordinates), rewritten in place at a throttled cadence.
 
-2. **Live progress.**  A drain thread in the parent folds messages into a
-   single status line (done/total, percentage, ETA from the observed run
-   rate, live workers, errors, the most recent run's coordinates),
-   rewritten in place at a throttled cadence.
-
-3. **Canonical exports.**  :meth:`SweepTelemetry.finish` computes the
-   authoritative aggregates from the returned results (heartbeats are
-   best-effort transport, results are ground truth), merges every
-   per-run ``result.metrics`` snapshot into one sweep-level
-   :class:`~repro.obs.metrics.MetricsRegistry`, adds the sweep's own
-   instruments (``peas_sweep_*``), and writes ``metrics.ndjson``
-   (``peas-metrics/1``), ``metrics.prom`` (Prometheus text exposition) and
-   ``manifest.json`` (``peas-sweep-manifest/1`` provenance) into the
-   output directory — the inputs ``peas-repro inspect --diff`` compares.
+2. **Canonical exports.**  :meth:`SweepTelemetry.finish` merges every
+   per-run ``result.metrics`` snapshot into the same registry, adds the
+   sweep's wall time, and writes ``metrics.ndjson`` (``peas-metrics/1``),
+   ``metrics.prom`` (Prometheus text exposition) and ``manifest.json``
+   (``peas-sweep-manifest/1`` provenance) into the output directory — the
+   inputs ``peas-repro inspect --diff`` compares.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, Optional, Sequence, TextIO, Union
 
 from ..obs.atomic import atomic_write_text
 from ..obs.manifest import config_hash, git_sha, peak_rss_mb
 from ..obs.metrics import MetricsRegistry, save_metrics, save_prometheus
 
-__all__ = [
-    "SWEEP_MANIFEST_SCHEMA",
-    "SweepTelemetry",
-    "worker_run_started",
-    "worker_run_finished",
-]
+__all__ = ["SWEEP_MANIFEST_SCHEMA", "SweepTelemetry"]
 
 SWEEP_MANIFEST_SCHEMA = "peas-sweep-manifest/1"
 
-#: minimum seconds between heartbeat sends per worker
-_DEFAULT_INTERVAL_S = 1.0
-#: minimum seconds between progress-line rewrites in the parent
+#: minimum seconds between progress-line rewrites
 _RENDER_PERIOD_S = 0.25
 
 
-# --------------------------------------------------------------------------
-# Worker side: a process-global reporter, installed by the pool initializer.
-# --------------------------------------------------------------------------
-class _WorkerReporter:
-    """Per-worker heartbeat source (lives in the pool worker process)."""
-
-    def __init__(self, queue: Any, interval_s: float) -> None:
-        self.queue = queue
-        self.interval_s = interval_s
-        self.runs = 0
-        self.errors = 0
-        self.started = time.time()
-        self.last_beat = 0.0
-        self.current: Optional[Dict[str, Any]] = None
-
-    def run_started(self, scenario: Any) -> None:
-        self.current = {
-            "protocol": scenario.protocol,
-            "nodes": scenario.num_nodes,
-            "seed": scenario.seed,
-        }
-        self._beat()
-
-    def run_finished(self, ok: bool) -> None:
-        self.runs += 1
-        if not ok:
-            self.errors += 1
-        self._send({
-            "kind": "run_end",
-            "pid": os.getpid(),
-            "ok": ok,
-            "scenario": self.current,
-        })
-        self.current = None
-        self._beat()
-
-    def _beat(self) -> None:
-        now = time.time()
-        if now - self.last_beat < self.interval_s:
-            return
-        self.last_beat = now
-        self._send({
-            "kind": "heartbeat",
-            "pid": os.getpid(),
-            "runs": self.runs,
-            "errors": self.errors,
-            "elapsed_s": round(now - self.started, 3),
-            "rss_mb": peak_rss_mb(),
-            "scenario": self.current,
-        })
-
-    def _send(self, message: Dict[str, Any]) -> None:
-        try:
-            self.queue.put_nowait(message)
-        except Exception:  # noqa: BLE001 - telemetry must never fail a run
-            pass
-
-
-_REPORTER: Optional[_WorkerReporter] = None
-
-
-def _worker_init(queue: Any, interval_s: float) -> None:
-    """``ProcessPoolExecutor`` initializer: install the worker reporter."""
-    global _REPORTER
-    _REPORTER = _WorkerReporter(queue, interval_s)
-
-
-def worker_run_started(scenario: Any) -> None:
-    """Hook for the guarded run wrapper; no-op outside telemetry sweeps."""
-    if _REPORTER is not None:
-        _REPORTER.run_started(scenario)
-
-
-def worker_run_finished(ok: bool) -> None:
-    """Hook for the guarded run wrapper; no-op outside telemetry sweeps."""
-    if _REPORTER is not None:
-        _REPORTER.run_finished(ok)
-
-
-# --------------------------------------------------------------------------
-# Parent side: drain thread, live line, exports.
-# --------------------------------------------------------------------------
 class SweepTelemetry:
     """One sweep's telemetry session: progress display + export writer.
 
@@ -153,8 +52,6 @@ class SweepTelemetry:
     label:
         Human-readable sweep name shown on the progress line and recorded
         in the export headers (e.g. ``"fig9"``).
-    interval_s:
-        Per-worker heartbeat throttle.
     stream:
         Where the progress line goes; defaults to ``sys.stderr``.  Pass
         any text stream (tests use ``io.StringIO``).
@@ -167,157 +64,139 @@ class SweepTelemetry:
         self,
         out_dir: Union[str, Path],
         label: str = "sweep",
-        interval_s: float = _DEFAULT_INTERVAL_S,
         stream: Optional[TextIO] = None,
         live: Optional[bool] = None,
     ) -> None:
         self.out_dir = Path(out_dir)
         self.label = label
-        self.interval_s = interval_s
         self.stream = stream if stream is not None else sys.stderr
         if live is None:
             isatty = getattr(self.stream, "isatty", None)
             live = bool(isatty()) if callable(isatty) else False
         self.live = live
+        #: the sweep's counts live here as ``peas_sweep_*`` / ``peas_store_*``
+        #: instruments; :meth:`finish` merges the per-run samples in too
         self.registry = MetricsRegistry()
 
         self.total = 0
-        self.done = 0
-        self.errors = 0
-        self.heartbeats = 0
-        self.retries = 0
-        #: runs that exhausted their retry budget (poison seeds)
-        self.quarantined = 0
-        #: process-pool respawns after worker death or run timeout
-        self.pool_restarts = 0
-        #: result-store replays served by the parent before dispatch
-        self.store_hits = 0
-        #: result-store accounting for the export counters (see note_store)
+        #: result-store accounting for the manifest (see note_store)
         self.store: Optional[Dict[str, int]] = None
         #: warm-start reuse: (burn-ins simulated, variant runs forked)
         self.warm_start: Optional[Dict[str, int]] = None
+        #: pids of the pool workers that returned a run's outcome
         self.workers_seen: set = set()
         self.current: Optional[Dict[str, Any]] = None
         self._started_at: Optional[float] = None
         self._last_render = 0.0
         self._wrote_line = False
 
-        self._manager: Any = None
-        self._queue: Any = None
-        self._drain: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+    # --------------------------------------------------------------- counts
+    def _count(self, name: str, **labels: str) -> int:
+        return int(self.registry.value(name, **labels))
+
+    @property
+    def errors(self) -> int:
+        """Runs that completed as a :class:`RunError`."""
+        return self._count("peas_sweep_runs_total", status="error")
+
+    @property
+    def done(self) -> int:
+        """Runs with a final outcome, store replays included."""
+        return self._count("peas_sweep_runs_total", status="ok") + self.errors
+
+    @property
+    def retries(self) -> int:
+        """Attempts after a run's first: the sum of ``attempts - 1``."""
+        return self._count("peas_sweep_retries_total")
+
+    @property
+    def quarantined(self) -> int:
+        """Runs that exhausted their retry budget (poison seeds)."""
+        return self._count("peas_sweep_quarantined_total")
+
+    @property
+    def pool_restarts(self) -> int:
+        """Process-pool respawns after worker death or run timeout."""
+        return self._count("peas_sweep_pool_restarts_total")
+
+    @property
+    def store_hits(self) -> int:
+        """Result-store replays served by the parent before dispatch."""
+        return self._count("peas_store_hits_total")
 
     # ------------------------------------------------------------ lifecycle
-    def start(self, total: int, processes: int = 1) -> None:
-        """Begin the session; with ``processes > 1`` also open the bus."""
+    def start(self, total: int) -> None:
+        """Begin the session for a sweep of ``total`` runs."""
         self.total = total
         self._started_at = time.time()
-        if processes > 1:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-            self._queue = self._manager.Queue()
-            self._stop.clear()
-            self._drain = threading.Thread(
-                target=self._drain_loop, name="sweep-telemetry", daemon=True
-            )
-            self._drain.start()
         self._render(force=True)
-
-    def pool_kwargs(self) -> Dict[str, Any]:
-        """``ProcessPoolExecutor`` kwargs installing the worker reporter."""
-        if self._queue is None:
-            return {}
-        return {
-            "initializer": _worker_init,
-            "initargs": (self._queue, self.interval_s),
-        }
 
     def note_warm_start(self, burn_ins: int, forks: int) -> None:
         """Record warm-start reuse: ``burn_ins`` shared prefixes were
         simulated once and ``forks`` variant runs forked from them (the
         sweep skipped ``forks - burn_ins`` burn-in simulations)."""
         self.warm_start = {"burn_ins": int(burn_ins), "forks": int(forks)}
+        registry = self.registry
+        registry.counter("peas_sweep_warm_start_burn_ins_total").inc(burn_ins)
+        registry.counter("peas_sweep_warm_start_forks_total").inc(forks)
         self._render(force=True)
 
-    def note_outcome(self, ok: bool, scenario: Any = None, retry: bool = False) -> None:
-        """Progress tick from the parent process (serial runs, retries)."""
-        if retry:
-            self.retries += 1
-        else:
-            self.done += 1
-        if not ok:
-            self.errors += 1
-        if scenario is not None:
-            self.current = {
-                "protocol": scenario.protocol,
-                "nodes": scenario.num_nodes,
-                "seed": scenario.seed,
-            }
-        self._render()
+    def note_outcome(
+        self, scenario: Any, error: Any = None, worker: Optional[int] = None
+    ) -> None:
+        """A run's final outcome, reported once per run by the executor:
+        a result (``error`` is None) or its :class:`RunError`.  ``worker``
+        is the pid of the pool process that returned the run's latest
+        attempt (None in serial sweeps, or when no attempt came back)."""
+        registry = self.registry
+        registry.counter(
+            "peas_sweep_runs_total", status="ok" if error is None else "error"
+        ).inc()
+        quarantined = error is not None and error.quarantined
+        if quarantined:
+            registry.counter("peas_sweep_quarantined_total").inc()
+        if worker is not None:
+            self.workers_seen.add(worker)
+            registry.gauge("peas_sweep_workers").set_max(len(self.workers_seen))
+        self._set_current(scenario)
+        self._render(force=quarantined)
 
     def note_retry(self, scenario: Any = None) -> None:
-        """The executor scheduled another attempt for a failed run."""
-        self.retries += 1
-        if scenario is not None:
-            self.current = {
-                "protocol": scenario.protocol,
-                "nodes": scenario.num_nodes,
-                "seed": scenario.seed,
-            }
+        """The executor charged a failed run another attempt."""
+        self.registry.counter("peas_sweep_retries_total").inc()
+        self._set_current(scenario)
         self._render()
 
     def note_store_hit(self, scenario: Any = None) -> None:
         """A run replayed from the result store instead of simulating."""
-        self.done += 1
-        self.store_hits += 1
+        self.registry.counter("peas_sweep_runs_total", status="ok").inc()
+        self.registry.counter("peas_store_hits_total").inc()
         self._render()
-
-    def note_quarantined(self, scenario: Any = None) -> None:
-        """A run exhausted its retry budget and completed as a RunError."""
-        self.quarantined += 1
-        self._render(force=True)
 
     def note_pool_restart(self) -> None:
         """The executor killed and re-spawned the worker pool."""
-        self.pool_restarts += 1
+        self.registry.counter("peas_sweep_pool_restarts_total").inc()
         self._render(force=True)
 
-    def note_store(self, hits: int, misses: int, evictions: int) -> None:
-        """Final result-store accounting, exported as ``peas_store_*``."""
+    def note_store(self, misses: int, evictions: int) -> None:
+        """Final result-store accounting (hits were counted as replayed)."""
         self.store = {
-            "hits": int(hits),
+            "hits": self.store_hits,
             "misses": int(misses),
             "evictions": int(evictions),
         }
+        if misses:
+            self.registry.counter("peas_store_misses_total").inc(misses)
+        if evictions:
+            self.registry.counter("peas_store_evictions_total").inc(evictions)
 
-    # ------------------------------------------------------------- messages
-    def _drain_loop(self) -> None:
-        import queue as queue_mod
-
-        while not self._stop.is_set():
-            try:
-                message = self._queue.get(timeout=0.2)
-            except (queue_mod.Empty, EOFError, OSError):
-                continue
-            self._handle(message)
-
-    def _handle(self, message: Dict[str, Any]) -> None:
-        kind = message.get("kind")
-        pid = message.get("pid")
-        if pid is not None:
-            self.workers_seen.add(pid)
-        if kind == "heartbeat":
-            self.heartbeats += 1
-            if message.get("scenario"):
-                self.current = message["scenario"]
-        elif kind == "run_end":
-            self.done += 1
-            if not message.get("ok", True):
-                self.errors += 1
-            if message.get("scenario"):
-                self.current = message["scenario"]
-        self._render()
+    def _set_current(self, scenario: Any) -> None:
+        if scenario is not None:
+            self.current = {
+                "protocol": scenario.protocol,
+                "nodes": scenario.num_nodes,
+                "seed": scenario.seed,
+            }
 
     # -------------------------------------------------------------- display
     def _progress_line(self) -> str:
@@ -381,29 +260,14 @@ class SweepTelemetry:
         scenarios: Sequence[Any],
         results: Sequence[Any],
     ) -> Dict[str, Path]:
-        """Stop the bus, reconcile against the results, write the exports.
+        """Merge the per-run metrics and write the exports.
 
-        The returned results are authoritative: live counters above are
-        best-effort transport (a saturated queue may drop a ``run_end``),
-        so done/error totals are recomputed here before export.  Returns
-        the written paths (``metrics`` / ``prometheus`` / ``manifest``).
+        The counts are already exact — the executor reported each run as
+        it settled — so this only folds every result's ``metrics``
+        snapshot into the registry and adds the sweep's wall time.
+        Returns the written paths (``metrics`` / ``prometheus`` /
+        ``manifest``).
         """
-        from .sweep import RunError  # local: avoid an import cycle
-
-        if self._drain is not None:
-            # Give stragglers one throttle period to land, then stop.
-            time.sleep(min(0.3, self.interval_s))
-            self._stop.set()
-            self._drain.join(timeout=2.0)
-            self._drain = None
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-            self._queue = None
-
-        failures = [r for r in results if isinstance(r, RunError)]
-        self.done = len(results)
-        self.errors = len(failures)
         wall_s = time.time() - (self._started_at or time.time())
         self._render(force=True)
         self._close_line()
@@ -413,52 +277,16 @@ class SweepTelemetry:
             snapshot = getattr(result, "metrics", None)
             if snapshot:
                 registry.merge(snapshot)
-        ok = len(results) - len(failures)
-        if ok:
-            registry.counter("peas_sweep_runs_total", status="ok").inc(ok)
-        if failures:
-            registry.counter(
-                "peas_sweep_runs_total", status="error"
-            ).inc(len(failures))
-        if self.retries:
-            registry.counter("peas_sweep_retries_total").inc(self.retries)
-        if self.quarantined:
-            registry.counter("peas_sweep_quarantined_total").inc(self.quarantined)
-        if self.pool_restarts:
-            registry.counter("peas_sweep_pool_restarts_total").inc(
-                self.pool_restarts
-            )
-        if self.store is not None:
-            if self.store["hits"]:
-                registry.counter("peas_store_hits_total").inc(self.store["hits"])
-            if self.store["misses"]:
-                registry.counter("peas_store_misses_total").inc(
-                    self.store["misses"]
-                )
-            if self.store["evictions"]:
-                registry.counter("peas_store_evictions_total").inc(
-                    self.store["evictions"]
-                )
-        if self.warm_start:
-            registry.counter("peas_sweep_warm_start_burn_ins_total").inc(
-                self.warm_start["burn_ins"]
-            )
-            registry.counter("peas_sweep_warm_start_forks_total").inc(
-                self.warm_start["forks"]
-            )
-        if self.heartbeats:
-            registry.counter("peas_sweep_heartbeats_total").inc(self.heartbeats)
-        if self.workers_seen:
-            registry.gauge("peas_sweep_workers").set_max(len(self.workers_seen))
         registry.gauge("peas_sweep_wall_seconds").set_max(wall_s)
+        ok = self.done - self.errors
 
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = self._build_manifest(scenarios, ok, len(failures), wall_s)
+        manifest = self._build_manifest(scenarios, ok, self.errors, wall_s)
         meta = {
             "label": self.label,
             "runs": len(results),
             "ok": ok,
-            "errors": len(failures),
+            "errors": self.errors,
             "git_sha": manifest["git_sha"],
             "config_digest": manifest["config_digest"],
         }
@@ -500,7 +328,6 @@ class SweepTelemetry:
             "pool_restarts": self.pool_restarts,
             "store": self.store,
             "warm_start": self.warm_start,
-            "heartbeats": self.heartbeats,
             "workers": len(self.workers_seen),
             "wall_s": round(wall_s, 3),
             "git_sha": git_sha(),

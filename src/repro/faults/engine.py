@@ -26,7 +26,7 @@ ambient process: byte-identical to the pre-plan harness.
 from __future__ import annotations
 
 import random
-from typing import Any, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..failures import FailureInjector, per_5000s
 from ..net.field import distance_sq
@@ -191,23 +191,23 @@ class FaultEngine:
         times.sort()
         return times
 
-    def publish_metrics(self, metrics: Any) -> None:
-        """Fold this run's fault accounting into a
-        :class:`repro.obs.metrics.RunMetrics` collector.  Cold path:
-        called once per run by the harness, after the event loop."""
+    def fault_counts(self) -> Dict[str, Any]:
+        """This run's fault accounting, as the keyword arguments of
+        :meth:`repro.obs.metrics.RunMetrics.record_faults`.  Cold path:
+        read once per run by the harness, after the event loop."""
         crash_deaths = self.ambient_injector.failures_injected
         for injector in self._plan_crash_injectors:
             crash_deaths += injector.failures_injected
-        metrics.record_faults(
-            injected=self.failures_injected,
-            events_by_kind={
+        return {
+            "injected": self.failures_injected,
+            "events_by_kind": {
                 "crash": crash_deaths,
                 "region_kill": self.region_kills,
                 "transient_outage": self.outages,
                 "clock_drift": self.nodes_skewed,
             },
-            recoveries=self.restores,
-        )
+            "recoveries": self.restores,
+        }
 
     # ------------------------------------------------------------ internals
     def _build_crash(

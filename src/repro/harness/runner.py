@@ -226,8 +226,6 @@ class LiveRun:
         if options.metrics:
             self.run_metrics = RunMetrics(
                 protocol=scenario.protocol if not self._custom_protocol else "custom",
-                # the only index; the label stays so exports compare with older runs
-                backend="columnar",
             )
 
         # --- coverage metric ---------------------------------------------
@@ -534,14 +532,8 @@ class LiveRun:
             result.profile = self.profiler.as_dict()
         if self.run_metrics is not None:
             run_metrics = self.run_metrics
-            channel = getattr(network, "channel", None)
-            if channel is not None:
-                channel.publish_metrics(run_metrics)
-            else:
-                # Baselines without a radio channel still report
-                # per-protocol counter dicts through the adapter.
-                run_metrics.record_channel(result.channel_counters)
-            faults.publish_metrics(run_metrics)
+            run_metrics.record_channel(result.channel_counters)
+            run_metrics.record_faults(**faults.fault_counts())
             run_metrics.finish(
                 sim,
                 result,

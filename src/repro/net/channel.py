@@ -209,13 +209,6 @@ class BroadcastChannel:
     def endpoint(self, node_id: Hashable) -> RadioEndpoint:
         return self._endpoints[node_id]
 
-    # ----------------------------------------------------------- reporting
-    def publish_metrics(self, metrics) -> None:
-        """Fold this run's frame/drop counters into a
-        :class:`repro.obs.metrics.RunMetrics` collector.  Cold path: called
-        once per run by the harness, never per frame."""
-        metrics.record_channel(self.counters.as_dict())
-
     # ------------------------------------------------------- carrier sense
     def busy_until(self, node_id: Hashable) -> float:
         """Latest end time of any activity this node can sense: its own

@@ -36,7 +36,6 @@ _DRIFT_FIELDS = (
 #: meta-level bookkeeping that moves with every run)
 _MOVER_EXCLUDES = (
     "peas_energy_joules_total",
-    "peas_sweep_heartbeats_total",
     "peas_sweep_wall_seconds",
 )
 

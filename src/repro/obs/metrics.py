@@ -3,8 +3,8 @@
 This is the quantitative side of the observability layer (traces in
 :mod:`repro.obs.tracer` are the qualitative side): named, labeled
 instruments a run populates cheaply, snapshotted into picklable samples
-that cross process-pool boundaries, merged sweep-wide by the telemetry
-bus, and exported in two canonical formats:
+that cross process-pool boundaries, merged sweep-wide by the sweep
+telemetry, and exported in two canonical formats:
 
 * ``peas-metrics/1`` — NDJSON, one header line plus one line per labeled
   sample, byte-stable encoding like the trace pipeline (see
@@ -87,8 +87,7 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "peas_energy_joules_total": ("counter", "Energy consumed, by accounting category."),
     "peas_sweep_runs_total": ("counter", "Sweep runs by final status (ok/error)."),
     "peas_sweep_retries_total": ("counter", "Same-seed retries attempted by the sweep."),
-    "peas_sweep_heartbeats_total": ("counter", "Worker heartbeats received by the parent."),
-    "peas_sweep_workers": ("gauge", "Peak concurrent pool workers observed."),
+    "peas_sweep_workers": ("gauge", "Distinct pool workers that returned a run's outcome."),
     "peas_sweep_wall_seconds": ("gauge", "Wall-clock duration of the whole sweep."),
     "peas_sweep_warm_start_burn_ins_total": ("counter", "Shared burn-in prefixes simulated for warm-started sweeps."),
     "peas_sweep_warm_start_forks_total": ("counter", "Variant runs forked from a warm-start burn-in snapshot."),
@@ -180,6 +179,10 @@ _CLASSES: Dict[str, type] = {
 }
 
 
+def _label_key(labels: Dict[str, Any]) -> LabelKey:
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
 class MetricsRegistry:
     """Labeled instruments addressed by ``(name, labels)``.
 
@@ -203,11 +206,17 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} is declared as a {declared[0]}, not a {kind}"
             )
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        key = (name, _label_key(labels))
         instrument = self._metrics.get(key)
         if instrument is None:
             instrument = self._metrics[key] = _CLASSES[kind]()
         return instrument
+
+    def value(self, name: str, **labels: Any) -> float:
+        """A counter's or gauge's value; 0 for one never touched (reading
+        does not create it, so untouched instruments stay out of exports)."""
+        instrument = self._metrics.get((name, _label_key(labels)))
+        return instrument.value if isinstance(instrument, (Counter, Gauge)) else 0.0
 
     def counter(self, name: str, **labels: Any) -> Counter:
         instrument = self._get("counter", name, labels)
@@ -520,15 +529,16 @@ _DROP_REASONS = {
 
 
 class RunMetrics:
-    """One run's metrics collection, labeled by protocol and backend.
+    """One run's metrics collection, labeled by protocol.
 
     Built by the harness when ``RunOptions(metrics=True)``; everything it
     records happens *outside* the event loop (between run chunks and after
     the run), so the simulation's RNG draw sequence — and therefore every
     result and trace byte — is untouched.  Gauges are sampled with
-    :meth:`sample_engine` between chunks; the per-subsystem counters fold
-    in at the end via ``publish_metrics`` hooks on the channel and fault
-    engine plus :meth:`finish`.
+    :meth:`sample_engine` between chunks; after the run the harness folds
+    in the protocol's ``channel_counters`` (:meth:`record_channel`) and the
+    fault engine's ``fault_counts`` (:meth:`record_faults`), then calls
+    :meth:`finish`.
     """
 
     def __init__(
@@ -536,10 +546,9 @@ class RunMetrics:
         registry: Optional[MetricsRegistry] = None,
         *,
         protocol: str,
-        backend: str,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels: Dict[str, str] = {"protocol": protocol, "backend": backend}
+        self.labels: Dict[str, str] = {"protocol": protocol}
         labels = self.labels
         # Pre-resolved gauge handles: sample_engine runs once per chunk.
         self._heap = self.registry.gauge("peas_sim_heap_size", **labels)

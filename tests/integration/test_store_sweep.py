@@ -241,6 +241,32 @@ class TestWorkerDeath:
         )
         assert manifest["quarantined"] == 1
 
+    def test_timed_out_retry_is_counted_once(self, tmp_path):
+        # A hung seed gets two attempts, each killed by the timeout: one
+        # retry, whatever the pool restarts re-queue for free around it.
+        telemetry = SweepTelemetry(tmp_path / "telemetry", label="hang2")
+        results = run_sweep(
+            SCENARIOS,
+            processes=2,
+            errors="collect",
+            telemetry=telemetry,
+            retry=RetryPolicy(
+                max_attempts=2, run_timeout_s=1.0, backoff_base_s=0.0
+            ),
+            _run_fn=_hang_run,
+        )
+        (failure,) = [r for r in results if isinstance(r, RunError)]
+        assert failure.scenario.seed == 1
+        assert failure.attempts == 2
+        assert failure.error_type == "TimeoutError"
+        assert telemetry.pool_restarts >= 2
+        manifest = json.loads(
+            (tmp_path / "telemetry" / "manifest.json").read_text()
+        )
+        assert manifest["retries"] == 1
+        assert manifest["quarantined"] == 1
+        assert manifest["ok"] == 3 and manifest["errors"] == 1
+
     def test_poison_seed_quarantined_and_never_cached(self, tmp_path):
         store_root = str(tmp_path / "store")
         telemetry = SweepTelemetry(tmp_path / "telemetry", label="poison")

@@ -1,14 +1,17 @@
-"""Sweep telemetry end to end: byte-neutrality, the pooled bus, exports.
+"""Sweep telemetry end to end: byte-neutrality, pooled progress, exports.
 
 The contract has two halves.  Metrics collection must be *free* when off
 and *invisible* when on — identical results and traces, because every
-instrument is read outside the event loop.  And the sweep bus must be
-best-effort: heartbeats may drop, but ``finish()`` reconciles against the
-returned results and always writes schema-valid exports.
+instrument is read outside the event loop.  And sweep progress must be
+exact: the executor reports every outcome from the parent as it settles,
+so the counts match the returned results before ``finish()`` writes the
+schema-valid exports.
 """
 
 import io
 import json
+
+from repro.experiments import telemetry as telemetry_module
 
 from repro.experiments import (
     RunError,
@@ -21,7 +24,12 @@ from repro.experiments import (
 from repro.harness import RunOptions
 from repro.harness.runner import run as run_scenario
 from repro.obs import diff_runs, load_run, render_diff, validate_metrics_file
-from repro.obs.metrics import METRIC_NAMES, MetricsRegistry
+from repro.obs.metrics import (
+    _DROP_REASONS,
+    _FRAME_OUTCOMES,
+    METRIC_NAMES,
+    MetricsRegistry,
+)
 
 BASE = Scenario(
     num_nodes=12,
@@ -68,13 +76,35 @@ class TestByteNeutrality:
             "peas_runs_total", **labels
         ).value == 2
 
+    def test_channel_samples_equal_the_channel_counters(self):
+        result = run_scenario(BASE, RunOptions(metrics=True))
+        counters = result.channel_counters
+        assert counters["frames_sent"] > 0
+        samples = {
+            (s["name"], s["labels"].get("outcome") or s["labels"].get("reason")):
+                s["value"]
+            for s in result.metrics
+            if s["name"] in ("peas_channel_frames_total",
+                             "peas_channel_drops_total")
+        }
+        expected = {
+            ("peas_channel_frames_total", outcome): counters[key]
+            for key, outcome in _FRAME_OUTCOMES.items()
+            if counters.get(key)
+        }
+        expected.update(
+            (("peas_channel_drops_total", reason), counters[key])
+            for key, reason in _DROP_REASONS.items()
+            if counters.get(key)
+        )
+        assert samples == expected
+
 
 class TestSerialTelemetry:
     def test_progress_and_exports(self, tmp_path):
         stream = io.StringIO()
         telemetry = SweepTelemetry(
             tmp_path / "out", label="unit", stream=stream, live=False,
-            interval_s=0.0,
         )
         scenarios = expand_seeds([BASE], [0, 1])
         results = run_sweep(
@@ -122,27 +152,56 @@ class TestSerialTelemetry:
 
 
 class TestPooledTelemetry:
-    def test_bus_carries_heartbeats_and_reconciles(self, tmp_path):
+    def test_parent_counts_progress_exactly(self, tmp_path, monkeypatch):
+        # Render every update, so each settled run leaves a line.
+        monkeypatch.setattr(telemetry_module, "_RENDER_PERIOD_S", 0.0)
+        stream = io.StringIO()
         telemetry = SweepTelemetry(
-            tmp_path / "out", label="pooled", stream=io.StringIO(), live=False,
-            interval_s=0.0,
+            tmp_path / "out", label="pooled", stream=stream, live=False,
         )
-        scenarios = expand_seeds([BASE], [0, 1, 2, 3])
+        # Counts as the executor left them, before finish() touches anything.
+        before_finish = {}
+        finish = telemetry.finish
+
+        def spy_finish(scenarios, results):
+            before_finish.update(done=telemetry.done, errors=telemetry.errors)
+            return finish(scenarios, results)
+
+        monkeypatch.setattr(telemetry, "finish", spy_finish)
+        from repro.faults import ClockDriftFault, FaultPlan
+
+        # GAF rejects a clock-drift plan inside the worker, on every attempt.
+        bad = BASE.with_(
+            protocol="gaf",
+            seed=9,
+            fault_plan=FaultPlan((ClockDriftFault(max_skew=0.05),)),
+        )
+        scenarios = expand_seeds([BASE], [0, 1, 2, 3]) + [bad]
         results = run_sweep(
             scenarios,
             processes=2,
+            errors="collect",
             options=RunOptions(metrics=True),
             telemetry=telemetry,
         )
-        assert len(results) == 4
-        # The bus saw real workers; finish() reconciled done/errors from
-        # the results even if individual messages were dropped.
+        assert len(results) == 5
+        failures = [r for r in results if isinstance(r, RunError)]
+        assert len(failures) == 1
+        assert before_finish == {"done": 5, "errors": 1}
         assert telemetry.workers_seen
-        assert telemetry.heartbeats >= 1
-        assert telemetry.done == 4 and telemetry.errors == 0
+
+        lines = stream.getvalue().splitlines()
+        final = next(i for i, line in enumerate(lines) if "5/5 runs" in line)
+        assert any(
+            f"[pooled] {n}/5 runs" in line
+            for line in lines[:final]
+            for n in (1, 2, 3, 4)
+        )
         assert validate_metrics_file(tmp_path / "out" / "metrics.ndjson") == []
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["runs"] == 4 and manifest["ok"] == 4
+        assert manifest["runs"] == 5
+        assert manifest["ok"] == 4 and manifest["errors"] == 1
+        assert manifest["retries"] == failures[0].attempts - 1 == 1
         assert manifest["workers"] >= 1
         # Per-run samples merged: 4 runs' counters folded into one export.
         record = load_run(tmp_path / "out")
@@ -176,7 +235,7 @@ class TestDiffWorkflow:
         assert "config_digest" not in drift_fields
         moved = {d.name for d in diff.changed}
         assert moved <= {"peas_sweep_wall_seconds", "peas_run_wall_seconds",
-                         "peas_run_rss_mb", "peas_sweep_heartbeats_total"}
+                         "peas_run_rss_mb"}
         assert diff.unchanged > 5
 
     def test_diff_reports_real_movement(self, tmp_path):

@@ -251,14 +251,14 @@ class _FakeResult:
 
 class TestRunMetrics:
     def test_finish_records_the_run_level_story(self):
-        run = RunMetrics(protocol="peas", backend="columnar")
+        run = RunMetrics(protocol="peas")
         run.sample_engine(_FakeSim())
         run.record_channel({"frames_sent": 10, "frames_delivered": 8,
                             "collisions": 2, "random_losses": 0})
         run.record_faults(injected=5, events_by_kind={"crash": 5, "region_kill": 0})
         run.finish(_FakeSim(), _FakeResult(), wall_s=1.25, rss_mb=64.0)
         registry = run.registry
-        labels = dict(protocol="peas", backend="columnar")
+        labels = dict(protocol="peas")
         assert registry.counter("peas_runs_total", status="ok", **labels).value == 1
         assert registry.gauge("peas_sim_heap_size", **labels).value == 9
         assert registry.counter(
@@ -302,7 +302,7 @@ class TestCatalogueCoverage:
     catalogued (the registry raises at the call on any other)."""
 
     def test_run_and_sweep_exports_cover_every_catalogue_name(self, tmp_path):
-        run = RunMetrics(protocol="peas", backend="columnar")
+        run = RunMetrics(protocol="peas")
         run.sample_engine(_FakeSim())
         run.record_channel({"frames_sent": 10, "frames_delivered": 8,
                             "collisions": 2})
@@ -311,22 +311,29 @@ class TestCatalogueCoverage:
         run.finish(_FakeSim(), _FakeResult(), wall_s=1.25, rss_mb=64.0)
 
         telemetry = SweepTelemetry(tmp_path, stream=io.StringIO(), live=False)
-        telemetry.start(total=2)
-        # What the drain thread does with a pooled worker's heartbeat.
-        telemetry._handle({"kind": "heartbeat", "pid": 101})
-        telemetry.note_retry()
-        telemetry.note_quarantined()
-        telemetry.note_pool_restart()
-        telemetry.note_store(hits=1, misses=2, evictions=1)
-        telemetry.note_warm_start(burn_ins=1, forks=2)
-        scenarios = [Scenario(seed=0), Scenario(seed=1)]
+        telemetry.start(total=3)
+        scenarios = [Scenario(seed=0), Scenario(seed=1), Scenario(seed=2)]
         results = [
             SimpleNamespace(metrics=run.registry.snapshot()),
             RunError(scenarios[1], "RuntimeError", "poison", "",
-                     attempts=3, quarantined=True),
+                     attempts=2, quarantined=True),
+            SimpleNamespace(metrics=None),
         ]
+        # The executor's reports, in the order a pooled sweep makes them.
+        telemetry.note_warm_start(burn_ins=1, forks=2)
+        telemetry.note_store_hit(scenarios[2])
+        telemetry.note_outcome(scenarios[0], worker=101)
+        telemetry.note_retry(scenarios[1])
+        telemetry.note_pool_restart()
+        telemetry.note_outcome(scenarios[1], error=results[1])
+        telemetry.note_store(misses=2, evictions=1)
         paths = telemetry.finish(scenarios, results)
 
         assert validate_metrics_file(paths["metrics"]) == []
         _header, samples = load_metrics_file(paths["metrics"])
         assert {sample["name"] for sample in samples} == set(METRIC_NAMES)
+        manifest = json.loads(paths["manifest"].read_text())
+        assert (manifest["ok"], manifest["errors"]) == (2, 1)
+        assert manifest["retries"] == 1 and manifest["quarantined"] == 1
+        assert manifest["workers"] == 1 and manifest["pool_restarts"] == 1
+        assert manifest["store"] == {"hits": 1, "misses": 2, "evictions": 1}
