@@ -53,6 +53,13 @@ __all__ = ["PEASNode", "NodeHooks"]
 #: ~0.005 % of the ~4700 s lifetimes the paper's figures are built from.
 _DEATH_SLACK_S = 0.25
 
+# Modes the per-frame guards test, bound once (an enum class attribute read
+# costs several global reads).
+_SLEEPING = NodeMode.SLEEPING
+_PROBING = NodeMode.PROBING
+_WORKING = NodeMode.WORKING
+_DEAD = NodeMode.DEAD
+
 
 @dataclass
 class NodeHooks:
@@ -97,6 +104,9 @@ class PEASNode:
         self.battery = battery
         self.rng = rng
         self.filter = reception_filter
+        #: variable-power mode accepts every received frame (§2), so
+        #: :meth:`on_packet` consults the filter only in fixed-power mode
+        self._fixed_power = reception_filter.fixed_power
         self.hooks = hooks if hooks is not None else NodeHooks.noop()
         self.counters = counters if counters is not None else CounterSet()
         #: normalized trace handle: None unless tracing is really on
@@ -166,17 +176,17 @@ class PEASNode:
         return self._position
 
     def is_listening(self) -> bool:
-        return self.mode in (NodeMode.PROBING, NodeMode.WORKING)
+        return self.mode in (_PROBING, _WORKING)
 
     # ------------------------------------------------------------ lifecycle
     @property
     def alive(self) -> bool:
-        return self.mode is not NodeMode.DEAD
+        return self.mode is not _DEAD
 
     @property
     def working_duration(self) -> float:
         """T_w of §4: how long this node has been working (0 if not working)."""
-        if self.mode is not NodeMode.WORKING or self.work_started_at is None:
+        if self.mode is not _WORKING or self.work_started_at is None:
             return 0.0
         return self.sim.now - self.work_started_at
 
@@ -280,7 +290,7 @@ class PEASNode:
         )
 
     def _wake(self) -> None:
-        if self.mode is not NodeMode.SLEEPING:
+        if self.mode is not _SLEEPING:
             return
         check_transition(self.mode, NodeMode.PROBING)
         self.mode = NodeMode.PROBING
@@ -305,23 +315,18 @@ class PEASNode:
         self._reschedule_death()
 
     def _send_probe(self, index: int) -> None:
-        if self.mode is not NodeMode.PROBING:
+        if self.mode is not _PROBING:
             return
-        message = ProbeMessage(
-            prober_id=self._node_id, wakeup_seq=self._wakeup_seq, probe_index=index
-        )
-        packet = Packet(kind=PROBE_KIND, sender=self._node_id, payload=message)
-        self.channel.transmit(self._node_id, packet, self.filter.tx_range)
+        node_id = self._node_id
+        seq = self._wakeup_seq
+        packet = Packet(PROBE_KIND, node_id, ProbeMessage(node_id, seq, index))
+        self.channel.transmit(node_id, packet, self.filter.tx_range)
         self.counters.incr("probes_sent")
         if self._tracer is not None:
-            self._tracer.emit(
-                trace_events.probe_tx(
-                    self.sim.now, self._node_id, self._wakeup_seq, index
-                )
-            )
+            self._tracer.emit(trace_events.probe_tx(self.sim.now, node_id, seq, index))
 
     def _end_probe_window(self) -> None:
-        if self.mode is not NodeMode.PROBING:
+        if self.mode is not _PROBING:
             return
         # Attribute the listening window's idle draw to protocol overhead
         # (already consumed via the IDLE mode; attribution only, Table 1).
@@ -424,15 +429,14 @@ class PEASNode:
     def _send_reply(
         self, answering: tuple, feedback: Optional[float], deadline: float
     ) -> None:
-        if self.mode is not NodeMode.WORKING:
+        if self.mode is not _WORKING:
             return
         # CSMA: defer while the medium is locally busy; give up (rather than
         # transmit uselessly) once the prober's listening window has closed.
         now = self.sim.now
-        if self.channel.is_busy(self._node_id, now):
-            retry = self.channel.busy_until(self._node_id) + self.rng.uniform(
-                0.0, 2.0 * self.config.probe_gap_s
-            )
+        busy = self.channel.busy_until(self._node_id)
+        if busy > now:
+            retry = busy + self.rng.uniform(0.0, 2.0 * self.config.probe_gap_s)
             if retry + self._probe_airtime > deadline:
                 self.counters.incr("replies_suppressed")
                 return
@@ -446,79 +450,73 @@ class PEASNode:
                 ),
             )
             return
+        node_id = self._node_id
+        started = self.work_started_at  # inlined working_duration (mode is WORKING)
+        working_duration = 0.0 if started is None else now - started
         message = ReplyMessage(
-            worker_id=self._node_id,
-            measured_rate=feedback,
-            desired_rate=self.config.desired_rate_hz,
-            working_duration=self.working_duration,
-            answering=answering,
+            node_id, feedback, self.config.desired_rate_hz, working_duration, answering
         )
-        packet = Packet(kind=REPLY_KIND, sender=self._node_id, payload=message)
-        self.channel.transmit(self._node_id, packet, self.filter.tx_range)
+        packet = Packet(REPLY_KIND, node_id, message)
+        self.channel.transmit(node_id, packet, self.filter.tx_range)
         self.counters.incr("replies_sent")
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.reply_tx(
-                    self.sim.now, self._node_id, feedback, message.working_duration
-                )
+                trace_events.reply_tx(now, node_id, feedback, working_duration)
             )
 
     # ------------------------------------------------------------ reception
     def on_packet(self, packet: Packet, rssi: float, dist: float) -> None:
-        if not self.filter.accepts(rssi):
+        if self._fixed_power and not self.filter.accepts(rssi):
             return  # fixed-power mode: sender is beyond the probing range
-        if packet.kind == PROBE_KIND:
+        kind = packet.kind
+        if kind == PROBE_KIND:
             self._on_probe(packet.payload)
-        elif packet.kind == REPLY_KIND:
+        elif kind == REPLY_KIND:
             self._on_reply(packet.payload)
 
     def _on_probe(self, message: ProbeMessage) -> None:
-        if self.mode is not NodeMode.WORKING:
+        if self.mode is not _WORKING:
             return  # only working nodes answer PROBEs
-        assert self.estimator is not None
+        estimator = self.estimator
+        assert estimator is not None
+        now = self.sim.now
+        wakeup_key = message.wakeup_key
         # Snapshot the estimate BEFORE counting this arrival: by PASTA the
         # arriving probe sees the time-average window state, whereas an
         # estimate that included itself would be biased high by ~1/age —
         # dominant for young workers and amplified by the §4 max rule.
-        feedback = self.estimator.estimate(self.sim.now)
-        completed = self.estimator.on_probe(self.sim.now, message.wakeup_key)
+        feedback = estimator.estimate(now)
+        completed = estimator.on_probe(now, wakeup_key)
         if completed is not None and self._tracer is not None:
             self._tracer.emit(
                 trace_events.lambda_hat(
-                    self.sim.now,
-                    self._node_id,
-                    completed,
-                    self.estimator.windows_completed,
+                    now, self._node_id, completed, estimator.windows_completed
                 )
             )
         # Place the REPLY uniformly in the prober's reply phase, keeping
         # this node's own repeated REPLYs separated (half-duplex radio) and
         # never transmitting past the prober's listening window.
-        now = self.sim.now
-        airtime = self._probe_airtime
-        config = self.config
         phase_lo, phase_hi = self._reply_phase
         est_wakeup = now - self._probe_arrivals[message.probe_index]
         target = est_wakeup + self.rng.uniform(phase_lo, phase_hi)
-        target = max(target, now, self._reply_busy_until + config.probe_gap_s)
+        target = max(target, now, self._reply_busy_until + self.config.probe_gap_s)
         deadline = est_wakeup + phase_hi
         if target > deadline:
             self.counters.incr("replies_suppressed")
             return
-        self._reply_busy_until = target + airtime
+        self._reply_busy_until = target + self._probe_airtime
         self.sim.schedule(
-            target - now, self._send_reply, message.wakeup_key, feedback, deadline,
+            target - now, self._send_reply, wakeup_key, feedback, deadline,
             label="reply-tx",
             handler=(
-                "node.reply-tx",
-                (self._node_id, list(message.wakeup_key), feedback, deadline),
+                "node.reply-tx", (self._node_id, list(wakeup_key), feedback, deadline)
             ),
         )
 
     def _on_reply(self, message: ReplyMessage) -> None:
-        if self.mode is NodeMode.PROBING:
+        if self.mode is _PROBING:
             self._pending_replies.append(message)
-        elif self.mode is NodeMode.WORKING and self.config.overlap_resolution:
+        elif self.mode is _WORKING and self.config.overlap_resolution:
             if self.anchor:
                 return
             if overlap_should_sleep(self.working_duration, message.working_duration):
@@ -580,7 +578,7 @@ class PEASNode:
         ``_DEATH_SLACK_S`` — it therefore never fires early, and at most
         that much late.
         """
-        if self.mode is NodeMode.DEAD:
+        if self.mode is _DEAD:
             return
         if remaining is None:
             remaining = self.battery.remaining(self.sim.now)

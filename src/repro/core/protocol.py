@@ -131,6 +131,8 @@ class PEASNetwork:
         validate_timing(config, self.radio)
 
         self.counters = CounterSet()
+        #: (packet kind, direction) -> energy category, for the per-frame hook
+        self._categories: Dict[tuple, str] = {}
         self.grid = ColumnarSpatialGrid(field, cell_size=config.probe_range_m)
         self.neighbors = NeighborCache(self.grid, enabled=neighbor_cache)
         self.channel = BroadcastChannel(
@@ -294,13 +296,15 @@ class PEASNetwork:
         self, node_id: Hashable, direction: str, airtime: float, packet: Packet
     ) -> None:
         node = self.nodes[node_id]
-        category = frame_category(packet.kind, direction)
-        remaining = node.battery.charge_frame(self.sim.now, direction, airtime, category)
+        key = (packet.kind, direction)
+        category = self._categories.get(key)
+        if category is None:
+            category = self._categories[key] = frame_category(*key)
+        now = self.sim.now
+        remaining = node.battery.charge_frame(now, direction, airtime, category)
         if self.tracer is not None:
             joules = node.battery.frame_joules(direction, airtime)
-            self.tracer.emit(
-                trace_events.energy(self.sim.now, node_id, category, joules)
-            )
+            self.tracer.emit(trace_events.energy(now, node_id, category, joules))
         node.on_energy_charged(remaining)
 
     def _node_started_working(self, node: PEASNode) -> None:

@@ -38,26 +38,16 @@ OVERHEAD_CATEGORIES: Tuple[str, ...] = (
 #: reports, baseline beacons) is data-plane traffic.
 _CONTROL_KINDS = {"PROBE": "probe", "REPLY": "reply"}
 
-#: (kind, direction) -> category string, memoized — this sits on the
-#: per-frame energy hook, so the f-string is built once per distinct pair,
-#: not once per frame.
-_CATEGORY_CACHE: Dict[Tuple[str, str], str] = {}
-
 
 def frame_category(kind: str, direction: str) -> str:
     """Accounting category for a frame of ``kind`` seen in ``direction``.
 
     The single source of the ``probe_tx`` / ``reply_rx`` / ``data_tx``...
     naming used by battery attribution, Table 1 aggregation and the trace
-    pipeline's ``energy`` events.
+    pipeline's ``energy`` events.  The per-frame energy hook memoizes it
+    (:class:`repro.core.protocol.PEASNetwork`).
     """
-    key = (kind, direction)
-    category = _CATEGORY_CACHE.get(key)
-    if category is None:
-        category = _CATEGORY_CACHE[key] = (
-            f"{_CONTROL_KINDS.get(kind, 'data')}_{direction}"
-        )
-    return category
+    return f"{_CONTROL_KINDS.get(kind, 'data')}_{direction}"
 
 
 @dataclass

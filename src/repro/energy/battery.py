@@ -61,11 +61,6 @@ class NodeBattery:
     def depleted(self, now: float) -> bool:
         return self.remaining(now) <= 0.0
 
-    @property
-    def power_w(self) -> float:
-        """Continuous draw of the current mode in watts."""
-        return self._power_w
-
     def time_to_depletion(self, now: float) -> Optional[float]:
         """Seconds from ``now`` until the battery empties at the current
         mode draw, or ``None`` if the draw is zero (OFF mode)."""
@@ -95,15 +90,28 @@ class NodeBattery:
         """Charge one frame's tx/rx energy and attribute it to ``category``.
 
         Returns the remaining charge so callers can react to depletion
-        without a second integration pass.
+        without a second integration pass.  The per-frame entry point: it
+        runs :meth:`_integrate` and :meth:`frame_joules` inline, same floats.
         """
-        self._integrate(now)
-        joules = self.frame_joules(direction, airtime)
-        remaining = self._remaining - joules
+        last = self._last_update
+        if now < last:
+            self._integrate(now)  # raises: battery time went backwards
+        joules = self._frame_j.get((direction, airtime))
+        if joules is None:
+            joules = self.frame_joules(direction, airtime)
+        remaining = self._remaining
+        power = self._power_w
+        if power > 0:
+            remaining = remaining - power * (now - last)
+            if not remaining > 0.0:
+                remaining = 0.0
+        self._last_update = now
+        remaining -= joules
         if remaining < 0.0:
             remaining = 0.0
         self._remaining = remaining
-        self.by_category[category] = self.by_category.get(category, 0.0) + joules
+        by_category = self.by_category
+        by_category[category] = by_category.get(category, 0.0) + joules
         return remaining
 
     def attribute(self, category: str, joules: float) -> None:

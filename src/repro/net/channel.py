@@ -209,11 +209,28 @@ class BroadcastChannel:
     def endpoint(self, node_id: Hashable) -> RadioEndpoint:
         return self._endpoints[node_id]
 
+    def assert_invariants(self, now: float) -> None:
+        """Sanitizer entry point (read-only): every attached endpoint's
+        published listening flag equals its ``is_listening()``, since the
+        audience loop and reception completion read the flag instead."""
+        from ..sim.sanitizer import InvariantViolation
+
+        store = self._store
+        for node_id, endpoint in self._endpoints.items():
+            row = store.row_of.get(node_id)
+            published = row is not None and store.listening_py[row]
+            if published != endpoint.is_listening():
+                raise InvariantViolation(
+                    f"node {node_id!r} published listening={published} at "
+                    f"t={now!r} but is_listening() is {not published}: the "
+                    "endpoint changed radio state without note_listening"
+                )
+
     # ------------------------------------------------------- carrier sense
     def busy_until(self, node_id: Hashable) -> float:
-        """Latest end time of any activity this node can sense: its own
-        transmissions plus every frame currently arriving at it.  Returns a
-        time in the past when the medium is locally idle."""
+        """CSMA carrier sense: the latest end time of any activity this node
+        can sense, its own transmissions plus every frame currently arriving
+        at it.  The medium is busy while this is later than now."""
         busy = self._transmitting_until.get(node_id, 0.0)
         active = self._incoming.get(node_id)
         if active:
@@ -221,10 +238,6 @@ class BroadcastChannel:
                 if reception.end_time > busy:
                     busy = reception.end_time
         return busy
-
-    def is_busy(self, node_id: Hashable, now: float) -> bool:
-        """CSMA carrier sense: is the medium busy as heard by this node?"""
-        return self.busy_until(node_id) > now
 
     # -------------------------------------------------------- transmission
     def transmit(self, sender_id: Hashable, packet: Packet, tx_range: float) -> None:
@@ -241,16 +254,18 @@ class BroadcastChannel:
         sender = self._endpoints.get(sender_id)
         if sender is None:
             raise KeyError(f"unknown sender {sender_id!r}")
+        now = self.sim.now
         if self.sanitizer is not None:
-            self.sanitizer.on_transmit(sender, self.sim.now)
+            self.sanitizer.on_transmit(sender, now)
         size = packet.size_bytes
         airtime = self._airtimes.get(size)
         if airtime is None:
             airtime = self._airtimes[size] = self.radio.airtime(size)
-        now = self.sim.now
         end = now + airtime
-        incr = self.counters.incr
-        incr("frames_sent")
+        # Counters are bumped through the CounterSet's own dict, at the same
+        # moments as ``incr`` would (their insertion order is output).
+        counts = self.counters._counts
+        counts["frames_sent"] += 1
 
         # Half duplex: transmitting corrupts anything the sender was receiving
         # and blocks reception until the transmission ends.
@@ -285,8 +300,8 @@ class BroadcastChannel:
                     sender.position, rows[store.listening[rows]]
                 )
         else:
-            # Sender already left the grid (death raced a pending frame):
-            # resolve its audience from the recorded position, uncached.
+            # The tx charge above killed the sender, detaching it from the
+            # grid: resolve its audience from its position, uncached.
             row_of = store.row_of
             pairs = neighbors.neighbors_at(sender.position, tx_range, exclude=sender_id)
             rows = [row_of[node_id] for node_id, _ in pairs]
@@ -321,9 +336,9 @@ class BroadcastChannel:
                     for other in active.values():
                         if not other.corrupted:
                             other.corrupted = True
-                            incr("collisions")
+                            counts["collisions"] += 1
                             corrupted_now += 1
-                    incr("collisions")
+                    counts["collisions"] += 1
                     if tracer is not None:
                         tracer.emit(
                             trace_events.collision(now, node_id, corrupted_now)
@@ -331,7 +346,7 @@ class BroadcastChannel:
                 active[uid] = reception
             receivers.append(node_id)
         if n_hd:
-            incr("half_duplex_losses", n_hd)
+            counts["half_duplex_losses"] += n_hd
 
         if not receivers:
             # Nobody will hear this frame: the tx-side energy and counters
@@ -365,9 +380,13 @@ class BroadcastChannel:
     ) -> None:
         uid = packet.uid
         self._pending_tx.pop(uid, None)
+        now = self.sim.now
         incoming = self._incoming
         endpoints = self._endpoints
-        incr = self.counters.incr
+        store = self._store
+        row_of = store.row_of
+        listening = store.listening_py
+        counts = self.counters._counts
         energy_hook = self.energy_hook
         tracer = self.tracer
         loss_rate = self.loss_rate
@@ -390,38 +409,33 @@ class BroadcastChannel:
             if reception is None:
                 continue
             endpoint = endpoints.get(node_id)
-            if endpoint is None or not endpoint.is_listening():
-                # Receiver died or slept mid-frame.
-                incr("aborted_receptions")
+            if endpoint is None or not listening[row_of[node_id]]:
+                # Receiver died or slept mid-frame (the published flag is
+                # the endpoint's state: it reports every change).
+                counts["aborted_receptions"] += 1
                 if tracer is not None:
-                    tracer.emit(
-                        trace_events.drop(self.sim.now, node_id, "aborted")
-                    )
+                    tracer.emit(trace_events.drop(now, node_id, "aborted"))
                 continue
             if energy_hook is not None:
                 energy_hook(node_id, "rx", airtime, packet)
             if reception.corrupted:
                 continue
             if loss_rate > 0 and rng.random() < loss_rate:
-                incr("random_losses")
+                counts["random_losses"] += 1
                 if tracer is not None:
-                    tracer.emit(
-                        trace_events.drop(self.sim.now, node_id, "random")
-                    )
+                    tracer.emit(trace_events.drop(now, node_id, "random"))
                 continue
-            if loss_process is not None and loss_process.drop(self.sim.now):
-                incr("bursty_losses")
+            if loss_process is not None and loss_process.drop(now):
+                counts["bursty_losses"] += 1
                 if tracer is not None:
-                    tracer.emit(
-                        trace_events.drop(self.sim.now, node_id, "bursty")
-                    )
+                    tracer.emit(trace_events.drop(now, node_id, "bursty"))
                 continue
             dist = reception.dist
             if plain_rssi:
                 rssi = dist**neg_alpha if dist > 1e-9 else float("inf")
             else:
                 rssi = radio.rssi(dist, rng)
-            incr("frames_delivered")
+            counts["frames_delivered"] += 1
             endpoint.on_packet(packet, rssi, dist)
 
     # ------------------------------------------------------------- snapshot

@@ -8,6 +8,9 @@ contracts:
 * **monotonic time** — event timestamps never go backwards;
 * **legal transmission** — sleeping/dead nodes never put frames on the air
   (checked by the channel per transmit);
+* **published radio state** — each attached endpoint's listening flag in
+  the channel's store equals its ``is_listening()`` (the channel decides
+  audiences and mid-frame aborts from the flag);
 * **energy sanity** — battery charge stays within ``[0, initial]`` and the
   battery's lazy-integration clock never runs ahead of the simulation;
 * **estimator well-formedness** — the λ̂ k-interval window keeps
@@ -145,6 +148,9 @@ class SimSanitizer:
         """Run the full node-state sweep immediately (also used at teardown)."""
         self.sweeps += 1
         for network in self._networks:
+            channel = getattr(network, "channel", None)
+            if channel is not None:
+                channel.assert_invariants(now)
             nodes = getattr(network, "nodes", None)
             if not nodes:
                 continue

@@ -9,10 +9,12 @@ from repro.net import (
     ColumnarSpatialGrid,
     Field,
     NeighborCache,
+    PACKET_SIZE_BYTES,
     Packet,
     RadioModel,
     SpatialGrid,
 )
+from repro.net.packet import packet_from_dict, packet_to_dict
 from repro.sim import Simulator
 
 
@@ -280,6 +282,69 @@ class TestEnergyHook:
         sim.run()
         assert charges.count(("v", "rx")) == 2  # listened to both, decoded none
 
+    # Receivers at mixed distances, two of them tied, so the delivery order
+    # is the canonical (distance, insertion index) order.
+    LAYOUT = [("s", (10.0, 10.0)), ("far", (12.5, 10.0)), ("near", (11.0, 10.0)),
+              ("tie_a", (10.0, 12.0)), ("tie_b", (8.0, 10.0)), ("out", (14.0, 10.0)),
+              ("mid", (10.0, 8.5))]
+
+    def _deliveries(self, energy_hook=None):
+        """One PROBE from ``s``; the ordered (receiver, dist) delivery log."""
+        log = []
+        sim, channel = make_channel(
+            energy_hook=None if energy_hook is None
+            else lambda *args: energy_hook(channel, *args)
+        )
+        for node_id, position in self.LAYOUT:
+            endpoint = attach(channel, node_id, position)
+            endpoint.on_packet = (
+                lambda packet, rssi, dist, node_id=node_id: log.append((node_id, dist))
+            )
+        channel.transmit("s", Packet("PROBE", "s"), tx_range=3.0)
+        sim.run()
+        return log, channel
+
+    @staticmethod
+    def _die(channel, node_id):
+        # What a PEAS node's death does: publish the radio off, then detach.
+        channel.endpoint(node_id)._listening = False
+        channel.note_listening(node_id, False)
+        channel.detach(node_id)
+
+    def test_sender_killed_by_its_own_tx_charge_reaches_the_cached_audience(self):
+        """The tx charge runs before the audience is picked; a charge that
+        kills the sender detaches it, so the frame goes out through the
+        uncached ``neighbors_at`` branch — which must pick the same
+        receivers, in the same order, at the same distances."""
+        cached, _ = self._deliveries()
+        branches = []
+
+        def kill_on_first_tx(channel, node_id, direction, airtime, packet):
+            if direction == "tx" and not branches:
+                self._die(channel, node_id)
+                branches.append(node_id in channel.grid)
+
+        uncached, channel = self._deliveries(kill_on_first_tx)
+        assert branches == [False]  # the sender had left the grid
+        assert [node_id for node_id, _ in cached] == ["near", "mid", "tie_a", "tie_b", "far"]
+        assert uncached == cached
+        assert channel.counters.get("frames_delivered") == len(cached)
+
+    def test_receiver_killed_by_its_rx_charge_does_not_stop_later_receivers(self):
+        cached, _ = self._deliveries()
+        killed = []
+
+        def kill_first_receiver(channel, node_id, direction, airtime, packet):
+            if direction == "rx" and not killed:
+                self._die(channel, node_id)
+                killed.append(node_id)
+
+        log, channel = self._deliveries(kill_first_receiver)
+        assert killed == ["near"]
+        later = [entry for entry in cached if entry[0] != "near"]
+        assert [entry for entry in log if entry[0] != "near"] == later
+        assert channel.counters.get("aborted_receptions") == 0
+
 
 class TestAttachment:
     def test_attach_duplicate_rejected(self):
@@ -360,3 +425,33 @@ class TestNeighborCacheIntegration:
         packet, _rssi, dist = receiver.received[0]
         assert packet.kind == "REPLY"
         assert dist == pytest.approx(2.0)
+
+
+class TestPacketContract:
+    def test_fresh_uid_per_packet(self):
+        first, second = Packet("PROBE", 1), Packet("PROBE", 1)
+        assert first.uid != second.uid
+        assert first != second  # frames compare by identity
+
+    def test_defaults_and_explicit_uid(self):
+        packet = Packet("REPLY", 4, payload="x", size_bytes=40, uid=12345)
+        assert (packet.kind, packet.sender, packet.payload) == ("REPLY", 4, "x")
+        assert (packet.size_bytes, packet.uid) == (40, 12345)
+        plain = Packet("PROBE", 4)
+        assert plain.payload is None and plain.size_bytes == PACKET_SIZE_BYTES
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_non_positive_size_rejected(self, size):
+        with pytest.raises(ValueError, match="size_bytes"):
+            Packet("PROBE", 1, size_bytes=size)
+
+    def test_round_trips_through_the_snapshot_codec(self):
+        import repro.core  # noqa: F401 - registers the message codecs
+        from repro.core.messages import ProbeMessage, ReplyMessage
+
+        for payload in (None, ProbeMessage(3, 7, 1), ReplyMessage(2, None, 0.02, 5.5, (3, 7))):
+            packet = Packet("PROBE", 3, payload=payload, size_bytes=25)
+            restored = packet_from_dict(packet_to_dict(packet))
+            assert restored.uid == packet.uid
+            assert (restored.kind, restored.sender, restored.size_bytes) == ("PROBE", 3, 25)
+            assert restored.payload == payload

@@ -143,3 +143,33 @@ def test_periodic_sweep_catches_corruption_mid_run():
     sim.schedule(100.0, corrupt)
     with pytest.raises(InvariantViolation, match="negative"):
         sim.run(until=400.0)
+
+
+def test_unpublished_listening_change_trips():
+    # The channel decides audiences and mid-frame aborts from the flag each
+    # endpoint publishes; an endpoint that flips its radio without
+    # note_listening must be named by the next sweep.
+    from types import SimpleNamespace
+
+    from tests.unit.test_channel import attach, make_channel
+
+    sim, channel = make_channel()
+    attach(channel, "steady", (5.0, 5.0))
+    flipper = attach(channel, "flipper", (6.0, 5.0))
+    sanitizer = SimSanitizer()
+    sanitizer.attach_network(SimpleNamespace(nodes={}, channel=channel))
+    flipper.listening = False  # published: the flag follows
+    sanitizer.sweep(sim.now)
+    flipper._listening = True  # radio back on, never published
+    with pytest.raises(InvariantViolation, match="'flipper'.*note_listening"):
+        sanitizer.sweep(sim.now)
+
+
+def test_peas_nodes_keep_their_published_flag_in_step():
+    sim, network, sanitizer = sanitized_network(num_nodes=25)
+    network.kill(next(iter(network.nodes)))
+    sanitizer.sweep(sim.now)
+    node = next(n for n in network.nodes.values() if n.is_listening())
+    node.mode = NodeMode.SLEEPING  # a transition that skipped note_listening
+    with pytest.raises(InvariantViolation, match=rf"^node {node.node_id!r} published"):
+        sanitizer.sweep(sim.now)
