@@ -65,15 +65,20 @@ class BaselineNode:
         )
 
     # ------------------------------------------------------------- control
-    def set_working(self, working: bool) -> None:
-        """Switch between Working (idle draw) and Sleeping (sleep draw)."""
+    def set_working(self, working: bool, until: Optional[float] = None) -> None:
+        """Switch between Working (idle draw) and Sleeping (sleep draw).
+
+        ``until`` is the exact time of the caller's next toggle of this
+        node, if it has one; a depletion deadline after it is left out of
+        the event heap, since that toggle recomputes it.
+        """
         if not self.alive or working == self.working:
             return
         self.working = working
         self.battery.set_mode(
             self.sim.now, RadioMode.IDLE if working else RadioMode.SLEEP
         )
-        self._reschedule_death()
+        self._reschedule_death(until)
         self._on_working_change(self, working)
 
     def charge(self, joules: float, category: str) -> None:
@@ -121,9 +126,11 @@ class BaselineNode:
         self.battery.load_state(state["battery"])
 
     # ------------------------------------------------------------ internals
-    def _reschedule_death(self) -> None:
+    def _reschedule_death(self, until: Optional[float] = None) -> None:
+        # The deadline is armed before the caller schedules its toggle, so
+        # on a tie the deadline fires first: it stays armed at ``until``.
         ttd = self.battery.time_to_depletion(self.sim.now)
-        if ttd is None:
+        if ttd is None or (until is not None and self.sim.now + ttd > until):
             self._death_timer.cancel()
         else:
             self._death_timer.start(ttd)

@@ -63,13 +63,18 @@ class DutyCycleProtocol:
             )
 
     # ------------------------------------------------------------ internals
+    # Each toggle passes the exact time of the next one (the float
+    # ``schedule`` computes) so the node arms no deadline that toggle
+    # would cancel.
     def _turn_on(self, node: BaselineNode, on_time: float) -> None:
         if not node.alive:
             return
-        node.set_working(True)
+        sim = self.network.sim
         if self.duty >= 1.0:
+            node.set_working(True)
             return
-        self.network.sim.schedule(
+        node.set_working(True, until=float(sim.now + on_time))
+        sim.schedule(
             on_time, self._turn_off, node, label="ris-off",
             handler=("duty.off", (node.node_id,)),
         )
@@ -77,9 +82,9 @@ class DutyCycleProtocol:
     def _turn_off(self, node: BaselineNode) -> None:
         if not node.alive:
             return
-        node.set_working(False)
         off_time = self.period_s - self.duty * self.period_s
         on_time = self.duty * self.period_s
+        node.set_working(False, until=float(self.network.sim.now + off_time))
         self.network.sim.schedule(
             off_time, self._turn_on, node, on_time, label="ris-on",
             handler=("duty.on", (node.node_id, on_time)),

@@ -34,7 +34,9 @@ from ..obs.tracer import Tracer
 from ..net.mac import probe_arrival_offset, probe_offsets, reply_phase
 from ..net.channel import BroadcastChannel
 from ..net.field import Point
-from ..sim import CounterSet, Simulator, Timer, register_handler
+from ..sim import (
+    CounterSet, Event, Simulator, SnapshotError, Timer, register_handler,
+)
 from ..sim.handlers import RestoreContext
 from .adaptive_sleep import RateEstimator, sleep_duration, updated_rate
 from .config import PEASConfig
@@ -44,14 +46,16 @@ from .states import DeathCause, NodeMode, check_transition
 
 __all__ = ["PEASNode", "NodeHooks"]
 
-#: How far past true battery depletion a node may linger before its death
-#: event fires.  The exact depletion prediction is re-armed on every mode
-#: change; per-frame charges only pull the true depletion time *earlier*,
-#: so instead of a heap reschedule per frame (~400k per paper-scale run)
-#: the timer is re-armed only once the armed expiry overshoots by more
-#: than this slack.  Deaths are thus never early and at most this late —
-#: ~0.005 % of the ~4700 s lifetimes the paper's figures are built from.
+#: How far past true battery depletion a node may linger before it dies.
+#: Every mode change recomputes the exact depletion deadline; per-frame
+#: charges only pull the true deadline *earlier*, so instead of a fresh
+#: deadline per frame (~400k per paper-scale run) it is recomputed only
+#: once the kept deadline overshoots the true one by more than this slack.
+#: Deaths are thus never early and at most this late — ~0.005 % of the
+#: ~4700 s lifetimes the paper's figures are built from.
 _DEATH_SLACK_S = 0.25
+
+_INF = float("inf")
 
 # Modes the per-frame guards test, bound once (an enum class attribute read
 # costs several global reads).
@@ -144,6 +148,9 @@ class PEASNode:
             sim, self._die, label="depletion",
             handler=("node.depletion", (node_id,)),
         )
+        #: exact battery depletion deadline (+inf when not draining); in
+        #: the heap only while it can fire first (see :meth:`_arm_death`)
+        self._death_at = _INF
         self._probe_airtime = channel.radio.airtime(PACKET_SIZE_BYTES)
         #: bound once: radio-state publication to the channel, which picks
         #: broadcast audiences by the published flag
@@ -565,18 +572,34 @@ class PEASNode:
                 )
         if self.estimator is not None:
             self.estimator.assert_well_formed(now)
+        death_at = self._death_at
+        event = self._death_timer._event
+        armed = event is not None and not event._cancelled
+        if armed and event.time != death_at:
+            raise InvariantViolation(
+                f"node {self._node_id!r} has a depletion event at "
+                f"t={event.time!r} but its deadline is {death_at!r}"
+            )
+        if mode is not NodeMode.DEAD and death_at != _INF and not armed:
+            own = self._own_timer_event()
+            if own is None or death_at < own.time:
+                raise InvariantViolation(
+                    f"node {self._node_id!r} ({mode.value}) has its depletion "
+                    f"deadline t={death_at!r} before its own next timer "
+                    f"({'none' if own is None else repr(own.time)}) but no "
+                    "depletion event in the heap"
+                )
 
     # ---------------------------------------------------------------- death
     def on_energy_charged(self, remaining: Optional[float] = None) -> None:
         """Called after a frame charge; ``remaining`` is the post-charge level.
 
-        The depletion timer is armed *exactly* at every mode change
+        The depletion deadline is computed *exactly* at every mode change
         (:meth:`_reschedule_death`); frame charges between mode changes only
-        pull the true depletion time earlier.  Rather than paying a heap
-        reschedule per frame, the timer is re-armed only once its armed
-        expiry overshoots the true depletion time by more than
-        ``_DEATH_SLACK_S`` — it therefore never fires early, and at most
-        that much late.
+        pull the true depletion time earlier.  Rather than recomputing it
+        per frame, the deadline moves only once it overshoots the true
+        depletion time by more than ``_DEATH_SLACK_S`` — a node therefore
+        never dies early, and at most that much late.
         """
         if self.mode is _DEAD:
             return
@@ -588,24 +611,42 @@ class PEASNode:
         power = self.battery._power_w
         if power <= 0.0:
             return
-        # Inlined Timer.expiry: this runs a third of a million times per
-        # paper-scale run and usually returns without touching the heap.
         ttd = remaining / power
-        timer = self._death_timer
-        event = timer._event
-        if (
-            event is None
-            or event._cancelled
-            or event.time > self.sim.now + ttd + _DEATH_SLACK_S
-        ):
-            timer.start(ttd)
+        if self._death_at > self.sim.now + ttd + _DEATH_SLACK_S:
+            self._arm_death(ttd)
 
     def _reschedule_death(self) -> None:
         ttd = self.battery.time_to_depletion(self.sim.now)
         if ttd is None:
+            self._death_at = _INF
             self._death_timer.cancel()
         else:
+            self._arm_death(ttd)
+
+    def _own_timer_event(self) -> Optional[Event]:
+        """The node's own next mode-changing event: the wake timer while
+        Sleeping, the window timer while Probing, else ``None``."""
+        mode = self.mode
+        if mode is _SLEEPING:
+            event = self._sleep_timer._event
+        elif mode is _PROBING:
+            event = self._window_timer._event
+        else:
+            return None
+        return None if event is None or event._cancelled else event
+
+    def _arm_death(self, ttd: float) -> None:
+        """Set the deadline ``ttd`` from now; put it in the heap only if it
+        fires before the node's own timer.  Otherwise that timer's handler
+        changes mode and recomputes the deadline, so it could never fire.
+        On a tie the own timer, armed first, fires first: hence ``<``."""
+        at = float(self.sim.now + ttd)  # the float ``schedule`` computes
+        self._death_at = at
+        own = self._own_timer_event()
+        if own is None or at < own.time:
             self._death_timer.start(ttd)
+        else:
+            self._death_timer.cancel()
 
     def _die(self, cause: DeathCause = DeathCause.ENERGY) -> None:
         if self.mode is NodeMode.DEAD:
@@ -626,6 +667,7 @@ class PEASNode:
         self.battery.set_mode(self.sim.now, RadioMode.OFF)
         self._sleep_timer.cancel()
         self._window_timer.cancel()
+        self._death_at = _INF
         self._death_timer.cancel()
         self.channel.detach(self._node_id)
         self.counters.incr(
@@ -659,6 +701,9 @@ class PEASNode:
                 None if self.estimator is None else self.estimator.state_dict()
             ),
             "battery": self.battery.state_dict(),
+            # The deadline may be out of the heap (see _arm_death), so the
+            # pending event alone does not carry it; JSON has no +inf.
+            "death_at": None if self._death_at == _INF else self._death_at,
         }
 
     def load_state(self, state: dict) -> None:
@@ -691,6 +736,13 @@ class PEASNode:
             estimator.load_state(state["estimator"])
             self.estimator = estimator
         self.battery.load_state(state["battery"])
+        if "death_at" not in state:
+            raise SnapshotError(
+                f"node {self._node_id!r} state has no 'death_at' depletion "
+                "deadline; the snapshot predates saved deadlines"
+            )
+        death_at = state["death_at"]
+        self._death_at = _INF if death_at is None else float(death_at)
         self._note_listening(self._node_id, self.is_listening())
 
 

@@ -418,6 +418,14 @@ class BroadcastChannel:
                 continue
             if energy_hook is not None:
                 energy_hook(node_id, "rx", airtime, packet)
+                # The rx charge may have killed the receiver: its death
+                # publishes the radio off before it detaches.
+                row = row_of.get(node_id)
+                if row is None or not listening[row]:
+                    counts["aborted_receptions"] += 1
+                    if tracer is not None:
+                        tracer.emit(trace_events.drop(now, node_id, "aborted"))
+                    continue
             if reception.corrupted:
                 continue
             if loss_rate > 0 and rng.random() < loss_rate:

@@ -13,6 +13,9 @@ contracts:
   audiences and mid-frame aborts from the flag);
 * **energy sanity** — battery charge stays within ``[0, initial]`` and the
   battery's lazy-integration clock never runs ahead of the simulation;
+* **depletion deadline** — a live PEAS node's depletion deadline is in
+  the event heap at exactly its time whenever it precedes the node's own
+  next timer, and an armed depletion event never disagrees with it;
 * **estimator well-formedness** — the λ̂ k-interval window keeps
   ``0 <= count < k`` and a window start in the past, and node mode state
   stays coherent (a Working node has a start time and an estimator, a Dead

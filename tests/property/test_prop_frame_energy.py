@@ -9,7 +9,7 @@ is the same charge spelled out step by step — ``frame_category`` →
 changes, time advances and tx/rx frames (including frames that empty the
 battery) must leave both twins bit-identical: remaining charge, battery
 clock, the per-category totals and their key order, the death timer's
-expiry and the node's fate.
+expiry, the kept depletion deadline and the node's fate.
 """
 
 from hypothesis import example, given, settings
@@ -71,6 +71,7 @@ def _state(sim, node):
         repr(battery._last_update),
         [(category, repr(joules)) for category, joules in battery.by_category.items()],
         None if event is None or event._cancelled else repr(event.time),
+        repr(node._death_at),
         node.mode,
         node.death_cause,
     )

@@ -15,6 +15,8 @@ from repro.net import (
     SpatialGrid,
 )
 from repro.net.packet import packet_from_dict, packet_to_dict
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 
 
@@ -343,7 +345,61 @@ class TestEnergyHook:
         assert killed == ["near"]
         later = [entry for entry in cached if entry[0] != "near"]
         assert [entry for entry in log if entry[0] != "near"] == later
-        assert channel.counters.get("aborted_receptions") == 0
+        # The receiver its own rx charge killed is not handed the frame and
+        # counts as an aborted reception.
+        assert [entry for entry in log if entry[0] == "near"] == []
+        assert channel.counters.get("frames_delivered") == len(later)
+        assert channel.counters.get("aborted_receptions") == 1
+
+    def test_rx_charge_death_is_traced_as_aborted(self):
+        sink = RingBufferSink()
+        sim, channel = make_channel(
+            energy_hook=lambda nid, kind, airtime, pkt: (
+                kind == "rx" and self._die(channel, nid)
+            )
+        )
+        channel.tracer = Tracer(sink).active()
+        attach(channel, "s", (10.0, 10.0))
+        receiver = attach(channel, "r", (11.0, 10.0))
+        channel.transmit("s", Packet("PROBE", "s"), tx_range=3.0)
+        sim.run()
+        assert receiver.received == []
+        drops = [e for e in sink.events() if e["ev"] == "drop"]
+        assert [(e["node"], e["why"]) for e in drops] == [("r", "aborted")]
+        assert channel.counters.get("aborted_receptions") == 1
+
+    def test_sender_killed_by_its_tx_charge_gets_no_packet(self):
+        """A node whose own tx charge kills it mid-reception never gets the
+        frame it was receiving, and its own frame still reaches every
+        receiver in order."""
+        log = []
+        killed = []
+
+        def kill_on_tx_of_s(nid, direction, airtime, packet):
+            if direction == "tx" and nid == "s":
+                killed.append(nid)
+                self._die(channel, nid)
+
+        cached, _ = self._deliveries()
+        sim, channel = make_channel(energy_hook=kill_on_tx_of_s)
+        # ``x`` sits 0.9 m from ``s``; its 1 m frame reaches ``s`` alone.
+        for node_id, position in self.LAYOUT + [("x", (10.0, 10.9))]:
+            endpoint = attach(channel, node_id, position)
+            endpoint.on_packet = (
+                lambda packet, rssi, dist, node_id=node_id:
+                log.append((node_id, packet.sender))
+            )
+        # ``x`` starts a frame that ``s`` is receiving; ``s`` then
+        # transmits, and that charge kills it.
+        channel.transmit("x", Packet("PROBE", "x"), tx_range=1.0)
+        sim.schedule(0.001, channel.transmit, "s", Packet("PROBE", "s"), 3.0)
+        sim.run()
+        assert killed == ["s"]
+        assert [entry for entry in log if entry[0] == "s"] == []
+        # ``x`` is still on the air (half duplex); everyone else hears ``s``.
+        assert [node_id for node_id, sender in log if sender == "s"] == [
+            node_id for node_id, _ in cached
+        ]
 
 
 class TestAttachment:

@@ -173,3 +173,39 @@ def test_peas_nodes_keep_their_published_flag_in_step():
     node.mode = NodeMode.SLEEPING  # a transition that skipped note_listening
     with pytest.raises(InvariantViolation, match=rf"^node {node.node_id!r} published"):
         sanitizer.sweep(sim.now)
+
+
+def test_sleepers_keep_their_deadline_out_of_the_heap_cleanly():
+    # A sleeper whose deadline comes after its wake timer has no depletion
+    # event; the sweep accepts that.
+    sim, network, sanitizer = sanitized_network(num_nodes=25)
+    sleepers = [n for n in network.nodes.values() if n.mode is NodeMode.SLEEPING]
+    assert sleepers and all(not n._death_timer.armed for n in sleepers)
+    assert all(n._death_at > n._sleep_timer.expiry for n in sleepers)
+    sanitizer.sweep(sim.now)
+
+
+def test_deadline_before_own_timer_without_an_event_trips():
+    sim, network, sanitizer = sanitized_network(num_nodes=25)
+    sleeper = next(n for n in network.nodes.values() if n.mode is NodeMode.SLEEPING)
+    sleeper._death_at = sleeper._sleep_timer.expiry - 1.0  # never armed
+    with pytest.raises(
+        InvariantViolation, match=rf"^node {sleeper.node_id!r} \(sleeping\).*no depletion event"
+    ):
+        sanitizer.sweep(sim.now)
+
+
+def test_working_node_without_a_depletion_event_trips():
+    sim, network, sanitizer = sanitized_network(num_nodes=25)
+    worker = next(n for n in network.nodes.values() if n.mode is NodeMode.WORKING)
+    worker._death_timer.cancel()  # no own timer: the deadline must be armed
+    with pytest.raises(InvariantViolation, match=r"before its own next timer \(none\)"):
+        sanitizer.sweep(sim.now)
+
+
+def test_depletion_event_off_the_deadline_trips():
+    sim, network, sanitizer = sanitized_network(num_nodes=25)
+    worker = next(n for n in network.nodes.values() if n.mode is NodeMode.WORKING)
+    worker._death_at += 1.0
+    with pytest.raises(InvariantViolation, match="depletion event at"):
+        sanitizer.sweep(sim.now)
