@@ -541,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "starting fresh; continues the embedded scenario "
                             "unless --fork-* flags change it")
     run_p.add_argument("--force-restore", action="store_true",
-                       help="restore even if the snapshot was written at a "
-                            "different git revision")
+                       help="restore even if the snapshot was written by "
+                            "different source code (code fingerprint)")
     run_p.add_argument("--fork-failure-rate", type=float, metavar="RATE",
                        default=None,
                        help="with --restore: fork the snapshot under this "

@@ -1,14 +1,15 @@
-"""The sweep executor: retries, timeouts, pool resurrection, store replay.
+"""The sweep executor: retries, timeouts, pool resurrection, the result store.
 
 ``run_sweep`` used to be a ``pool.map`` call with one hardcoded same-seed
 retry bolted on the side.  This module replaces that with an explicit
 executor whose failure semantics are declarative and whose unit of
 dispatch is one run, which is what makes the rest possible:
 
-* a :class:`RetryPolicy` decides how many attempts a run gets, how long to
-  back off between them (exponential, with deterministic jitter drawn from
-  the ``"sweep.retry"`` RNG stream — never from global ``random``), and an
-  optional per-run wall-clock timeout enforced by the pool;
+* a :class:`RetryPolicy` decides how many attempts a run gets and an
+  optional per-run wall-clock timeout enforced by the pool.  A failed
+  attempt is re-queued at once: runs are seed-deterministic local
+  processes, not calls to a shared service, so there is nothing for a
+  backoff to spread load over;
 * a run that exhausts its attempts is **quarantined**: it completes the
   sweep as a structured :class:`RunError` carrying the full attempt trail,
   total retry wall-clock, and a ``quarantined`` flag that telemetry counts
@@ -21,10 +22,13 @@ dispatch is one run, which is what makes the rest possible:
   in-flight ``(scenario, seed)`` coordinates land in the ``RunError``
   messages, so ``errors="collect"`` semantics hold instead of surfacing an
   opaque pool crash;
-* when a :class:`repro.store.ResultStore` is attached, every run already
-  in the store replays instantly in the parent before anything is
-  dispatched — an interrupted sweep re-run against the same store resumes
-  with zero recomputation of completed pairs.
+* when a :class:`repro.store.ResultStore` is attached, the store has one
+  reader and one writer, both here.  :func:`execute` replays every run
+  already in the store in the parent before anything is dispatched (an
+  interrupted sweep re-run against the same store resumes with zero
+  recomputation of completed pairs), and :func:`_guarded_run` journals the
+  miss and persists each computed result, cold run or warm-start fork, the
+  moment it finishes.
 
 The executor runs in the *parent* process and is the sweep's only source
 of progress: it reports each run's final outcome, each retry, each pool
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..harness.options import RunOptions
-from ..sim import RngRegistry
+from ..store import ResultStore, store_eligible
 from .metrics import RunResult
 from .scenario import Scenario
 
@@ -69,15 +73,7 @@ class RetryPolicy:
         Total attempts per run (1 = no retries).  The default of 2
         preserves the historical one-same-seed-retry behavior: runs are
         seed-deterministic, so a logic bug fails twice while a transient
-        worker problem recovers.
-    backoff_base_s / backoff_factor / backoff_max_s:
-        Exponential backoff between attempts: after the ``k``-th failure
-        the executor waits ``min(base * factor**(k-1), max)`` seconds,
-        scaled by jitter.
-    jitter:
-        Fractional jitter on top of the backoff, drawn from the
-        ``"sweep.retry"`` RNG stream (deterministic per sweep seed): the
-        actual delay is ``backoff * (1 + jitter * u)`` with ``u ~ U[0,1)``.
+        worker problem recovers.  A failed attempt is re-queued at once.
     run_timeout_s:
         Per-run wall-clock budget, enforced by the **pool** (the parent
         kills and re-spawns worker processes; a serial sweep cannot
@@ -86,33 +82,13 @@ class RetryPolicy:
     """
 
     max_attempts: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
-    jitter: float = 0.5
     run_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be at least 1")
-        if self.backoff_max_s < 0:
-            raise ValueError("backoff_max_s must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
         if self.run_timeout_s is not None and self.run_timeout_s <= 0:
             raise ValueError("run_timeout_s must be positive")
-
-    def backoff_s(self, failed_attempts: int, rng: Any) -> float:
-        """Delay before the next attempt, after ``failed_attempts`` failures."""
-        base = min(
-            self.backoff_base_s * self.backoff_factor ** max(0, failed_attempts - 1),
-            self.backoff_max_s,
-        )
-        return base * (1.0 + self.jitter * rng.random())
 
 
 @dataclass(frozen=True)
@@ -132,7 +108,7 @@ class RunError:
     #: how many attempts were made (1 = failed without a retry)
     attempts: int = 1
     #: wall-clock seconds spent between the first failure and giving up
-    #: (backoff waits and re-runs included)
+    #: (re-runs included)
     retry_wall_s: float = 0.0
     #: one ``"TypeName: message"`` line per failed attempt, oldest first
     trail: Tuple[str, ...] = ()
@@ -190,36 +166,6 @@ class _Outcome:
     pid: Optional[int] = field(default=None, compare=False)
 
 
-def _warm_run(
-    scenario: Scenario,
-    warm_snapshot: str,
-    options: RunOptions,
-    warm_burn_in_s: Optional[float],
-) -> RunResult:
-    """A warm-start fork, store-aware: the harness-level store passthrough
-    only covers cold runs, so the fork path keys its own records — with
-    the burn-in marker, because a warm-started result (faults arm at the
-    restored clock) is *not* interchangeable with a cold one."""
-    from ..harness.snapshot import resume as _resume_snapshot
-
-    store = None
-    key = None
-    if options.store_dir is not None:
-        from ..store import ResultStore, store_eligible
-
-        if store_eligible(options):
-            store = ResultStore(options.store_dir)
-            key = store.key_for(scenario, options, warm_burn_in_s=warm_burn_in_s)
-            cached = store.get(key)
-            if cached is not None:
-                return cached
-            store.note_miss(key)
-    result = _resume_snapshot(warm_snapshot, options, scenario=scenario)
-    if store is not None and key is not None:
-        store.put(key, result, scenario, options, warm_burn_in_s=warm_burn_in_s)
-    return result
-
-
 def _guarded_run(
     scenario: Scenario,
     warm_snapshot: Optional[str] = None,
@@ -227,15 +173,29 @@ def _guarded_run(
     options: RunOptions,
     warm_burn_in_s: Optional[float] = None,
 ) -> _Outcome:
+    """Run one attempt (cold, or forked from ``warm_snapshot``) and capture
+    its result or exception.  With a store attached this is the store's
+    only writer: the parent's replay pass in :func:`execute` already
+    looked the key up, so reaching here means a miss.  The key carries
+    the burn-in marker, because a warm-started result (faults arm at the
+    restored clock) is *not* interchangeable with a cold one."""
     # Harness imports stay inside the function: experiments <-> harness is
     # otherwise a package-level import cycle.
     from ..harness.runner import run as _run_scenario
+    from ..harness.snapshot import resume as _resume_snapshot
 
     try:
+        store = None
+        if options.store_dir is not None and store_eligible(options):
+            store = ResultStore(options.store_dir)
+            key = store.key_for(scenario, options, warm_burn_in_s=warm_burn_in_s)
+            store.note_miss(key)
         if warm_snapshot is not None:
-            result = _warm_run(scenario, warm_snapshot, options, warm_burn_in_s)
+            result = _resume_snapshot(warm_snapshot, options, scenario=scenario)
         else:
             result = _run_scenario(scenario, options)
+        if store is not None:
+            store.put(key, result, scenario, options, warm_burn_in_s=warm_burn_in_s)
     except Exception as exc:  # noqa: BLE001 - captured, surfaced by policy
         return _Outcome(
             error=RunError(
@@ -253,7 +213,6 @@ def _guarded_run(
 class _Item:
     """One run's progress through the executor."""
 
-    index: int
     scenario: Scenario
     warm_snapshot: Optional[str] = None
     attempts: int = 0
@@ -261,7 +220,6 @@ class _Item:
     free_requeues: int = 0
     trail: List[str] = field(default_factory=list)
     last_error: Optional[RunError] = None
-    eligible_at: float = 0.0
     first_failure_at: Optional[float] = None
     observed_running: bool = False
     running_since: Optional[float] = None
@@ -290,11 +248,6 @@ class _Executor:
         self.telemetry = telemetry
         self.warm_burn_in_s = warm_burn_in_s
         self.run_fn = run_fn
-        # Deterministic jitter: one named stream per sweep, seeded from the
-        # first scenario (the stream lives in the parent and never
-        # interacts with any simulation RNG).
-        master = items[0].scenario.seed if items else 0
-        self.jitter_rng = RngRegistry(seed=master).stream("sweep.retry")
         #: pool deaths tolerated per queued-but-not-running item before the
         #: executor stops re-queueing it for free
         self.max_free_requeues = max(3, policy.max_attempts + 1)
@@ -302,8 +255,6 @@ class _Executor:
     # ----------------------------------------------------------- serial
     def run_serial(self) -> None:
         for item in self.items:
-            if item.outcome is not None:
-                continue
             while item.outcome is None:
                 self._charge(item)
                 outcome = self.run_fn(
@@ -314,12 +265,10 @@ class _Executor:
                 )
                 if outcome.error is None:
                     self._settle(item, outcome.result)
-                    break
-                self._record_failure(item, outcome.error)
-                if item.attempts >= self.policy.max_attempts:
-                    self._finalize_failure(item, quarantined=True)
                 else:
-                    time.sleep(self.policy.backoff_s(item.attempts, self.jitter_rng))
+                    self._record_failure(item, outcome.error)
+                    if item.attempts >= self.policy.max_attempts:
+                        self._finalize_failure(item, quarantined=True)
 
     # ----------------------------------------------------------- pooled
     def run_pooled(self, processes: int) -> None:
@@ -329,9 +278,8 @@ class _Executor:
         in_flight: Dict[Any, _Item] = {}
         try:
             while pending or in_flight:
-                now = time.monotonic()
                 broken = False
-                for item in [i for i in pending if i.eligible_at <= now]:
+                for item in list(pending):
                     try:
                         future = pool.submit(
                             self.run_fn,
@@ -349,10 +297,6 @@ class _Executor:
                     in_flight[future] = item
                 if broken:
                     pool = self._restart_pool(pool, in_flight, pending, culprit=None)
-                    continue
-                if not in_flight:
-                    next_at = min(i.eligible_at for i in pending)
-                    time.sleep(max(0.0, min(next_at - time.monotonic(), 0.25)))
                     continue
 
                 done, _ = wait(
@@ -482,8 +426,6 @@ class _Executor:
         if item.attempts >= self.policy.max_attempts:
             self._finalize_failure(item, quarantined=True)
             return
-        delay = self.policy.backoff_s(item.attempts, self.jitter_rng)
-        item.eligible_at = time.monotonic() + delay
         pending.append(item)
 
     def _finalize_failure(self, item: _Item, *, quarantined: bool) -> None:
@@ -525,7 +467,6 @@ class _Executor:
             )
             self._finalize_failure(item, quarantined=False)
             return
-        item.eligible_at = time.monotonic()
         pending.append(item)
 
     def _restart_pool(
@@ -592,20 +533,20 @@ def execute(
     telemetry: Any = None,
     warm_paths: Optional[Sequence[str]] = None,
     warm_burn_in_s: Optional[float] = None,
-    store: Any = None,
+    store: Optional[ResultStore] = None,
     run_fn: Callable[..., _Outcome] = _guarded_run,
 ) -> List[Union[RunResult, RunError]]:
     """Drain ``scenarios`` through the retry/timeout/store machinery.
 
-    Returns results in input order.  ``store`` (a
-    :class:`repro.store.ResultStore`) enables the instant-replay pass:
-    runs whose records verify are never dispatched.  ``run_fn`` is a test
+    Returns results in input order.  ``store`` enables the instant-replay
+    pass, the sweep's only store read: runs whose records verify are
+    never dispatched (their writer is :func:`_guarded_run`, on a miss).
+    ``run_fn`` is a test
     seam — it must be a module-level picklable callable with
     :func:`_guarded_run`'s signature.
     """
     items = [
         _Item(
-            index=index,
             scenario=scenario,
             warm_snapshot=warm_paths[index] if warm_paths is not None else None,
         )

@@ -10,9 +10,9 @@ pooled runs execute the identical harness code path as serial ones —
 capabilities included.
 
 Execution is delegated to :mod:`repro.experiments.executor`, which makes
-the sweep crash-safe end to end: failures are retried under a declarative
-:class:`RetryPolicy` (exponential backoff, deterministic jitter, optional
-per-run timeout), a run that exhausts its budget completes the sweep as a
+the sweep crash-safe end to end: a failed run is re-queued at once under a
+declarative :class:`RetryPolicy` (attempt budget, optional per-run
+timeout), a run that exhausts its budget completes the sweep as a
 quarantined :class:`RunError` instead of aborting it, worker death
 re-spawns the pool and keeps draining, and — with ``options.store_dir``
 set — every completed run is durable in a :class:`repro.store.ResultStore`
@@ -26,14 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..harness.options import RunOptions
-from .executor import (
-    RetryPolicy,
-    RunError,
-    SweepError,
-    _guarded_run,
-    _Outcome,
-    execute,
-)
+from ..store import ResultStore, store_eligible
+from .executor import RetryPolicy, RunError, SweepError, _guarded_run, execute
 from .metrics import RunResult
 from .scenario import Scenario
 
@@ -47,11 +41,6 @@ __all__ = [
     "run_sweep",
     "group_by",
 ]
-
-# Re-exported for callers and tests that reach for the internals here
-# (the executor module is their home since the resumable-executor split).
-_ = (_guarded_run, _Outcome)
-
 
 @dataclass(frozen=True)
 class WarmStart:
@@ -225,11 +214,11 @@ def run_sweep(
     exports behind — the merged ``peas-metrics/1`` / Prometheus / manifest
     files are written to the telemetry's output directory.
 
-    ``retry`` (a :class:`RetryPolicy`, default two attempts with a short
-    exponential backoff) governs failures: each failing run is retried
-    with the identical scenario (runs are seed-deterministic, so a logic
-    bug fails every attempt while a transient worker problem recovers),
-    and a run that exhausts its attempts is quarantined as a structured
+    ``retry`` (a :class:`RetryPolicy`, default two attempts) governs
+    failures: each failing run is re-queued at once with the identical
+    scenario (runs are seed-deterministic, so a logic bug fails every
+    attempt while a transient worker problem recovers), and a run that
+    exhausts its attempts is quarantined as a structured
     :class:`RunError` carrying the attempt trail.  ``errors`` picks what
     happens to quarantined runs: ``"raise"`` (default) raises a
     :class:`SweepError` summarizing every failure once the sweep finishes,
@@ -241,11 +230,8 @@ def run_sweep(
     options = options if options is not None else RunOptions()
     policy = retry if retry is not None else RetryPolicy()
     store = None
-    if options.store_dir is not None:
-        from ..store import ResultStore, store_eligible
-
-        if store_eligible(options):
-            store = ResultStore(options.store_dir)
+    if options.store_dir is not None and store_eligible(options):
+        store = ResultStore(options.store_dir)
     pooled = processes is not None and processes > 1
     if telemetry is not None:
         telemetry.start(len(scenarios))

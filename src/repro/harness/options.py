@@ -88,13 +88,14 @@ class RunOptions:
         ``snapshot_path`` this yields a resumable prefix run whose trace
         is byte-for-byte a prefix of the uninterrupted run's trace.
     store_dir:
-        When set, the harness consults a :class:`repro.store.ResultStore`
-        rooted here before simulating: a verified ``peas-result/1`` record
-        for this ``(scenario, options)`` replays instantly, and a computed
-        result is persisted the moment the run finishes — pooled sweep
-        workers publish durably and concurrently.  Runs with side-effect
-        outputs (``trace_path``, ``snapshot_path``, ``stop_after_s``)
-        bypass the store entirely (see :func:`repro.store.store_eligible`).
+        Attach a :class:`repro.store.ResultStore` rooted here to a sweep.
+        The sweep executor reads it (a verified ``peas-result/1`` record
+        for this ``(scenario, options)`` replays instantly) and persists
+        each computed result the moment the run finishes, so pooled
+        workers publish durably and concurrently; :func:`repro.harness.run`
+        does not read it.  Runs with side-effect outputs (``trace_path``,
+        ``snapshot_path``, ``stop_after_s``) bypass the store entirely
+        (see :func:`repro.store.store_eligible`).
     """
 
     profile: bool = False

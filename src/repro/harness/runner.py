@@ -81,29 +81,6 @@ def run(
     def boot(live: "LiveRun") -> None:
         live.start()
 
-    if (
-        options is not None
-        and options.store_dir is not None
-        and tracer is None
-        and protocol_factory is None
-    ):
-        # Import stays local: the store serializes results through
-        # ``repro.experiments``, which itself imports this harness.
-        from ..store import ResultStore, store_eligible
-
-        if store_eligible(options):
-            store = ResultStore(options.store_dir)
-            key = store.key_for(scenario, options)
-            cached = store.get(key)
-            if cached is not None:
-                return cached
-            # This process is about to pay for the simulation: journal the
-            # miss here (not in ``get``) so read-only probes stay silent.
-            store.note_miss(key)
-            result = _execute(scenario, options, tracer, protocol_factory, boot)
-            store.put(key, result, scenario, options)
-            return result
-
     return _execute(scenario, options, tracer, protocol_factory, boot)
 
 

@@ -3,8 +3,9 @@
 A snapshot is one JSON document capturing everything mutable about a paused
 run — engine clock and queue (as handler descriptors), every RNG stream,
 protocol/node/channel state, coverage and traffic series, fault histories —
-plus the scenario that produced it and provenance (git SHA, config digest)
-so a restore can refuse state it cannot faithfully continue.
+plus the scenario that produced it and provenance (code fingerprint,
+config digest) so a restore can refuse state it cannot faithfully
+continue.
 
 Two restore modes share one mechanism:
 
@@ -30,7 +31,7 @@ from typing import Any, Dict, Optional, Union
 from ..experiments.metrics import RunResult
 from ..experiments.scenario import Scenario
 from ..experiments.serialize import scenario_from_dict, scenario_to_dict
-from ..obs.manifest import config_hash, git_sha
+from ..obs.manifest import code_fingerprint, config_hash
 from ..obs.tracer import Tracer
 from ..sim import Simulator, SnapshotError
 from .options import RunOptions
@@ -56,7 +57,7 @@ FORK_ALLOWED_FIELDS = frozenset({"failure_per_5000s", "fault_plan", "max_time_s"
 def snapshot_provenance(scenario: Scenario, sim: Simulator) -> Dict[str, Any]:
     """The provenance block stamped into every snapshot."""
     return {
-        "git_sha": git_sha(),
+        "code_fingerprint": code_fingerprint(),
         "config_digest": config_hash(scenario_to_dict(scenario)),
         "created_at_sim_s": sim.now,
         "created_events_executed": sim.events_executed,
@@ -134,10 +135,12 @@ def _check_provenance(
     """Refuse snapshots whose provenance does not match this tree.
 
     The config digest is recomputed from the embedded scenario (corruption
-    check, never skippable).  The git SHA must match the current checkout;
-    ``None`` on either side is a wildcard, and ``force=True`` downgrades a
-    mismatch to acceptance (the restored run may then diverge from the
-    snapshotting code's behavior — on your head be it).
+    check, never skippable).  The code fingerprint must match this tree's
+    :func:`~repro.obs.manifest.code_fingerprint` — the same "same code"
+    identity the result store keys on, so a dirty working tree is told
+    apart from the commit it sits on.  A mismatch or a missing fingerprint
+    is fatal unless ``force=True`` (the restored run may then diverge from
+    the snapshotting code's behavior — on your head be it).
     """
     provenance = snapshot.get("provenance", {})
     digest = config_hash(snapshot["scenario"])
@@ -147,15 +150,15 @@ def _check_provenance(
             f"snapshot config digest {stored} does not match its embedded "
             f"scenario ({digest}); the file is corrupt or was edited"
         )
-    snap_sha = provenance.get("git_sha")
-    here_sha = git_sha()
-    if snap_sha is not None and here_sha is not None and snap_sha != here_sha:
-        if not force:
-            raise SnapshotError(
-                f"snapshot was written at git {snap_sha} but this tree is at "
-                f"{here_sha}; behavior may have changed between commits — "
-                "pass force=True (or --force) to restore anyway"
-            )
+    written_by = provenance.get("code_fingerprint")
+    here = code_fingerprint()
+    if written_by != here and not force:
+        raise SnapshotError(
+            f"snapshot was written by code fingerprint {written_by} but this "
+            f"tree's code fingerprint is {here}; behavior may have changed "
+            "between the two source trees — pass force=True (or "
+            "--force-restore) to restore anyway"
+        )
 
 
 def resume(
@@ -185,7 +188,7 @@ def resume(
     tracer:
         Optional live tracer, as in :func:`repro.harness.run`.
     force:
-        Accept a git-SHA provenance mismatch.
+        Accept a code-fingerprint provenance mismatch.
     """
     from .runner import _execute
 

@@ -45,7 +45,6 @@ STREAM_NAMES: Dict[str, str] = {
     "grab": "GRAB mesh forwarding coin flips",
     "node.*": "per-node protocol streams (probe backoffs, sleeps, phases)",
     "span": "Span baseline: backoff and rotation draws",
-    "sweep.retry": "executor retry-backoff jitter (parent process, never in-sim)",
 }
 
 

@@ -10,7 +10,8 @@ a worker that dies (``os._exit``) triggers pool resurrection and a free
 or charged retry, a worker that hangs is killed by the per-run wall-clock
 timeout, and a deterministically failing run is quarantined as a
 :class:`RunError` under ``errors="collect"`` with the attempt trail in
-telemetry and the sweep manifest.
+telemetry and the sweep manifest.  A record whose payload no longer
+matches its digest is quarantined by the replay pass and recomputed.
 """
 
 import json
@@ -191,6 +192,42 @@ class TestKillResume:
 
 
 # ---------------------------------------------------------------------------
+# a corrupt record in a swept store
+# ---------------------------------------------------------------------------
+
+class TestCorruptRecord:
+    def test_corrupt_record_is_quarantined_and_recomputed(self, tmp_path):
+        store_root = str(tmp_path / "store")
+        options = RunOptions(store_dir=store_root)
+        first = run_sweep(SCENARIOS, processes=2, options=options)
+
+        # Bit rot in one record's payload: its embedded digest no longer
+        # matches, so the replay pass must quarantine it, not trust it.
+        store = ResultStore(store_root, create=False)
+        victim = store.record_path(store.key_for(SCENARIOS[1], options))
+        record = json.loads(victim.read_text())
+        record["result"]["total_wakeups"] += 1
+        victim.write_text(json.dumps(record, sort_keys=True) + "\n")
+
+        telemetry = SweepTelemetry(tmp_path / "telemetry", label="corrupt")
+        second = run_sweep(
+            SCENARIOS, processes=2, options=options, telemetry=telemetry
+        )
+        tallies = ResultStore(store_root, create=False).stats()["journal"]
+        assert (
+            tallies["hit"], tallies["miss"], tallies["put"], tallies["quarantine"]
+        ) == (3, 5, 5, 1)
+        assert (Path(store_root) / "quarantine" / victim.name).exists()
+        manifest = json.loads(
+            (tmp_path / "telemetry" / "manifest.json").read_text()
+        )
+        assert manifest["store"] == {"hits": 3, "misses": 1, "evictions": 1}
+        assert [_comparable(r) for r in second] == [
+            _comparable(r) for r in first
+        ]
+
+
+# ---------------------------------------------------------------------------
 # the executor's failure ladder (pooled)
 # ---------------------------------------------------------------------------
 
@@ -250,9 +287,7 @@ class TestWorkerDeath:
             processes=2,
             errors="collect",
             telemetry=telemetry,
-            retry=RetryPolicy(
-                max_attempts=2, run_timeout_s=1.0, backoff_base_s=0.0
-            ),
+            retry=RetryPolicy(max_attempts=2, run_timeout_s=1.0),
             _run_fn=_hang_run,
         )
         (failure,) = [r for r in results if isinstance(r, RunError)]

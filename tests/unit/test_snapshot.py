@@ -21,6 +21,7 @@ from repro.harness.snapshot import (
     classify_restore,
     resume,
 )
+from repro.obs.manifest import code_fingerprint
 from repro.sim import SnapshotError
 
 SCENARIO = Scenario(num_nodes=9, seed=4, protocol="duty_cycle")
@@ -130,9 +131,10 @@ class TestProvenance:
         document = load_snapshot(target)
         assert document["format"] == SNAPSHOT_SCHEMA
         assert set(document["provenance"]) == {
-            "git_sha", "config_digest", "created_at_sim_s",
+            "code_fingerprint", "config_digest", "created_at_sim_s",
             "created_events_executed",
         }
+        assert document["provenance"]["code_fingerprint"] == code_fingerprint()
         assert not target.with_name("snap.json.tmp").exists()  # atomic write
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "peas-trace/1"}', encoding="utf-8")
@@ -145,21 +147,22 @@ class TestProvenance:
         with pytest.raises(SnapshotError, match="corrupt"):
             _check_provenance(document, force=True)
 
-    def test_git_sha_mismatch_refused_unless_forced(self, tmp_path):
+    def test_code_fingerprint_mismatch_refused_unless_forced(self, tmp_path):
         document = load_snapshot(small_snapshot(tmp_path))
-        if document["provenance"]["git_sha"] is None:
-            pytest.skip("no git sha in this environment")
-        document["provenance"]["git_sha"] = "0" * 40
+        _check_provenance(document)  # written by this very tree
+        document["provenance"]["code_fingerprint"] = "0" * 32
         with pytest.raises(SnapshotError, match="force"):
             _check_provenance(document)
         _check_provenance(document, force=True)  # explicit override
+        del document["provenance"]["code_fingerprint"]  # an unkeyed snapshot
+        with pytest.raises(SnapshotError, match="code fingerprint None"):
+            _check_provenance(document)
+        _check_provenance(document, force=True)
 
-    def test_resume_refuses_stale_sha_end_to_end(self, tmp_path):
+    def test_resume_refuses_stale_fingerprint_end_to_end(self, tmp_path):
         document = load_snapshot(small_snapshot(tmp_path))
-        if document["provenance"]["git_sha"] is None:
-            pytest.skip("no git sha in this environment")
-        document["provenance"]["git_sha"] = "0" * 40
-        with pytest.raises(SnapshotError, match="git"):
+        document["provenance"]["code_fingerprint"] = "0" * 32
+        with pytest.raises(SnapshotError, match="code fingerprint"):
             resume(document)
         result = resume(document, force=True)
         assert result.end_time >= 600.0  # ran to the horizon's chunk grid
