@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from ..net.field import Point, distance_sq
 from ..net.neighbors import NeighborCache
 from ..net.spatial import SpatialGrid
@@ -39,8 +41,9 @@ class WorkingTopology:
         Maximum transmission range R_t (paper: 10 m).
     neighbors:
         Optional shared :class:`NeighborCache` over ``grid`` (the channel's
-        memo); candidate neighborhoods then come from the stationary-topology
-        cache instead of a fresh range query per working-set change.
+        memo).  With it, each node's R_t reach is queried once, uncached, on
+        its first ``add_working`` and kept as store rows, instead of a fresh
+        range query per working-set change; the cache gains no entries.
     """
 
     def __init__(
@@ -63,6 +66,12 @@ class WorkingTopology:
         #: (source and sink).  Nodes never move, so an entry stays exact
         #: while the grid only loses members; see _on_grid_change.
         self._candidates: Dict[Tuple[float, float, float], List[Hashable]] = {}
+        #: node -> int32 store rows within R_t of it, nearest first, from its
+        #: first add_working (only with a neighbor cache).  Nodes never move
+        #: and never come back from death, so intersected with the working
+        #: set it equals a fresh query while the grid only loses members;
+        #: see _on_grid_change.
+        self._reach: Dict[Hashable, np.ndarray] = {}
         grid.add_listener(self._on_grid_change)
 
     # ------------------------------------------------------------- mutation
@@ -70,18 +79,29 @@ class WorkingTopology:
         if node_id in self._positions:
             raise KeyError(f"{node_id!r} is already in the working topology")
         self._positions[node_id] = position
-        cache = self.neighbor_cache
-        if cache is not None and node_id in self.grid:
-            candidates = cache.neighbors(node_id, self.comm_range)
-        else:
-            candidates = self.grid.within(position, self.comm_range)
         neighbors: Set[Hashable] = set()
-        for candidate in candidates:
+        for candidate in self._reach_of(node_id, position):
             if candidate != node_id and candidate in self._positions:
                 neighbors.add(candidate)
                 self._adjacency[candidate].add(node_id)
         self._adjacency[node_id] = neighbors
         self.version += 1
+
+    def _reach_of(self, node_id: Hashable, position: Point) -> List[Hashable]:
+        """Candidate neighbors of ``node_id``: the ids within R_t of it."""
+        cache = self.neighbor_cache
+        if cache is None:
+            return self.grid.within(position, self.comm_range)
+        store = cache.grid.store
+        reach = self._reach.get(node_id)
+        if reach is None:
+            row_of = store.row_of
+            found = cache.neighbors_at(position, self.comm_range, exclude=node_id)
+            reach = self._reach[node_id] = np.array(
+                [row_of[item] for item, _ in found], dtype=np.int32
+            )
+        ids = store.ids
+        return [ids[row] for row in reach.tolist()]
 
     def remove_working(self, node_id: Hashable) -> None:
         neighbors = self._adjacency.pop(node_id)
@@ -142,7 +162,7 @@ class WorkingTopology:
     def _on_grid_change(self, kind: str, item: Hashable, _position: Point) -> None:
         """Keep the cached candidates equal to a fresh ``grid.within``: a
         removed node leaves every list it is in; an insert may add a
-        candidate anywhere, so it drops them all.
+        candidate anywhere, so it drops them all, and every kept reach.
 
         A working node that leaves or re-enters the grid changes the
         station attachments without a working-set change, so it bumps the
@@ -151,6 +171,7 @@ class WorkingTopology:
             self.version += 1
         if kind == "insert":
             self._candidates.clear()
+            self._reach.clear()
             return
         for candidates in self._candidates.values():
             if item in candidates:

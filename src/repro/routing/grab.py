@@ -18,7 +18,7 @@ maintains a routable working set between the corners (§5.2).
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Optional, Tuple  # noqa: F401 (Hashable in hints)
+from typing import Dict, Hashable, List, Optional, Tuple  # noqa: F401 (Hashable in hints)
 
 from ..net.field import Point
 from .costfield import CostField, WorkingTopology
@@ -50,6 +50,14 @@ class DeliveryOutcome:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DeliveryOutcome {self.reason} hops={self.hops}>"
+
+
+class _Names(Dict[Hashable, str]):
+    """node id -> ``str(node id)``, each built on first use."""
+
+    def __missing__(self, node_id: Hashable) -> str:
+        name = self[node_id] = str(node_id)
+        return name
 
 
 class GrabRouter:
@@ -96,6 +104,8 @@ class GrabRouter:
         #: gradient_path's last result and the topology version it is for
         self._path: Optional[Tuple[Hashable, ...]] = None
         self._path_version = -1
+        #: canonical tie-break key per node for the gradient descent
+        self._names = _Names()
 
     # -------------------------------------------------------------- queries
     def source_attachments(self) -> List[Hashable]:
@@ -136,18 +146,24 @@ class GrabRouter:
         if entry is None:
             return None
         costs = self.cost_field.costs()
+        neighbors = self.topology.neighbors
+        name = self._names.__getitem__
         path = [entry]
         current = entry
-        while costs[current] > 0:
-            # Tie-break on a canonical id key: neighbors() is a set whose
-            # iteration order depends on its mutation history, which a
-            # snapshot restore cannot replay.
+        cost = costs[current]
+        while cost > 0:
+            # The field is a BFS over this very topology, so neighbor costs
+            # differ by at most one and the cheapest neighbors cost exactly
+            # one less.  Tie-break on a canonical id key: neighbors() is a
+            # set whose iteration order depends on its mutation history,
+            # which a snapshot restore cannot replay.
+            cost -= 1
             next_hop = min(
-                (n for n in self.topology.neighbors(current) if n in costs),
-                key=lambda n: (costs[n], str(n)),
+                (n for n in neighbors(current) if costs.get(n) == cost),
+                key=name,
                 default=None,
             )
-            if next_hop is None or costs[next_hop] >= costs[current]:
+            if next_hop is None:
                 return None  # cost field stale relative to topology: no path
             path.append(next_hop)
             current = next_hop

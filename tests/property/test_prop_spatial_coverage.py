@@ -68,6 +68,49 @@ def _recount(active, radius, spacing, side):
     }
 
 
+def _lattice_recount(active, radius, spacing, width, height):
+    """Brute-force count at every lattice index of a ``width x height``
+    field sampled every ``spacing`` meters from the origin."""
+    return {
+        (ix, iy): sum(
+            1
+            for node in active
+            if distance_sq(node, (ix * spacing, iy * spacing)) <= radius * radius
+        )
+        for ix in range(math.floor(width / spacing) + 1)
+        for iy in range(math.floor(height / spacing) + 1)
+    }
+
+
+@st.composite
+def lattice_geometries(draw):
+    """``(width, height, spacing, radius)``: sides rarely a multiple of the
+    spacing, spacings of 0.5-3 m, radii below and above the spacing (some
+    an exact multiple of it, so points land on the disk's edge)."""
+    spacing = draw(st.floats(min_value=0.5, max_value=3.0))
+    width = draw(st.floats(min_value=2.0, max_value=18.0))
+    height = draw(st.floats(min_value=2.0, max_value=18.0))
+    radius = draw(
+        st.one_of(
+            st.floats(min_value=0.2, max_value=8.0),
+            st.integers(min_value=1, max_value=4).map(lambda m: m * spacing),
+        )
+    )
+    return width, height, spacing, radius
+
+
+def _coordinates(side, spacing, radius):
+    """Coordinates on an edge, on a lattice line, inside, or past an edge
+    (far enough for the disk to miss the field)."""
+    return st.one_of(
+        st.sampled_from([0.0, side]),
+        st.integers(min_value=0, max_value=math.floor(side / spacing)).map(
+            lambda i: i * spacing
+        ),
+        st.floats(min_value=-radius - spacing, max_value=side + radius + spacing),
+    )
+
+
 class TestCoverageGridProperties:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -156,3 +199,44 @@ class TestCoverageGridProperties:
             grid.add_node(node)
         fractions = [grid.fraction(k) for k in range(1, 6)]
         assert fractions == sorted(fractions, reverse=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_geometries(), st.integers(min_value=1, max_value=4), st.data())
+    def test_random_lattice_geometries_match_recount(self, geometry, max_k, data):
+        """On any lattice geometry, with disks clipped by the field edge or
+        missing it, ``count_at`` at every lattice point and ``fraction(k)``
+        for k up to ``max_k + 2`` equal a from-scratch recount while adds,
+        removes and reads interleave."""
+        width, height, spacing, radius = geometry
+        grid = CoverageGrid(
+            Field(width, height), sensing_range=radius, resolution=spacing, max_k=max_k
+        )
+        positions = data.draw(
+            st.lists(
+                st.tuples(
+                    _coordinates(width, spacing, radius),
+                    _coordinates(height, spacing, radius),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        operations = data.draw(
+            st.lists(st.sampled_from(("add", "add", "remove", "read")), max_size=24)
+        )
+        active = []
+        for operation in operations + ["read"]:
+            if operation == "add":
+                node = data.draw(st.sampled_from(positions))
+                grid.add_node(node)
+                active.append(node)
+            elif operation == "remove" and active:
+                grid.remove_node(active.pop(data.draw(st.integers(0, len(active) - 1))))
+            elif operation == "read":
+                counts = _lattice_recount(active, radius, spacing, width, height)
+                assert grid.num_points == len(counts)
+                for (ix, iy), count in counts.items():
+                    assert grid.count_at((ix * spacing, iy * spacing)) == count
+                for k in range(max_k + 3):
+                    covered = sum(1 for count in counts.values() if count >= k)
+                    assert grid.fraction(k) == covered / grid.num_points

@@ -59,7 +59,7 @@ class TestCoverageGrid:
         self._check_against_brute_force(num_nodes=15, num_removed=0)
 
     def test_matches_brute_force_across_fold_chunks(self):
-        # More queued adds and removes than one fold chunk takes.
+        # Many queued adds and removes folded by one read.
         self._check_against_brute_force(num_nodes=80, num_removed=40)
 
     @staticmethod
@@ -115,6 +115,15 @@ class TestCoverageGrid:
         grid.add_node((0.0, 0.0))
         assert grid.fraction(1) > 0.0
 
+    def test_point_on_the_rounded_window_edge_is_covered(self):
+        # (4.0 + r) / 0.1 rounds to 42.99..., yet the point at 43 * 0.1 m
+        # lies 0.2999... m from the node, inside its 0.3000...04 m disk.
+        grid = CoverageGrid(
+            Field(10.0, 7.0), sensing_range=0.30000000000000004, resolution=0.1
+        )
+        grid.add_node((0.0, 4.0))
+        assert grid.count_at((0.0, 43 * 0.1)) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CoverageGrid(Field(10.0, 10.0), sensing_range=0.0)
@@ -122,6 +131,31 @@ class TestCoverageGrid:
             CoverageGrid(Field(10.0, 10.0), resolution=0.0)
         with pytest.raises(ValueError):
             CoverageGrid(Field(10.0, 10.0), max_k=0)
+
+    def test_disk_storage_per_position_stays_small(self):
+        """The memoized disks of 2,000 positions on the paper's lattice
+        (50 x 50 m, 1 m spacing, 10 m sensing range) hold at most 256 B of
+        array data per position, counted over every dict the grid keeps."""
+        grid = CoverageGrid(Field(50.0, 50.0), sensing_range=10.0, resolution=1.0)
+        rng = random.Random(11)
+        positions = 2000
+        for _ in range(positions):
+            grid.add_node((rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)))
+        grid.fraction(1)  # fold: nothing stays queued
+
+        def array_bytes(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return sum(array_bytes(item) for item in value)
+            return 0
+
+        stored = sum(
+            array_bytes(value) for value in vars(grid).values() if isinstance(value, dict)
+        )
+        assert stored / positions <= 256
 
     def test_fractions_dict(self):
         grid = CoverageGrid(Field(20.0, 20.0))

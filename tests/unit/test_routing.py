@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.net import Field, SpatialGrid
+from repro.net import ColumnarSpatialGrid, Field, NeighborCache, SpatialGrid
+from repro.net.field import distance_sq
 from repro.routing import (
     CostField,
     GrabRouter,
@@ -94,6 +95,33 @@ class TestWorkingTopology:
         components = sorted(topo.connected_components(), key=len, reverse=True)
         assert {0, 1} in components
         assert {2} in components
+
+    def test_shared_cache_gains_no_entries(self):
+        """With a neighbor cache, reaches are queried uncached and kept by
+        the topology: churn and a death add no ``(id, comm_range)`` key to
+        the cache, and adjacency still equals a brute-force scan."""
+        grid = ColumnarSpatialGrid(Field(30.0, 30.0), cell_size=3.0)
+        rng = random.Random(5)
+        positions = {i: (rng.uniform(0, 30), rng.uniform(0, 30)) for i in range(40)}
+        for i, p in positions.items():
+            grid.insert(i, p)
+        cache = NeighborCache(grid, enabled=True)
+        topo = WorkingTopology(grid, comm_range=10.0, neighbors=cache)
+        for i, p in positions.items():
+            topo.add_working(i, p)
+        for i in range(0, 40, 3):
+            topo.remove_working(i)
+        grid.remove(3)  # a sleeping node dies
+        for i in range(0, 40, 3):
+            if i != 3:
+                topo.add_working(i, positions[i])
+        assert not [key for key in cache._entries if key[1] == 10.0]
+        for i in topo.nodes():
+            assert topo.neighbors(i) == {
+                j
+                for j in topo.nodes()
+                if j != i and distance_sq(positions[i], positions[j]) <= 100.0
+            }
 
     def test_invalid_range(self):
         grid = SpatialGrid(Field(10.0, 10.0), cell_size=3.0)
