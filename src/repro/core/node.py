@@ -591,28 +591,32 @@ class PEASNode:
                 )
 
     # ---------------------------------------------------------------- death
-    def on_energy_charged(self, remaining: Optional[float] = None) -> None:
-        """Called after a frame charge; ``remaining`` is the post-charge level.
+    def charge_frame(self, now: float, category: str, joules: float) -> None:
+        """Charge one frame's ``joules`` to ``category`` at time ``now``.
 
-        The depletion deadline is computed *exactly* at every mode change
+        The one per-frame charge: the battery's :meth:`NodeBattery.charge_frame`,
+        then the ``energy`` trace event, then the depletion check.  The
+        deadline is computed *exactly* at every mode change
         (:meth:`_reschedule_death`); frame charges between mode changes only
         pull the true depletion time earlier.  Rather than recomputing it
         per frame, the deadline moves only once it overshoots the true
         depletion time by more than ``_DEATH_SLACK_S`` — a node therefore
         never dies early, and at most that much late.
         """
+        battery = self.battery
+        remaining = battery.charge_frame(now, joules, category)
+        if self._tracer is not None:
+            self._tracer.emit(trace_events.energy(now, self._node_id, category, joules))
         if self.mode is _DEAD:
             return
-        if remaining is None:
-            remaining = self.battery.remaining(self.sim.now)
         if remaining <= 0.0:
             self._die(DeathCause.ENERGY)
             return
-        power = self.battery._power_w
+        power = battery._power_w
         if power <= 0.0:
             return
         ttd = remaining / power
-        if self._death_at > self.sim.now + ttd + _DEATH_SLACK_S:
+        if self._death_at > now + ttd + _DEATH_SLACK_S:
             self._arm_death(ttd)
 
     def _reschedule_death(self) -> None:

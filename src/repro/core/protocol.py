@@ -28,7 +28,6 @@ from ..energy import (
     frame_category,
     summarize_energy,
 )
-from ..obs import events as trace_events
 from ..obs.tracer import Tracer
 from ..net import (
     PACKET_SIZE_BYTES,
@@ -131,8 +130,11 @@ class PEASNetwork:
         validate_timing(config, self.radio)
 
         self.counters = CounterSet()
-        #: (packet kind, direction) -> energy category, for the per-frame hook
-        self._categories: Dict[tuple, str] = {}
+        #: (packet kind, direction, airtime) -> (energy category, joules)
+        #: for the per-frame hook.  Airtimes are quantized (one per packet
+        #: size), so this holds a handful of entries.  Every battery here
+        #: draws on ``profile``, so one frame energy serves all of them.
+        self._frame_charges: Dict[tuple, tuple] = {}
         self.grid = ColumnarSpatialGrid(field, cell_size=config.probe_range_m)
         self.neighbors = NeighborCache(self.grid, enabled=neighbor_cache)
         self.channel = BroadcastChannel(
@@ -295,17 +297,14 @@ class PEASNetwork:
     def _energy_hook(
         self, node_id: Hashable, direction: str, airtime: float, packet: Packet
     ) -> None:
-        node = self.nodes[node_id]
-        key = (packet.kind, direction)
-        category = self._categories.get(key)
-        if category is None:
-            category = self._categories[key] = frame_category(*key)
-        now = self.sim.now
-        remaining = node.battery.charge_frame(now, direction, airtime, category)
-        if self.tracer is not None:
-            joules = node.battery.frame_joules(direction, airtime)
-            self.tracer.emit(trace_events.energy(now, node_id, category, joules))
-        node.on_energy_charged(remaining)
+        key = (packet.kind, direction, airtime)
+        charge = self._frame_charges.get(key)
+        if charge is None:
+            charge = self._frame_charges[key] = (
+                frame_category(packet.kind, direction),
+                self.profile.frame_energy(direction, airtime),
+            )
+        self.nodes[node_id].charge_frame(self.sim.now, charge[0], charge[1])
 
     def _node_started_working(self, node: PEASNode) -> None:
         self._working.add(node.node_id)

@@ -39,9 +39,6 @@ class NodeBattery:
         #: continuous draw of the current mode, cached so the per-event
         #: integration fast path skips the profile's mode dispatch
         self._power_w = profile.mode_power(RadioMode.SLEEP)
-        #: per-(direction, airtime) frame energies; airtimes are quantized
-        #: (one per packet size) so this holds a handful of entries
-        self._frame_j: Dict[tuple, float] = {}
         #: accumulated joules by accounting category (e.g. "probe_tx")
         self.by_category: Dict[str, float] = {}
 
@@ -70,15 +67,6 @@ class NodeBattery:
             return None
         return remaining / power
 
-    def frame_joules(self, direction: str, airtime: float) -> float:
-        """Energy of one ``direction`` frame of ``airtime`` seconds: the
-        memoized value :meth:`charge_frame` charges."""
-        key = (direction, airtime)
-        joules = self._frame_j.get(key)
-        if joules is None:
-            joules = self._frame_j[key] = self.profile.frame_energy(direction, airtime)
-        return joules
-
     # ------------------------------------------------------------- mutation
     def set_mode(self, now: float, mode: RadioMode) -> None:
         """Switch the continuous draw; past consumption is settled first."""
@@ -86,19 +74,18 @@ class NodeBattery:
         self._mode = mode
         self._power_w = self.profile.mode_power(mode)
 
-    def charge_frame(self, now: float, direction: str, airtime: float, category: str) -> float:
-        """Charge one frame's tx/rx energy and attribute it to ``category``.
+    def charge_frame(self, now: float, joules: float, category: str) -> float:
+        """Charge one frame's ``joules`` (its
+        :meth:`~repro.energy.model.PowerProfile.frame_energy`, resolved once
+        by the caller) and attribute them to ``category``.
 
         Returns the remaining charge so callers can react to depletion
         without a second integration pass.  The per-frame entry point: it
-        runs :meth:`_integrate` and :meth:`frame_joules` inline, same floats.
+        runs :meth:`_integrate` inline, same floats.
         """
         last = self._last_update
         if now < last:
             self._integrate(now)  # raises: battery time went backwards
-        joules = self._frame_j.get((direction, airtime))
-        if joules is None:
-            joules = self.frame_joules(direction, airtime)
         remaining = self._remaining
         power = self._power_w
         if power > 0:
@@ -135,8 +122,7 @@ class NodeBattery:
         """Serializable battery state.
 
         ``by_category`` is saved as ordered pairs because its insertion
-        order is run-history and flows into ``energy_report`` output; the
-        ``_frame_j`` memo is derived (recomputed on demand) and omitted.
+        order is run-history and flows into ``energy_report`` output.
         """
         return {
             "remaining": self._remaining,

@@ -4,7 +4,10 @@ Every event is a plain JSON-compatible dict with two mandatory keys —
 ``t`` (simulation time, seconds) and ``ev`` (the event type) — plus
 type-specific fields.  Dicts rather than classes keep the hot emit path a
 single allocation and make the NDJSON encoding trivial and byte-stable
-(:func:`encode_event` sorts keys).
+(:func:`encode_event` sorts keys).  :class:`~repro.obs.sinks.NdjsonSink`
+writes the five most frequent types from per-type templates and leaves
+the rest to :func:`encode_event`, the reference its lines are tested
+against; each constructor's key set is what those templates expect.
 
 Event types (see :data:`repro.obs.schema.TRACE_EVENT_SCHEMA` for the
 published contract):

@@ -97,22 +97,22 @@ class PeasRun(ProtocolRun):
             return None
         network = self.network
         airtime = network.radio.airtime(scenario.report_size_bytes)
+        tx_j = network.profile.frame_energy("tx", airtime)
+        rx_j = network.profile.frame_energy("rx", airtime)
 
-        def path_hook(path: list, _network: Any = network, _airtime: float = airtime) -> None:
+        def path_hook(path: list, _network: Any = network) -> None:
             # Each hop: the forwarder transmits, the next node receives.
             # Anchors are externally powered; skip their batteries.
             now = _network.sim.now
             for sender, receiver in zip(path, path[1:] + [None]):
                 node = _network.nodes[sender]
                 if not node.anchor and node.alive:
-                    left = node.battery.charge_frame(now, "tx", _airtime, "data_tx")
-                    node.on_energy_charged(left)
+                    node.charge_frame(now, "data_tx", tx_j)
                 if receiver is None:
                     continue
                 peer = _network.nodes[receiver]
                 if not peer.anchor and peer.alive:
-                    left = peer.battery.charge_frame(now, "rx", _airtime, "data_rx")
-                    peer.on_energy_charged(left)
+                    peer.charge_frame(now, "data_rx", rx_j)
 
         return path_hook
 

@@ -75,7 +75,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulation time in seconds.  A plain attribute, not a
+        #: property: model code reads it on every event, and only the
+        #: engine's own loops and :meth:`load_state` write it.
+        self.now = float(start_time)
         #: heap of (time, priority, seq); seq is the key into ``_slots``
         self._queue: List[Tuple[float, int, int]] = []
         #: seq -> live Event; entries vanish on cancellation or execution
@@ -92,13 +95,10 @@ class Simulator:
         #: (per-label wall-time + gauges); the fast loops are untouched
         #: while this is ``None``.  Attach via :meth:`profiled`.
         self.profiler: Optional[EngineProfiler] = None
+        #: the cancellation hook every event carries, bound once
+        self._on_cancel = self._discard
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events fired so far (cancelled events excluded)."""
@@ -138,9 +138,9 @@ class Simulator:
             if delay != delay:
                 raise ValueError("event time must not be NaN")
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # ``float`` matters: ``_now`` is an int after ``run(until=<int>)``
+        # ``float`` matters: ``now`` is an int after ``run(until=<int>)``
         # and event times flow into trace bytes.
-        time = float(self._now + delay)
+        time = float(self.now + delay)
         seq = self._next_seq
         self._next_seq = seq + 1
         # Built slot by slot rather than through the keyword ``__init__``:
@@ -155,7 +155,7 @@ class Simulator:
         event.label = label
         event.handler = handler
         event._cancelled = False
-        event._on_cancel = self._discard
+        event._on_cancel = self._on_cancel
         self._slots[seq] = event
         heapq.heappush(self._queue, (time, priority, seq))
         return event
@@ -170,9 +170,9 @@ class Simulator:
         handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
     ) -> Event:
         """Schedule ``fn(*args)`` at the absolute simulation ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -180,7 +180,7 @@ class Simulator:
             time, fn, args,
             priority=priority, label=label, handler=handler, seq=seq,
         )
-        event._on_cancel = self._discard
+        event._on_cancel = self._on_cancel
         self._slots[seq] = event
         heapq.heappush(self._queue, (event.time, event.priority, seq))
         return event
@@ -206,7 +206,7 @@ class Simulator:
                 break
         if event is None:
             raise EventQueueEmpty("no pending events")
-        self._now = event.time
+        self.now = event.time
         if self.pre_event_hooks:
             for hook in self.pre_event_hooks:
                 hook(event)
@@ -250,7 +250,7 @@ class Simulator:
                     if not queue:
                         break
                     event = slots.pop(heappop(queue)[2])
-                    self._now = event.time
+                    self.now = event.time
                     if hooks:
                         for hook in hooks:
                             hook(event)
@@ -263,10 +263,10 @@ class Simulator:
                 if not queue:
                     break
                 if until is not None and queue[0][0] > until:
-                    self._now = until
+                    self.now = until
                     break
                 event = slots.pop(heappop(queue)[2])
-                self._now = event.time
+                self.now = event.time
                 if hooks:
                     for hook in hooks:
                         hook(event)
@@ -275,8 +275,8 @@ class Simulator:
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
+            if until is not None and not self._stopped and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
@@ -309,18 +309,18 @@ class Simulator:
                 if not queue:
                     break
                 if until is not None and queue[0][0] > until:
-                    self._now = until
+                    self.now = until
                     break
                 event = slots.pop(heappop(queue)[2])
-                self._now = event.time
+                self.now = event.time
                 if hooks:
                     for hook in hooks:
                         hook(event)
                 event.fn(*event.args)
                 self._executed += 1
                 fired += 1
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
+            if until is not None and not self._stopped and self.now < until:
+                self.now = until
             return fired
         finally:
             self._running = False
@@ -348,10 +348,10 @@ class Simulator:
                 if not queue:
                     break
                 if until is not None and queue[0][0] > until:
-                    self._now = until
+                    self.now = until
                     break
                 event = slots.pop(heappop(queue)[2])
-                self._now = event.time
+                self.now = event.time
                 if hooks:
                     for hook in hooks:
                         hook(event)
@@ -364,15 +364,15 @@ class Simulator:
                 self._executed += 1
                 fired += 1
                 if gauge_countdown <= 0:
-                    profiler.sample_gauges(len(queue), len(slots), self._now)
+                    profiler.sample_gauges(len(queue), len(slots), self.now)
                     gauge_countdown = _GAUGE_PERIOD
                 gauge_countdown -= 1
                 if max_events is not None and fired >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
+            if until is not None and not self._stopped and self.now < until:
+                self.now = until
         finally:
-            profiler.sample_gauges(len(queue), len(slots), self._now)
+            profiler.sample_gauges(len(queue), len(slots), self.now)
             self._running = False
 
     @contextmanager
@@ -436,7 +436,7 @@ class Simulator:
                 "them with handler=(kind, args) (see repro.sim.handlers)"
             )
         return {
-            "now": self._now,
+            "now": self.now,
             "executed": self._executed,
             "next_seq": self._next_seq,
             "events": events,
@@ -456,7 +456,7 @@ class Simulator:
                 "cannot load engine state into a simulator with pending "
                 "events; restore into a freshly constructed (unstarted) run"
             )
-        self._now = float(state["now"])
+        self.now = float(state["now"])
         self._executed = int(state["executed"])
         self._next_seq = int(state["next_seq"])
         entries: List[Tuple[float, int, int]] = []
@@ -471,7 +471,7 @@ class Simulator:
                 seq=spec["seq"],
             )
             ctx.resolve(event)
-            event._on_cancel = self._discard
+            event._on_cancel = self._on_cancel
             self._slots[event.seq] = event
             entries.append((event.time, event.priority, event.seq))
         # state_dict wrote events in sorted order, so the entry list is
@@ -494,4 +494,4 @@ class Simulator:
             heapq.heapify(queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:.3f} pending={len(self._queue)}>"
+        return f"<Simulator now={self.now:.3f} pending={len(self._queue)}>"

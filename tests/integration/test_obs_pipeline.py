@@ -12,6 +12,8 @@ Two guarantees hold the tentpole together:
 
 import dataclasses
 import hashlib
+import math
+from collections import defaultdict
 
 import pytest
 
@@ -154,6 +156,26 @@ class TestNullSinkNeutrality:
         assert profiled.profile is not None
         assert profiled.profile["events"] > 0
         assert plain.profile is None
+
+
+class TestEnergyEventsMatchTheResult:
+    def test_traced_categories_sum_to_energy_by_category(self):
+        """Every joule a sensor battery is charged (data frames included,
+        which only ``charge_data_energy`` charges) appears as an ``energy``
+        event, so summing the trace reproduces the run's accounting."""
+        scenario = Scenario(
+            num_nodes=200, seed=3, max_time_s=300.0, charge_data_energy=True
+        )
+        sink = RingBufferSink()
+        result = run_scenario(scenario, tracer=Tracer(sink))
+        traced = defaultdict(float)
+        for event in sink.events("energy"):
+            if not isinstance(event["node"], str):  # anchors are str ids
+                traced[event["cat"]] += event["j"]
+        assert {"data_tx", "data_rx"} <= set(result.energy_by_category)
+        assert set(traced) == set(result.energy_by_category)
+        for category, joules in result.energy_by_category.items():
+            assert math.isclose(traced[category], joules, rel_tol=1e-9), category
 
 
 class TestManifestProvenance:

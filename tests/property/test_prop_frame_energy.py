@@ -1,21 +1,24 @@
 """Brute-force oracle for the per-frame energy charge.
 
 ``PEASNetwork._energy_hook`` charges every frame in one pass: a memoized
-category, then :meth:`NodeBattery.charge_frame` (which integrates the mode
-draw inline), then :meth:`PEASNode.on_energy_charged`.  The reference below
-is the same charge spelled out step by step — ``frame_category`` →
-``frame_joules`` → ``_integrate`` → subtract → ``attribute`` →
-``on_energy_charged`` — on a twin network.  Random interleavings of mode
-changes, time advances and tx/rx frames (including frames that empty the
-battery) must leave both twins bit-identical: remaining charge, battery
-clock, the per-category totals and their key order, the death timer's
-expiry, the kept depletion deadline and the node's fate.
+``(category, joules)`` pair, then :meth:`PEASNode.charge_frame`, which runs
+:meth:`NodeBattery.charge_frame` (integrating the mode draw inline) and the
+depletion check.  The reference below is the same charge spelled out in
+primitives, calling none of that code — ``frame_category`` →
+``profile.frame_energy`` → ``_integrate`` → subtract and floor →
+``attribute`` → the ``_DEATH_SLACK_S`` rule — on a twin network.  Random
+interleavings of mode changes, time advances and tx/rx frames (including
+frames that empty the battery) must leave both twins bit-identical:
+remaining charge, battery clock, the per-category totals and their key
+order, the death timer's expiry, the kept depletion deadline and the
+node's fate.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import PEASConfig, PEASNetwork
+from repro.core import DeathCause, NodeMode, PEASConfig, PEASNetwork
+from repro.core.node import _DEATH_SLACK_S
 from repro.energy import MOTE_PROFILE, NodeBattery, RadioMode, frame_category
 from repro.net import PACKET_SIZE_BYTES, Field, Packet, RadioModel
 from repro.sim import RngRegistry, Simulator
@@ -51,15 +54,26 @@ def _twin(initial_j):
 
 def _reference_charge(network, node, direction, airtime, packet):
     battery = node.battery
+    now = network.sim.now
     category = frame_category(packet.kind, direction)
-    joules = battery.frame_joules(direction, airtime)
-    battery._integrate(network.sim.now)
+    joules = battery.profile.frame_energy(direction, airtime)
+    battery._integrate(now)
     remaining = battery._remaining - joules
     if remaining < 0.0:
         remaining = 0.0
     battery._remaining = remaining
     battery.attribute(category, joules)
-    node.on_energy_charged(remaining)
+    if node.mode is NodeMode.DEAD:
+        return
+    if remaining <= 0.0:
+        node._die(DeathCause.ENERGY)
+        return
+    power = battery._power_w
+    if power <= 0.0:
+        return
+    ttd = remaining / power
+    if node._death_at > now + ttd + _DEATH_SLACK_S:
+        node._arm_death(ttd)
 
 
 def _state(sim, node):

@@ -89,19 +89,17 @@ class TestNodeBattery:
     def test_charge_frame_decrements_and_categorizes(self):
         battery = NodeBattery(MOTE_PROFILE, 57.0)
         battery.set_mode(0.0, RadioMode.IDLE)
-        battery.charge_frame(10.0, "tx", 0.010, "probe_tx")
+        battery.charge_frame(10.0, MOTE_PROFILE.frame_energy("tx", 0.010), "probe_tx")
         assert battery.by_category["probe_tx"] == pytest.approx(0.0006)
         expected = 57.0 - 0.012 * 10 - 0.0006
         assert battery.remaining(10.0) == pytest.approx(expected)
 
     def test_frame_joules_is_the_charged_amount(self):
         battery = NodeBattery(MOTE_PROFILE, 57.0)
-        battery.charge_frame(10.0, "rx", 0.010, "reply_rx")
-        charged = battery.by_category["reply_rx"]
-        assert battery.frame_joules("rx", 0.010) == charged
-        assert charged == MOTE_PROFILE.frame_energy("rx", 0.010)
-        fresh = NodeBattery(MOTE_PROFILE, 57.0)
-        assert fresh.frame_joules("tx", 0.010) == MOTE_PROFILE.frame_energy("tx", 0.010)
+        joules = MOTE_PROFILE.frame_energy("rx", 0.010)
+        left = battery.charge_frame(10.0, joules, "reply_rx")
+        assert battery.by_category["reply_rx"] == joules
+        assert left == 57.0 - MOTE_PROFILE.sleep_w * 10.0 - joules
 
     def test_attribute_does_not_decrement(self):
         battery = NodeBattery(MOTE_PROFILE, 57.0)
@@ -158,7 +156,7 @@ class TestSummarizeEnergy:
         for _ in range(3):
             battery = NodeBattery(MOTE_PROFILE, 57.0)
             battery.set_mode(0.0, RadioMode.IDLE)
-            battery.charge_frame(10.0, "tx", 0.010, "probe_tx")
+            battery.charge_frame(10.0, MOTE_PROFILE.frame_energy("tx", 0.010), "probe_tx")
             battery.charge(10.0, 0.1, "data_tx")
             batteries.append(battery)
         report = summarize_energy(batteries, now=10.0)
