@@ -125,29 +125,13 @@ def _cmd_run_snapshot(args: argparse.Namespace) -> None:
     if args.restore:
         try:
             snapshot = load_snapshot(args.restore)
-            changes = {}
-            if args.fork_failure_rate is not None:
-                changes["failure_per_5000s"] = args.fork_failure_rate
-            if args.fork_faults:
-                from .faults import load_fault_plan
-
-                changes["fault_plan"] = load_fault_plan(args.fork_faults)
-            if args.fork_max_time is not None:
-                changes["max_time_s"] = args.fork_max_time
             from .experiments import scenario_from_dict
 
             effective = scenario_from_dict(snapshot["scenario"])
-            scenario = None
-            if changes:
-                scenario = effective.with_(**changes)
-                effective = scenario
             provenance = snapshot.get("provenance", {})
-            mode = "fork" if changes else "resume"
             print(f"restore: {args.restore} "
-                  f"(t={provenance.get('created_at_sim_s')}s, {mode})")
-            result = resume(
-                snapshot, options, scenario=scenario, force=args.force_restore
-            )
+                  f"(t={provenance.get('created_at_sim_s')}s, resume)")
+            result = resume(snapshot, options, force=args.force_restore)
         except SnapshotError as exc:
             raise SystemExit(f"restore: {exc}")
     else:
@@ -538,20 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(with --snapshot: a resumable prefix)")
     run_p.add_argument("--restore", metavar="PATH", default=None,
                        help="resume a peas-snapshot/1 file instead of "
-                            "starting fresh; continues the embedded scenario "
-                            "unless --fork-* flags change it")
+                            "starting fresh; continues the embedded scenario")
     run_p.add_argument("--force-restore", action="store_true",
                        help="restore even if the snapshot was written by "
                             "different source code (code fingerprint)")
-    run_p.add_argument("--fork-failure-rate", type=float, metavar="RATE",
-                       default=None,
-                       help="with --restore: fork the snapshot under this "
-                            "failure rate (failures per 5000 s)")
-    run_p.add_argument("--fork-faults", metavar="PATH", default=None,
-                       help="with --restore: fork the snapshot under this "
-                            "fault plan (peas-faultplan/1 JSON)")
-    run_p.add_argument("--fork-max-time", type=float, metavar="S", default=None,
-                       help="with --restore: fork with a different horizon")
 
     inspect_p = sub.add_parser(
         "inspect",
@@ -643,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("dir", help="store directory")
     gc_p = store_sub.add_parser(
         "gc",
-        help="evict records and burn-in snapshots from other code "
+        help="evict records from other code "
              "fingerprints (and optionally by age, or everything)",
     )
     gc_p.add_argument("dir", help="store directory")

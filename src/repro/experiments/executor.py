@@ -27,8 +27,7 @@ dispatch is one run, which is what makes the rest possible:
   already in the store in the parent before anything is dispatched (an
   interrupted sweep re-run against the same store resumes with zero
   recomputation of completed pairs), and :func:`_guarded_run` journals the
-  miss and persists each computed result, cold run or warm-start fork, the
-  moment it finishes.
+  miss and persists each computed result the moment it finishes.
 
 The executor runs in the *parent* process and is the sweep's only source
 of progress: it reports each run's final outcome, each retry, each pool
@@ -166,36 +165,24 @@ class _Outcome:
     pid: Optional[int] = field(default=None, compare=False)
 
 
-def _guarded_run(
-    scenario: Scenario,
-    warm_snapshot: Optional[str] = None,
-    *,
-    options: RunOptions,
-    warm_burn_in_s: Optional[float] = None,
-) -> _Outcome:
-    """Run one attempt (cold, or forked from ``warm_snapshot``) and capture
-    its result or exception.  With a store attached this is the store's
-    only writer: the parent's replay pass in :func:`execute` already
-    looked the key up, so reaching here means a miss.  The key carries
-    the burn-in marker, because a warm-started result (faults arm at the
-    restored clock) is *not* interchangeable with a cold one."""
+def _guarded_run(scenario: Scenario, *, options: RunOptions) -> _Outcome:
+    """Run one attempt and capture its result or exception.  With a store
+    attached this is the store's only writer: the parent's replay pass in
+    :func:`execute` already looked the key up, so reaching here means a
+    miss."""
     # Harness imports stay inside the function: experiments <-> harness is
     # otherwise a package-level import cycle.
     from ..harness.runner import run as _run_scenario
-    from ..harness.snapshot import resume as _resume_snapshot
 
     try:
         store = None
         if options.store_dir is not None and store_eligible(options):
             store = ResultStore(options.store_dir)
-            key = store.key_for(scenario, options, warm_burn_in_s=warm_burn_in_s)
+            key = store.key_for(scenario, options)
             store.note_miss(key)
-        if warm_snapshot is not None:
-            result = _resume_snapshot(warm_snapshot, options, scenario=scenario)
-        else:
-            result = _run_scenario(scenario, options)
+        result = _run_scenario(scenario, options)
         if store is not None:
-            store.put(key, result, scenario, options, warm_burn_in_s=warm_burn_in_s)
+            store.put(key, result, scenario, options)
     except Exception as exc:  # noqa: BLE001 - captured, surfaced by policy
         return _Outcome(
             error=RunError(
@@ -214,7 +201,6 @@ class _Item:
     """One run's progress through the executor."""
 
     scenario: Scenario
-    warm_snapshot: Optional[str] = None
     attempts: int = 0
     #: free re-queues after pool deaths that did not involve this run
     free_requeues: int = 0
@@ -239,14 +225,12 @@ class _Executor:
         options: RunOptions,
         policy: RetryPolicy,
         telemetry: Any,
-        warm_burn_in_s: Optional[float],
         run_fn: Callable[..., _Outcome],
     ) -> None:
         self.items = items
         self.options = options
         self.policy = policy
         self.telemetry = telemetry
-        self.warm_burn_in_s = warm_burn_in_s
         self.run_fn = run_fn
         #: pool deaths tolerated per queued-but-not-running item before the
         #: executor stops re-queueing it for free
@@ -257,12 +241,7 @@ class _Executor:
         for item in self.items:
             while item.outcome is None:
                 self._charge(item)
-                outcome = self.run_fn(
-                    item.scenario,
-                    item.warm_snapshot,
-                    options=self.options,
-                    warm_burn_in_s=self.warm_burn_in_s,
-                )
+                outcome = self.run_fn(item.scenario, options=self.options)
                 if outcome.error is None:
                     self._settle(item, outcome.result)
                 else:
@@ -282,11 +261,7 @@ class _Executor:
                 for item in list(pending):
                     try:
                         future = pool.submit(
-                            self.run_fn,
-                            item.scenario,
-                            item.warm_snapshot,
-                            options=self.options,
-                            warm_burn_in_s=self.warm_burn_in_s,
+                            self.run_fn, item.scenario, options=self.options
                         )
                     except (BrokenProcessPool, RuntimeError):
                         broken = True
@@ -531,8 +506,6 @@ def execute(
     options: RunOptions,
     policy: RetryPolicy,
     telemetry: Any = None,
-    warm_paths: Optional[Sequence[str]] = None,
-    warm_burn_in_s: Optional[float] = None,
     store: Optional[ResultStore] = None,
     run_fn: Callable[..., _Outcome] = _guarded_run,
 ) -> List[Union[RunResult, RunError]]:
@@ -541,23 +514,13 @@ def execute(
     Returns results in input order.  ``store`` enables the instant-replay
     pass, the sweep's only store read: runs whose records verify are
     never dispatched (their writer is :func:`_guarded_run`, on a miss).
-    ``run_fn`` is a test
-    seam — it must be a module-level picklable callable with
-    :func:`_guarded_run`'s signature.
+    ``run_fn`` is a test seam — it must be a module-level picklable
+    callable with :func:`_guarded_run`'s signature.
     """
-    items = [
-        _Item(
-            scenario=scenario,
-            warm_snapshot=warm_paths[index] if warm_paths is not None else None,
-        )
-        for index, scenario in enumerate(scenarios)
-    ]
+    items = [_Item(scenario=scenario) for scenario in scenarios]
     if store is not None:
         for item in items:
-            key = store.key_for(
-                item.scenario, options, warm_burn_in_s=warm_burn_in_s
-            )
-            cached = store.get(key)
+            cached = store.get(store.key_for(item.scenario, options))
             if cached is not None:
                 item.outcome = cached
                 if telemetry is not None:
@@ -567,7 +530,6 @@ def execute(
         options=options,
         policy=policy,
         telemetry=telemetry,
-        warm_burn_in_s=warm_burn_in_s,
         run_fn=run_fn,
     )
     if processes is not None and processes > 1:

@@ -138,34 +138,16 @@ def get_failure_results(
     processes: Optional[int] = None,
     options: Optional[RunOptions] = None,
     telemetry=None,
-    warm_start_burn_in_s: Optional[float] = None,
 ) -> Dict[float, List[RunResult]]:
-    """Failure-sweep results grouped by failure rate.
-
-    ``warm_start_burn_in_s`` enables the warm-start recipe for this sweep:
-    the fig 12–14 variants differ only in failure rate, so one fault-free
-    burn-in per seed is simulated to the given simulated time and every
-    failure-rate variant forks from its seed's snapshot
-    (:class:`~repro.experiments.sweep.WarmStart`).  Results are *not*
-    byte-identical to cold runs — fault processes arm at the fork point —
-    so keep one mode per comparison set.
-    """
-    from .sweep import WarmStart
-
+    """Failure-sweep results grouped by failure rate."""
     seeds = tuple(seeds if seeds is not None else bench_seeds())
-    key = ("failure", seeds, options, warm_start_burn_in_s)
+    key = ("failure", seeds, options)
     if key not in _memo:
-        warm_start = (
-            WarmStart(burn_in_s=warm_start_burn_in_s)
-            if warm_start_burn_in_s is not None
-            else None
-        )
         results = run_sweep(
             failure_scenarios(seeds),
             processes=processes if processes is not None else bench_processes(),
             options=options,
             telemetry=telemetry,
-            warm_start=warm_start,
         )
         _memo[key] = group_by(results, lambda r: r.failure_rate_per_5000s)
     return _memo[key]  # type: ignore[return-value]

@@ -22,7 +22,6 @@ store resumes with zero recomputation (``docs/STORE.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..harness.options import RunOptions
@@ -35,44 +34,11 @@ __all__ = [
     "RetryPolicy",
     "RunError",
     "SweepError",
-    "WarmStart",
     "expand_seeds",
     "expand_protocols",
     "run_sweep",
     "group_by",
 ]
-
-@dataclass(frozen=True)
-class WarmStart:
-    """Shared burn-in for fault-surface sweeps (fig 12–14 style).
-
-    A failure-rate sweep varies only the fault surface across variants, so
-    every variant's first ``burn_in_s`` simulated seconds are identical —
-    fault-free — work.  ``run_sweep(warm_start=...)`` simulates each
-    distinct fault-quiescent base exactly once to ``burn_in_s``, writes a
-    ``peas-snapshot/1`` checkpoint, and warm-start **forks** every variant
-    from it (fresh fault RNG streams arm at the restored clock; see
-    :mod:`repro.harness.snapshot`).
-
-    Parameters
-    ----------
-    burn_in_s:
-        Simulated seconds of shared prefix; must be below every
-        scenario's ``max_time_s``.
-    snapshot_dir:
-        Where burn-in snapshots are written (created if missing).
-        ``None`` uses the sweep's result store when one is attached
-        (``options.store_dir``) — burn-ins are then cached across sweeps
-        under the current code fingerprint — and otherwise a temporary
-        directory deleted with the process.
-    """
-
-    burn_in_s: float
-    snapshot_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.burn_in_s <= 0:
-            raise ValueError("burn_in_s must be positive")
 
 
 def expand_seeds(scenarios: Iterable[Scenario], seeds: Sequence[int]) -> List[Scenario]:
@@ -91,95 +57,12 @@ def expand_protocols(
     ]
 
 
-def _prepare_warm_starts(
-    scenarios: Sequence[Scenario],
-    warm_start: WarmStart,
-    options: Optional[RunOptions],
-    telemetry,
-    store=None,
-) -> List[str]:
-    """Simulate each distinct fault-quiescent base once; map every scenario
-    to its burn-in snapshot path.  Runs serially in the parent (there are
-    few distinct bases — fig 12 has one per seed).  With a result store
-    attached (and no explicit ``snapshot_dir``), burn-ins live in the
-    store's ``snapshots/`` area keyed by config digest + code fingerprint,
-    so a later sweep re-forks from them without re-simulating."""
-    import tempfile
-    from pathlib import Path
-
-    from ..faults.plan import FaultPlan
-    from ..harness.runner import run as _run_scenario
-    from ..obs.manifest import config_hash
-    from .serialize import scenario_to_dict
-
-    for scenario in scenarios:
-        if warm_start.burn_in_s >= scenario.max_time_s:
-            raise ValueError(
-                f"warm-start burn_in_s={warm_start.burn_in_s} must be below "
-                f"every scenario's max_time_s; "
-                f"{scenario.protocol}/n={scenario.num_nodes}/"
-                f"seed={scenario.seed} has max_time_s={scenario.max_time_s}"
-            )
-        drift = [e for e in scenario.fault_plan.entries if e.kind == "clock_drift"]
-        if drift:
-            raise ValueError(
-                "clock_drift fault plans cannot be warm-started (skews "
-                "apply before the burn-in); run these scenarios without "
-                "warm_start"
-            )
-    snapshot_store = None
-    if warm_start.snapshot_dir is not None:
-        out_dir = Path(warm_start.snapshot_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    elif store is not None:
-        snapshot_store = store
-        out_dir = store.snapshots_dir
-    else:
-        out_dir = Path(tempfile.mkdtemp(prefix="peas-warm-start-"))
-    # Burn-ins run bare: the caller's capability stack (tracing, metrics)
-    # describes the variant runs, not the shared prefix.  ``store_dir`` is
-    # stripped too — the snapshot file itself is the cached artifact.
-    sanitize = options.sanitize if options is not None else False
-    paths: List[str] = []
-    built: Dict[str, str] = {}
-    for scenario in scenarios:
-        base = scenario.with_(
-            failure_per_5000s=0.0,
-            fault_plan=FaultPlan(),
-            max_time_s=warm_start.burn_in_s,
-        )
-        digest = config_hash(scenario_to_dict(base))
-        if digest not in built:
-            if snapshot_store is not None:
-                target = snapshot_store.snapshot_target(digest)
-                if snapshot_store.snapshot_valid(target):
-                    snapshot_store.note_snapshot("hit", target.name)
-                else:
-                    snapshot_store.note_snapshot("miss", target.name)
-                    _run_scenario(
-                        base,
-                        RunOptions(snapshot_path=str(target), sanitize=sanitize),
-                    )
-                    snapshot_store.note_snapshot("put", target.name)
-            else:
-                target = out_dir / f"burn-in-{digest}.json"
-                _run_scenario(
-                    base, RunOptions(snapshot_path=str(target), sanitize=sanitize)
-                )
-            built[digest] = str(target)
-        paths.append(built[digest])
-    if telemetry is not None:
-        telemetry.note_warm_start(burn_ins=len(built), forks=len(paths))
-    return paths
-
-
 def run_sweep(
     scenarios: Sequence[Scenario],
     processes: Optional[int] = None,
     options: Optional[RunOptions] = None,
     errors: str = "raise",
     telemetry=None,
-    warm_start: Optional[WarmStart] = None,
     retry: Optional[RetryPolicy] = None,
     _run_fn=None,
 ) -> List[Union[RunResult, RunError]]:
@@ -198,13 +81,6 @@ def run_sweep(
     persisted the moment its worker finishes, and re-running an
     interrupted sweep against the same store resumes with zero
     recomputation of completed ``(scenario, seed)`` pairs.
-
-    ``warm_start`` (a :class:`WarmStart`) simulates each distinct
-    fault-quiescent base scenario once to ``burn_in_s``, snapshots it
-    (``peas-snapshot/1``), and warm-start forks every variant run from the
-    shared burn-in instead of simulating it from zero — the fig 12–14
-    recipe, where variants differ only in failure rate.  With a store
-    attached, burn-in snapshots are cached in it across sweeps.
 
     ``telemetry`` (a :class:`~repro.experiments.telemetry.SweepTelemetry`)
     attaches sweep telemetry: the executor reports every run's outcome,
@@ -235,26 +111,19 @@ def run_sweep(
     pooled = processes is not None and processes > 1
     if telemetry is not None:
         telemetry.start(len(scenarios))
-    warm_paths: Optional[List[str]] = None
-    if warm_start is not None:
-        warm_paths = _prepare_warm_starts(
-            scenarios, warm_start, options, telemetry, store=store
-        )
     results = execute(
         scenarios,
         processes=processes if pooled else None,
         options=options,
         policy=policy,
         telemetry=telemetry,
-        warm_paths=warm_paths,
-        warm_burn_in_s=warm_start.burn_in_s if warm_start is not None else None,
         store=store,
         run_fn=_run_fn if _run_fn is not None else _guarded_run,
     )
     if store is not None and telemetry is not None:
         telemetry.note_store(
             misses=len(scenarios) - telemetry.store_hits,
-            evictions=store.session["evictions"] + store.session["quarantined"],
+            evictions=store.quarantined,
         )
     failures = [r for r in results if isinstance(r, RunError)]
     if telemetry is not None:

@@ -81,8 +81,6 @@ class SweepTelemetry:
         self.total = 0
         #: result-store accounting for the manifest (see note_store)
         self.store: Optional[Dict[str, int]] = None
-        #: warm-start reuse: (burn-ins simulated, variant runs forked)
-        self.warm_start: Optional[Dict[str, int]] = None
         #: pids of the pool workers that returned a run's outcome
         self.workers_seen: set = set()
         self.current: Optional[Dict[str, Any]] = None
@@ -129,16 +127,6 @@ class SweepTelemetry:
         """Begin the session for a sweep of ``total`` runs."""
         self.total = total
         self._started_at = time.time()
-        self._render(force=True)
-
-    def note_warm_start(self, burn_ins: int, forks: int) -> None:
-        """Record warm-start reuse: ``burn_ins`` shared prefixes were
-        simulated once and ``forks`` variant runs forked from them (the
-        sweep skipped ``forks - burn_ins`` burn-in simulations)."""
-        self.warm_start = {"burn_ins": int(burn_ins), "forks": int(forks)}
-        registry = self.registry
-        registry.counter("peas_sweep_warm_start_burn_ins_total").inc(burn_ins)
-        registry.counter("peas_sweep_warm_start_forks_total").inc(forks)
         self._render(force=True)
 
     def note_outcome(
@@ -218,11 +206,6 @@ class SweepTelemetry:
         if 0 < self.done < self.total:
             eta = elapsed / self.done * (self.total - self.done)
             parts.append(f"eta {eta:.0f}s")
-        if self.warm_start:
-            parts.append(
-                f"warm-start {self.warm_start['burn_ins']} burn-ins"
-                f" -> {self.warm_start['forks']} forks"
-            )
         if self.current:
             parts.append(
                 f"{self.current.get('protocol')}/n={self.current.get('nodes')}"
@@ -327,7 +310,6 @@ class SweepTelemetry:
             "quarantined": self.quarantined,
             "pool_restarts": self.pool_restarts,
             "store": self.store,
-            "warm_start": self.warm_start,
             "workers": len(self.workers_seen),
             "wall_s": round(wall_s, 3),
             "git_sha": git_sha(),

@@ -5,9 +5,9 @@ and capability stack around whichever registered protocol a scenario
 names; :class:`~repro.harness.options.RunOptions` is the picklable bundle
 of capability switches that pooled sweeps ship to workers.
 :mod:`repro.harness.snapshot` adds ``peas-snapshot/1`` checkpointing:
-:func:`~repro.harness.snapshot.resume` continues (or warm-start forks) a
-saved run, and :class:`~repro.harness.runner.LiveRun` exposes the phased
-lifecycle both paths share.
+:func:`~repro.harness.snapshot.resume` continues a saved run, and
+:class:`~repro.harness.runner.LiveRun` exposes the phased lifecycle both
+paths share.
 """
 
 from .options import RunOptions

@@ -330,18 +330,12 @@ class LiveRun:
             "components": components,
         }
 
-    def load_snapshot(self, snapshot: Dict[str, Any], *, mode: str = "resume") -> None:
-        """Rehydrate a freshly constructed run from a snapshot document.
-
-        ``mode="resume"`` continues the captured run exactly (fault state
-        included); ``mode="fork"`` warm-starts a *variant* scenario from a
-        fault-quiescent burn-in — the variant's fault engine starts fresh
-        at the restored clock instead of loading burn-in state.  Mode
-        validation (provenance, allowlist) lives in
-        :mod:`repro.harness.snapshot`; this method only applies state.
+    def load_snapshot(self, snapshot: Dict[str, Any]) -> None:
+        """Rehydrate a freshly constructed run from a snapshot document, to
+        continue the captured run exactly (fault state included).
+        Provenance checks live in :mod:`repro.harness.snapshot`; this
+        method only applies state.
         """
-        if mode not in ("resume", "fork"):
-            raise ValueError(f"unknown restore mode {mode!r}")
         if self._started or self._restored:
             raise SnapshotError(
                 "snapshots restore into a freshly constructed run; this one "
@@ -371,14 +365,8 @@ class LiveRun:
             self.traffic.load_state(components["traffic"])
         if self.gap_monitor is not None and "gaps" in components:
             self.gap_monitor.load_state(components["gaps"])
-        if mode == "resume":
-            self.faults.load_state(components["faults"])
+        self.faults.load_state(components["faults"])
         self.sim.load_state(components["engine"], self._restore_context())
-        if mode == "fork":
-            # The variant's fault processes arm *now*, at the restored
-            # clock — the burn-in was fault-quiescent, so no fault events
-            # came back through the queue.
-            self.faults.start()
 
     def _restore_context(self) -> RestoreContext:
         """Component bindings the handler resolvers look up by name."""
@@ -408,10 +396,10 @@ class LiveRun:
         scenario, options, sim = self.scenario, self.options, self.sim
         network = self.network
         chunk = scenario.run_chunk_s
-        snapshot_target = options.resolved_snapshot_path(scenario)
+        checkpoint_path = options.resolved_snapshot_path(scenario)
         checkpoint_every = options.checkpoint_every_s
         next_checkpoint: Optional[float] = None
-        if checkpoint_every is not None and snapshot_target is not None:
+        if checkpoint_every is not None and checkpoint_path is not None:
             next_checkpoint = checkpoint_every
         if sim.now > 0.0:
             # Mid-chunk restore: finish the interrupted chunk first, up to
@@ -436,12 +424,12 @@ class LiveRun:
             if self.run_metrics is not None:
                 self.run_metrics.sample_engine(sim)
             if next_checkpoint is not None and sim.now >= next_checkpoint:
-                self._write_snapshot(snapshot_target)
+                self._write_snapshot(checkpoint_path)
                 while next_checkpoint <= sim.now:
                     next_checkpoint += checkpoint_every
-        if snapshot_target is not None and next_checkpoint is None:
+        if checkpoint_path is not None and next_checkpoint is None:
             # One-shot snapshot at loop exit (natural end or stop_after_s).
-            self._write_snapshot(snapshot_target)
+            self._write_snapshot(checkpoint_path)
 
     def _write_snapshot(self, target: str) -> None:
         from .snapshot import save_snapshot

@@ -7,17 +7,9 @@ plus the scenario that produced it and provenance (code fingerprint,
 config digest) so a restore can refuse state it cannot faithfully
 continue.
 
-Two restore modes share one mechanism:
-
-* **resume** — same scenario: continue the captured run exactly.  A
-  checkpointed-then-resumed run produces the byte-identical
-  ``peas-trace/1`` suffix and identical metrics to the uninterrupted run.
-* **fork** (warm start) — the requested scenario differs from the
-  snapshot's only in the fault surface (``failure_per_5000s``,
-  ``fault_plan``) and/or ``max_time_s``.  The burn-in must have been
-  fault-quiescent; the variant's fault processes arm at the restored
-  clock on fresh RNG streams.  ``run_sweep(warm_start=...)`` uses this to
-  simulate shared burn-in once per fig-12-style sweep.
+A restore always continues the snapshot's own scenario exactly: a
+checkpointed-then-resumed run produces the byte-identical ``peas-trace/1``
+suffix and identical metrics to the uninterrupted run.
 
 See ``docs/SNAPSHOTS.md`` for the format specification and contract.
 """
@@ -38,20 +30,13 @@ from .options import RunOptions
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
-    "FORK_ALLOWED_FIELDS",
     "snapshot_provenance",
     "save_snapshot",
     "load_snapshot",
-    "classify_restore",
     "resume",
 ]
 
 SNAPSHOT_SCHEMA = "peas-snapshot/1"
-
-#: Scenario fields a warm-start fork may change; anything else must match
-#: the burn-in exactly (a different deployment, protocol or timing config
-#: would make the restored state meaningless).
-FORK_ALLOWED_FIELDS = frozenset({"failure_per_5000s", "fault_plan", "max_time_s"})
 
 
 def snapshot_provenance(scenario: Scenario, sim: Simulator) -> Dict[str, Any]:
@@ -82,51 +67,6 @@ def load_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
             f"{path}: not a {SNAPSHOT_SCHEMA} document (format={fmt!r})"
         )
     return document
-
-
-def classify_restore(
-    snapshot_scenario: Dict[str, Any], scenario: Dict[str, Any]
-) -> str:
-    """``"resume"`` when the scenario dicts match, ``"fork"`` when they
-    differ only in :data:`FORK_ALLOWED_FIELDS`; anything else raises."""
-    keys = set(snapshot_scenario) | set(scenario)
-    changed = sorted(
-        key
-        for key in keys
-        if snapshot_scenario.get(key) != scenario.get(key)
-    )
-    if not changed:
-        return "resume"
-    blocked = [key for key in changed if key not in FORK_ALLOWED_FIELDS]
-    if blocked:
-        raise SnapshotError(
-            "scenario is incompatible with the snapshot: fields "
-            f"{blocked} differ; a warm-start fork may only change "
-            f"{sorted(FORK_ALLOWED_FIELDS)}"
-        )
-    return "fork"
-
-
-def _validate_fork(
-    snapshot_scenario: Dict[str, Any], scenario: Scenario
-) -> None:
-    """Fork preconditions: quiescent burn-in, no drift in the variant."""
-    burn_in_plan = snapshot_scenario.get("fault_plan") or {}
-    if snapshot_scenario.get("failure_per_5000s", 0) != 0 or burn_in_plan.get(
-        "entries"
-    ):
-        raise SnapshotError(
-            "warm-start forks require a fault-quiescent burn-in "
-            "(failure_per_5000s=0 and an empty fault plan); this snapshot's "
-            "burn-in injected faults, so variant runs would not share it"
-        )
-    drift = [e.kind for e in scenario.fault_plan.entries if e.kind == "clock_drift"]
-    if drift:
-        raise SnapshotError(
-            "clock_drift faults cannot be introduced by a warm-start fork: "
-            "skews apply at prepare() time and the restored node states "
-            "would overwrite them; put drift in the burn-in scenario instead"
-        )
 
 
 def _check_provenance(
@@ -165,7 +105,6 @@ def resume(
     snapshot: Union[str, Path, Dict[str, Any]],
     options: Optional[RunOptions] = None,
     *,
-    scenario: Optional[Scenario] = None,
     tracer: Optional[Tracer] = None,
     force: bool = False,
 ) -> RunResult:
@@ -180,11 +119,6 @@ def resume(
         Capability stack for the restored run.  Note a restored run's
         trace contains only events *from the restore point on* — prepend
         the checkpointing run's trace for the full history.
-    scenario:
-        ``None`` resumes the snapshot's own scenario.  A different
-        scenario requests a warm-start **fork** and must differ only in
-        :data:`FORK_ALLOWED_FIELDS` (the snapshot's burn-in must have
-        been fault-quiescent).
     tracer:
         Optional live tracer, as in :func:`repro.harness.run`.
     force:
@@ -200,16 +134,10 @@ def resume(
             f"(format={snapshot.get('format')!r})"
         )
     _check_provenance(snapshot, force=force)
-    snapshot_scenario = snapshot["scenario"]
-    if scenario is None:
-        scenario = scenario_from_dict(snapshot_scenario)
-        mode = "resume"
-    else:
-        mode = classify_restore(snapshot_scenario, scenario_to_dict(scenario))
-        if mode == "fork":
-            _validate_fork(snapshot_scenario, scenario)
 
     def boot(live) -> None:
-        live.load_snapshot(snapshot, mode=mode)
+        live.load_snapshot(snapshot)
 
-    return _execute(scenario, options, tracer, None, boot)
+    return _execute(
+        scenario_from_dict(snapshot["scenario"]), options, tracer, None, boot
+    )

@@ -134,7 +134,9 @@ def summarize_trace(events: Iterable[Dict[str, Any]]) -> TraceSummary:
             summary.lambda_series.append((t, event["lam"]))
         elif ev_type == ev.RATE:
             summary.rate_series.append((t, event["new_hz"]))
-        elif ev_type == ev.ENERGY:
+        elif ev_type == ev.ENERGY and not isinstance(node, str):
+            # Anchors (str ids) are externally powered: their charges are
+            # traced but, as in ``RunResult.energy_by_category``, not summed.
             cat = event["cat"]
             summary.energy_by_cat[cat] = summary.energy_by_cat.get(cat, 0.0) + event["j"]
         elif ev_type == ev.COLLISION:

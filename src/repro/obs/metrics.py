@@ -89,8 +89,6 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "peas_sweep_retries_total": ("counter", "Same-seed retries attempted by the sweep."),
     "peas_sweep_workers": ("gauge", "Distinct pool workers that returned a run's outcome."),
     "peas_sweep_wall_seconds": ("gauge", "Wall-clock duration of the whole sweep."),
-    "peas_sweep_warm_start_burn_ins_total": ("counter", "Shared burn-in prefixes simulated for warm-started sweeps."),
-    "peas_sweep_warm_start_forks_total": ("counter", "Variant runs forked from a warm-start burn-in snapshot."),
     "peas_sweep_quarantined_total": ("counter", "Poison runs quarantined after exhausting every retry attempt."),
     "peas_sweep_pool_restarts_total": ("counter", "Process-pool respawns after worker death or run timeout."),
     "peas_store_hits_total": ("counter", "Result-store records replayed instead of simulated."),

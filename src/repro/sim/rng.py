@@ -97,9 +97,9 @@ class RngRegistry:
         """Restore stream states saved by :meth:`state_dict`.
 
         Streams absent from ``state`` are left untouched (still lazily
-        created from their derived seeds) — warm-start forks rely on this:
-        a variant's new fault streams start fresh while every burn-in
-        stream resumes mid-sequence.
+        created from their derived seeds): a stream first drawn from after
+        the checkpoint starts at its derived seed, as it would have in the
+        uninterrupted run.
         """
         if int(state["seed"]) != self.seed:
             raise ValueError(

@@ -7,9 +7,9 @@ killed pool or a poison seed is exactly the fragility the PEAS paper's
 and addressable the moment they finish:
 
 * **Key** — each record is keyed by a digest over ``(scenario
-  config_hash, seed, code fingerprint, payload-affecting options,
-  warm-start marker)``.  The config hash is the figure-row identity the
-  manifests already carry; the code fingerprint (see
+  config_hash, seed, code fingerprint, payload-affecting options)``.  The
+  config hash is the figure-row identity the manifests already carry; the
+  code fingerprint (see
   :func:`repro.obs.manifest.code_fingerprint`) hashes the actual source
   bytes so editing *any* simulation code invalidates the cache even in a
   dirty working tree where a git SHA would lie.
@@ -23,16 +23,16 @@ and addressable the moment they finish:
   file and reports a miss — a corrupt record is *recomputed, never
   trusted*.
 * **Audit** — every hit / miss / put / evict / quarantine appends one
-  NDJSON line to ``journal.ndjson``, so ``peas-repro store stats`` can
-  answer "how much did the cache actually save" after the fact and CI can
-  assert a second sweep pass was 100% hits.
+  NDJSON line to ``journal.ndjson``, the one record of these operations
+  across processes, so ``peas-repro store stats`` can answer "how much
+  did the cache actually save" after the fact and CI can assert a second
+  sweep pass was 100% hits.
 
 Layout under the store root::
 
     store.json            peas-store/1 marker + creating fingerprint
     journal.ndjson        append-only operation audit trail
     results/<key>.json    peas-result/1 records (atomic, content-keyed)
-    snapshots/*.json      warm-start burn-in snapshots (peas-snapshot/1)
     quarantine/           corrupt files moved aside, never deleted
 
 The full contract (key derivation, journal format, GC, retry policy of
@@ -139,21 +139,14 @@ class ResultStore:
     def __init__(self, root: Union[str, Path], *, create: bool = True) -> None:
         self.root = Path(root)
         self.results_dir = self.root / "results"
-        self.snapshots_dir = self.root / "snapshots"
         self.quarantine_dir = self.root / "quarantine"
         self.journal_path = self.root / "journal.ndjson"
         self.marker_path = self.root / "store.json"
         self.code_fingerprint = code_fingerprint()
-        #: Per-process counters for telemetry; the journal is the durable
-        #: cross-process record, these feed ``peas_store_*`` gauges for
-        #: *this* sweep only.
-        self.session: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "puts": 0,
-            "evictions": 0,
-            "quarantined": 0,
-        }
+        #: Files *this instance* moved to quarantine.  The journal is the
+        #: record of every operation; this count only lets a sweep report
+        #: its own quarantines and ``verify`` name the files it moved.
+        self.quarantined = 0
         if self.marker_path.exists():
             marker = json.loads(self.marker_path.read_text(encoding="utf-8"))
             if marker.get("schema") != STORE_SCHEMA:
@@ -162,12 +155,7 @@ class ResultStore:
                     f"(schema={marker.get('schema')!r})"
                 )
         elif create:
-            for directory in (
-                self.root,
-                self.results_dir,
-                self.snapshots_dir,
-                self.quarantine_dir,
-            ):
+            for directory in (self.root, self.results_dir, self.quarantine_dir):
                 directory.mkdir(parents=True, exist_ok=True)
             atomic_write_text(
                 self.marker_path,
@@ -183,7 +171,7 @@ class ResultStore:
         else:
             raise StoreError(f"{self.root}: no {STORE_SCHEMA} store here")
         # An attached pre-existing store may predate a subdirectory.
-        for directory in (self.results_dir, self.snapshots_dir, self.quarantine_dir):
+        for directory in (self.results_dir, self.quarantine_dir):
             directory.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -193,17 +181,12 @@ class ResultStore:
         self,
         scenario: "Scenario",
         options: Optional["RunOptions"] = None,
-        *,
-        warm_burn_in_s: Optional[float] = None,
     ) -> str:
         """The content-address of one ``(scenario, seed)`` run.
 
         The digest covers the scenario's full ``config_hash`` (seed
-        included), the source-tree fingerprint, the payload-affecting
-        options signature, and the warm-start burn-in marker — a
-        warm-started run's result is *not* interchangeable with a cold
-        one (the fault surface arms mid-run), so the two must never share
-        a cache slot.
+        included), the source-tree fingerprint and the payload-affecting
+        options signature.
         """
         from .experiments.serialize import scenario_to_dict
 
@@ -212,25 +195,12 @@ class ResultStore:
             "seed": int(scenario.seed),
             "code_fingerprint": self.code_fingerprint,
             "options": options_signature(options),
-            "warm_burn_in_s": warm_burn_in_s,
         }
         return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()[:32]
 
     def record_path(self, key: str) -> Path:
         """Where the record for ``key`` lives (whether or not it exists)."""
         return self.results_dir / f"{key}.json"
-
-    def snapshot_target(self, digest: str) -> Path:
-        """Where a warm-start burn-in snapshot for config ``digest`` lives.
-
-        The current code fingerprint is part of the file name: a snapshot
-        taken by different source code is simply never *found*, so stale
-        burn-ins age out to the GC instead of poisoning forked variants.
-        """
-        return (
-            self.snapshots_dir
-            / f"burn-in-{digest}-{self.code_fingerprint[:12]}.json"
-        )
 
     # ------------------------------------------------------------------
     # record operations
@@ -246,12 +216,23 @@ class ResultStore:
         :meth:`note_miss` only when they go on to recompute, so a probe
         that merely checks for work does not inflate the miss count.
         """
+        result = self._verified(key)
+        if result is not None:
+            self._journal("hit", key=key)
+        return result
+
+    def _verified(self, key: str) -> Optional["RunResult"]:
+        """The record for ``key`` if it passes every read-side check;
+        quarantines it otherwise.  Journals nothing but the quarantine."""
         from .experiments.serialize import result_from_dict
 
         path = self.record_path(key)
         try:
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
+        except OSError:
+            return None
+        except UnicodeDecodeError:
+            self._quarantine(path, reason="undecodable")
             return None
         try:
             record = json.loads(text)
@@ -277,8 +258,6 @@ class ResultStore:
         except (KeyError, TypeError, ValueError):
             self._quarantine(path, reason="payload-invalid")
             return None
-        self.session["hits"] += 1
-        self._journal("hit", key=key)
         return result
 
     def put(
@@ -287,8 +266,6 @@ class ResultStore:
         result: "RunResult",
         scenario: "Scenario",
         options: Optional["RunOptions"] = None,
-        *,
-        warm_burn_in_s: Optional[float] = None,
     ) -> Path:
         """Persist ``result`` under ``key`` (atomic; safe from pool workers).
 
@@ -306,47 +283,18 @@ class ResultStore:
             "protocol": scenario.protocol,
             "code_fingerprint": self.code_fingerprint,
             "options": options_signature(options),
-            "warm_burn_in_s": warm_burn_in_s,
             "digest": _payload_digest(result_payload),
             "result": result_payload,
         }
         path = atomic_write_text(
             self.record_path(key), json.dumps(record, sort_keys=True) + "\n"
         )
-        self.session["puts"] += 1
         self._journal("put", key=key)
         return path
 
     def note_miss(self, key: str) -> None:
         """Journal that ``key`` was absent and is being recomputed."""
-        self.session["misses"] += 1
         self._journal("miss", key=key)
-
-    def note_snapshot(self, op: str, name: str) -> None:
-        """Journal a warm-start snapshot operation (``hit``/``miss``/``put``)."""
-        if op not in ("hit", "miss", "put"):
-            raise StoreError(f"invalid snapshot journal op {op!r}")
-        self._journal(op, name=name, what="snapshot")
-
-    def snapshot_valid(self, path: Path) -> bool:
-        """Whether ``path`` holds a structurally sound burn-in snapshot.
-
-        A file that exists but does not parse as a ``peas-snapshot/1``
-        document is quarantined (same corrupt-record contract as results)
-        so the caller re-runs the burn-in instead of crashing on restore.
-        """
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            return False
-        try:
-            document = json.loads(text)
-        except ValueError:
-            document = None
-        if not isinstance(document, dict) or document.get("format") != "peas-snapshot/1":
-            self._quarantine(path, reason="snapshot-invalid")
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # maintenance: stats / verify / gc
@@ -354,7 +302,6 @@ class ResultStore:
     def stats(self) -> Dict[str, Any]:
         """Occupancy, staleness, and the journal's lifetime tallies."""
         records = sorted(self.results_dir.glob("*.json"))
-        snapshots = sorted(self.snapshots_dir.glob("*.json"))
         stale = 0
         for path in records:
             try:
@@ -371,37 +318,27 @@ class ResultStore:
             "records": len(records),
             "record_bytes": sum(p.stat().st_size for p in records),
             "stale_records": stale,
-            "snapshots": len(snapshots),
-            "snapshot_bytes": sum(p.stat().st_size for p in snapshots),
             "quarantined_files": sum(
                 1 for p in self.quarantine_dir.iterdir() if p.is_file()
             ),
             "journal": self._journal_tallies(),
-            "session": dict(self.session),
         }
 
     def verify(self) -> Dict[str, Any]:
-        """Re-verify every record and snapshot; quarantine what fails.
+        """Re-verify every record; quarantine what fails.
 
         Runs the exact read-side checks of :meth:`get` over the whole
-        store.  Returns counts plus the quarantined file names; a nonzero
-        ``quarantined`` count is the CLI's exit-1 signal.
+        store, but journals no hits: an audit is not a lookup.  Returns
+        counts plus the quarantined file names; a nonzero ``quarantined``
+        count is the CLI's exit-1 signal.
         """
         quarantined: List[str] = []
         checked = 0
         for path in sorted(self.results_dir.glob("*.json")):
             checked += 1
-            before = self.session["quarantined"]
-            key = path.stem
-            hits_before = self.session["hits"]
-            if self.get(key) is None and self.session["quarantined"] > before:
-                quarantined.append(path.name)
-            # verify() is an audit, not a lookup: undo the hit accounting.
-            self.session["hits"] = hits_before
-        for path in sorted(self.snapshots_dir.glob("*.json")):
-            checked += 1
-            before = self.session["quarantined"]
-            if not self.snapshot_valid(path) and self.session["quarantined"] > before:
+            before = self.quarantined
+            self._verified(path.stem)
+            if self.quarantined > before:
                 quarantined.append(path.name)
         return {
             "schema": "peas-store-verify/1",
@@ -417,12 +354,11 @@ class ResultStore:
         max_age_days: Optional[float] = None,
         drop_all: bool = False,
     ) -> Dict[str, Any]:
-        """Evict records and snapshots that can no longer serve a hit.
+        """Evict records that can no longer serve a hit.
 
         The default policy evicts records whose ``code_fingerprint`` does
         not match the current source tree (they are unreachable — no key
-        computed today can find them) and snapshots whose file name
-        carries a foreign fingerprint.  ``max_age_days`` additionally
+        computed today can find them).  ``max_age_days`` additionally
         evicts by file age; ``drop_all`` clears the store.  Quarantined
         files are never touched: they are the corruption evidence.
         """
@@ -442,20 +378,7 @@ class ResultStore:
             if evict:
                 path.unlink()
                 evicted.append(path.name)
-                self.session["evictions"] += 1
                 self._journal("evict", key=path.stem)
-        marker = f"-{self.code_fingerprint[:12]}.json"
-        for path in sorted(self.snapshots_dir.glob("*.json")):
-            evict = drop_all
-            if not evict and stale:
-                evict = not path.name.endswith(marker)
-            if not evict and max_age_days is not None:
-                evict = (now - path.stat().st_mtime) > max_age_days * 86400.0
-            if evict:
-                path.unlink()
-                evicted.append(path.name)
-                self.session["evictions"] += 1
-                self._journal("evict", name=path.name, what="snapshot")
         return {
             "schema": "peas-store-gc/1",
             "evicted": len(evicted),
@@ -477,7 +400,7 @@ class ResultStore:
             os.replace(path, destination)
         except OSError:
             return  # a concurrent reader already moved it
-        self.session["quarantined"] += 1
+        self.quarantined += 1
         self._journal("quarantine", name=path.name, reason=reason)
 
     def _journal(self, op: str, **fields: Optional[str]) -> None:
@@ -498,8 +421,6 @@ class ResultStore:
         """Lifetime operation counts parsed back out of the journal."""
         tallies: Dict[str, int] = {op: 0 for op in JOURNAL_OPS}
         tallies["torn"] = 0
-        for op in JOURNAL_OPS:
-            tallies[f"snapshot_{op}"] = 0
         try:
             text = self.journal_path.read_text(encoding="utf-8")
         except OSError:
@@ -513,14 +434,5 @@ class ResultStore:
                 tallies["torn"] += 1
                 continue
             op = entry.get("op") if isinstance(entry, dict) else None
-            if isinstance(entry, dict) and entry.get("what") == "snapshot":
-                name = f"snapshot_{op}"
-                if name in tallies:
-                    tallies[name] += 1
-                else:
-                    tallies["torn"] += 1
-            elif op in tallies:
-                tallies[op] += 1
-            else:
-                tallies["torn"] += 1
+            tallies[op if op in JOURNAL_OPS else "torn"] += 1
         return tallies

@@ -177,6 +177,28 @@ class TestEnergyEventsMatchTheResult:
         for category, joules in result.energy_by_category.items():
             assert math.isclose(traced[category], joules, rel_tol=1e-9), category
 
+    def test_inspect_energy_matches_energy_by_category(self, tmp_path):
+        """``peas-repro inspect`` reports the run's own energy accounting:
+        the anchors' charges, which the trace keeps, are not counted."""
+        scenario = Scenario(num_nodes=200, seed=0, max_time_s=300.0)
+        path = tmp_path / "trace.ndjson"
+        tracer = Tracer(NdjsonSink(path))
+        try:
+            result = run_scenario(scenario, tracer=tracer)
+        finally:
+            tracer.close()
+        anchor_charges = [
+            line for line in path.read_text().splitlines()
+            if '"ev":"energy"' in line and '"node":"anchor' in line
+        ]
+        assert anchor_charges  # non-vacuous: anchors were charged
+        summary = summarize_trace_file(path)
+        assert set(summary.energy_by_cat) == set(result.energy_by_category)
+        for category, joules in result.energy_by_category.items():
+            assert math.isclose(
+                summary.energy_by_cat[category], joules, rel_tol=1e-9
+            ), category
+
 
 class TestManifestProvenance:
     def test_manifest_block(self):

@@ -3,19 +3,11 @@
 * A checkpointed-then-restored run's NDJSON trace, concatenated after the
   checkpointing run's prefix, is **byte-identical** to the uninterrupted
   run's trace file, and the restored ``RunResult`` metrics match exactly.
-* ``run_sweep(warm_start=...)`` simulates one fault-quiescent burn-in per
-  distinct base and forks every failure-rate variant from it, with the
-  telemetry reporting the reuse.
 """
 
 import dataclasses
-import json
 
-import pytest
-
-from repro.experiments import Scenario, run_sweep
-from repro.experiments.sweep import WarmStart
-from repro.experiments.telemetry import SweepTelemetry
+from repro.experiments import Scenario
 from repro.harness import RunOptions, load_snapshot, resume, run
 
 SCENARIO = Scenario(
@@ -79,63 +71,3 @@ class TestCheckpointRestore:
         assert not resolved.with_name(resolved.name + ".tmp").exists()
         restored = resume(resolved)
         assert comparable(restored) == comparable(full)
-
-
-RATES = (5.33, 16.0, 32.0)
-
-
-def failure_variants(seeds=(1,)):
-    base = Scenario(
-        num_nodes=24,
-        seed=1,
-        field_size=(16.0, 16.0),
-        with_traffic=False,
-        max_time_s=4_000.0,
-    )
-    return [
-        base.with_(failure_per_5000s=rate, seed=seed)
-        for seed in seeds
-        for rate in RATES
-    ]
-
-
-class TestWarmStartSweep:
-    def test_variants_share_one_burn_in_and_telemetry_reports_it(
-        self, tmp_path
-    ):
-        telemetry = SweepTelemetry(tmp_path / "out", label="warm")
-        results = run_sweep(
-            failure_variants(),
-            warm_start=WarmStart(
-                burn_in_s=1_000.0, snapshot_dir=tmp_path / "snaps"
-            ),
-            telemetry=telemetry,
-        )
-        assert telemetry.warm_start == {"burn_ins": 1, "forks": 3}
-        snaps = list((tmp_path / "snaps").glob("burn-in-*.json"))
-        assert len(snaps) == 1  # one shared prefix for all three variants
-        manifest = json.loads(
-            (tmp_path / "out" / "manifest.json").read_text()
-        )
-        assert manifest["warm_start"] == {"burn_ins": 1, "forks": 3}
-        by_rate = {r.failure_rate_per_5000s: r for r in results}
-        failures = [by_rate[rate].failures_injected for rate in RATES]
-        assert failures == sorted(failures) and failures[0] < failures[-1]
-
-    def test_distinct_seeds_get_distinct_burn_ins(self, tmp_path):
-        telemetry = SweepTelemetry(tmp_path / "out", label="warm")
-        run_sweep(
-            failure_variants(seeds=(1, 2)),
-            warm_start=WarmStart(
-                burn_in_s=1_000.0, snapshot_dir=tmp_path / "snaps"
-            ),
-            telemetry=telemetry,
-        )
-        assert telemetry.warm_start == {"burn_ins": 2, "forks": 6}
-
-    def test_burn_in_must_end_before_every_horizon(self, tmp_path):
-        with pytest.raises(ValueError, match="burn_in_s"):
-            run_sweep(
-                failure_variants(),
-                warm_start=WarmStart(burn_in_s=9_000.0),
-            )

@@ -29,7 +29,6 @@ from repro.experiments import (
     RetryPolicy,
     Scenario,
     SweepTelemetry,
-    WarmStart,
     expand_seeds,
     result_to_dict,
     run_sweep,
@@ -65,33 +64,27 @@ def _journal_ops(store_root):
 # injected-failure run functions (module-level: pool workers must pickle them)
 # ---------------------------------------------------------------------------
 
-def _crash_once_run(scenario, warm_snapshot=None, *, options, warm_burn_in_s=None):
+def _crash_once_run(scenario, *, options):
     """SIGKILL-equivalent worker death, once, for one seed."""
     sentinel = os.environ["REPRO_TEST_CRASH_SENTINEL"]
     if scenario.seed == 2 and not os.path.exists(sentinel):
         open(sentinel, "w").close()
         os._exit(42)
-    return _guarded_run(
-        scenario, warm_snapshot, options=options, warm_burn_in_s=warm_burn_in_s
-    )
+    return _guarded_run(scenario, options=options)
 
 
-def _hang_run(scenario, warm_snapshot=None, *, options, warm_burn_in_s=None):
+def _hang_run(scenario, *, options):
     """One seed never returns; everyone else is normal."""
     if scenario.seed == 1:
         time.sleep(600.0)
-    return _guarded_run(
-        scenario, warm_snapshot, options=options, warm_burn_in_s=warm_burn_in_s
-    )
+    return _guarded_run(scenario, options=options)
 
 
-def _poison_run(scenario, warm_snapshot=None, *, options, warm_burn_in_s=None):
+def _poison_run(scenario, *, options):
     """One seed fails deterministically on every attempt."""
     if scenario.seed == 1:
         raise RuntimeError(f"poison seed {scenario.seed}")
-    return _guarded_run(
-        scenario, warm_snapshot, options=options, warm_burn_in_s=warm_burn_in_s
-    )
+    return _guarded_run(scenario, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -341,35 +334,3 @@ class TestWorkerDeath:
         assert refailure.scenario.seed == 1
         store = ResultStore(store_root, create=False)
         assert store.stats()["journal"]["hit"] == 3
-
-
-# ---------------------------------------------------------------------------
-# warm-start burn-ins cached in the store
-# ---------------------------------------------------------------------------
-
-class TestWarmStartCaching:
-    def test_burn_in_snapshots_cached_across_sweeps(self, tmp_path):
-        store_root = str(tmp_path / "store")
-        scenarios = [
-            BASE.with_(seed=7, failure_per_5000s=rate) for rate in (4.0, 8.0)
-        ]
-        options = RunOptions(store_dir=store_root)
-        warm = WarmStart(burn_in_s=400.0)
-
-        first = run_sweep(scenarios, options=options, warm_start=warm)
-        store = ResultStore(store_root, create=False)
-        snapshots = list(store.snapshots_dir.iterdir())
-        assert len(snapshots) == 1  # one fault-quiescent base, shared
-        assert store.code_fingerprint[:12] in snapshots[0].name
-        tallies = store.stats()["journal"]
-        assert tallies["snapshot_miss"] == 1
-        assert tallies["snapshot_put"] == 1
-
-        second = run_sweep(scenarios, options=options, warm_start=warm)
-        tallies = ResultStore(store_root, create=False).stats()["journal"]
-        assert tallies["snapshot_hit"] >= 1
-        assert tallies["snapshot_put"] == 1  # burn-in simulated exactly once
-        assert tallies["hit"] == 2  # ... and both variant runs replayed
-        assert [_comparable(r) for r in second] == [
-            _comparable(r) for r in first
-        ]

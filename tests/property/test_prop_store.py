@@ -100,7 +100,7 @@ class TestStoreHonesty:
             if not path.exists():
                 assert (
                     list(store.quarantine_dir.iterdir())
-                    or store.session["quarantined"] > 0
+                    or store.quarantined > 0
                 )
         else:
             # The flip landed somewhere semantically dead (e.g. turned one

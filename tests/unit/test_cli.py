@@ -58,18 +58,6 @@ class TestParser:
         assert defaults.checkpoint_every is None
         assert not defaults.force_restore
 
-    def test_run_restore_fork_flags(self):
-        args = build_parser().parse_args(
-            ["run", "--restore", "ck.json", "--force-restore",
-             "--fork-failure-rate", "32", "--fork-faults", "plan.json",
-             "--fork-max-time", "9000"]
-        )
-        assert args.restore == "ck.json"
-        assert args.force_restore
-        assert args.fork_failure_rate == 32.0
-        assert args.fork_faults == "plan.json"
-        assert args.fork_max_time == 9000.0
-
     def test_robustness_command_exists(self):
         assert build_parser().parse_args(["robustness"]).command == "robustness"
 

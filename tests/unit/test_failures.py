@@ -113,3 +113,31 @@ class TestInjection:
         gaps = [b - a for a, b in zip(times, times[1:])]
         mean_gap = sum(gaps) / len(gaps)
         assert mean_gap == pytest.approx(50.0, rel=0.15)
+
+    def test_victim_choice_ignores_the_alive_set_iteration_order(self):
+        """A frozenset of int ids stops iterating in sorted order once
+        enough ids are removed (127 alive nodes of 482 in a fig9 run), so
+        the victim must be drawn from a canonical order, never from the
+        provider's: equal seeds kill the same nodes whatever order the
+        alive ids come back in."""
+
+        def victims(order):
+            sim = Simulator()
+            alive = set(range(40))
+            killed = []
+
+            def kill(node_id):
+                alive.discard(node_id)
+                killed.append(node_id)
+
+            injector = FailureInjector(
+                sim, 0.1, lambda: order(alive), kill, random.Random(7)
+            )
+            injector.start()
+            sim.run(until=300.0)
+            return killed
+
+        ascending = victims(sorted)
+        descending = victims(lambda ids: sorted(ids, reverse=True))
+        assert len(ascending) >= 10
+        assert descending == ascending

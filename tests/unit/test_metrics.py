@@ -320,7 +320,6 @@ class TestCatalogueCoverage:
             SimpleNamespace(metrics=None),
         ]
         # The executor's reports, in the order a pooled sweep makes them.
-        telemetry.note_warm_start(burn_ins=1, forks=2)
         telemetry.note_store_hit(scenarios[2])
         telemetry.note_outcome(scenarios[0], worker=101)
         telemetry.note_retry(scenarios[1])

@@ -1,7 +1,6 @@
-"""Unit contracts for ``peas-snapshot/1``: path templating, restore
-classification, fork preconditions, provenance enforcement and the atomic
-file format.  The end-to-end byte-identity story lives in
-``tests/integration/test_snapshot_roundtrip.py`` and
+"""Unit contracts for ``peas-snapshot/1``: path templating, provenance
+enforcement and the atomic file format.  The end-to-end byte-identity
+story lives in ``tests/integration/test_snapshot_roundtrip.py`` and
 ``tests/property/test_prop_snapshot.py``.
 """
 
@@ -10,15 +9,10 @@ import json
 import pytest
 
 from repro.experiments import Scenario
-from repro.experiments.serialize import scenario_to_dict
-from repro.faults import FaultPlan, load_fault_plan
 from repro.harness import RunOptions, load_snapshot, run, save_snapshot
 from repro.harness.snapshot import (
-    FORK_ALLOWED_FIELDS,
     SNAPSHOT_SCHEMA,
     _check_provenance,
-    _validate_fork,
-    classify_restore,
     resume,
 )
 from repro.obs.manifest import code_fingerprint
@@ -67,51 +61,6 @@ class TestSnapshotPathTemplating:
             RunOptions(checkpoint_every_s=100.0)
         with pytest.raises(ValueError, match="positive"):
             RunOptions(stop_after_s=-1.0)
-
-
-# ------------------------------------------------------- restore classify
-class TestClassifyRestore:
-    def test_identical_scenarios_resume(self):
-        d = scenario_to_dict(SCENARIO)
-        assert classify_restore(d, dict(d)) == "resume"
-
-    @pytest.mark.parametrize("field,value", [
-        ("failure_per_5000s", 32.0),
-        ("max_time_s", 123.0),
-    ])
-    def test_allowlisted_changes_fork(self, field, value):
-        base = scenario_to_dict(SCENARIO)
-        assert classify_restore(
-            base, scenario_to_dict(SCENARIO.with_(**{field: value}))
-        ) == "fork"
-
-    def test_blocked_field_raises_naming_it(self):
-        base = scenario_to_dict(SCENARIO)
-        variant = scenario_to_dict(SCENARIO.with_(num_nodes=99, seed=5))
-        with pytest.raises(SnapshotError) as err:
-            classify_restore(base, variant)
-        message = str(err.value)
-        assert "num_nodes" in message and "seed" in message
-        for allowed in sorted(FORK_ALLOWED_FIELDS):
-            assert allowed in message
-
-    def test_fork_requires_quiescent_burn_in(self):
-        dirty = scenario_to_dict(SCENARIO.with_(failure_per_5000s=8.0))
-        with pytest.raises(SnapshotError, match="fault-quiescent"):
-            _validate_fork(dirty, SCENARIO.with_(failure_per_5000s=16.0))
-
-    def test_fork_rejects_clock_drift_variants(self, tmp_path):
-        plan_file = tmp_path / "plan.json"
-        plan_file.write_text(json.dumps({
-            "schema": "peas-faultplan/1",
-            "entries": [{"kind": "clock_drift", "max_skew": 0.05}],
-        }), encoding="utf-8")
-        drifty = SCENARIO.with_(fault_plan=load_fault_plan(plan_file))
-        quiescent = scenario_to_dict(
-            SCENARIO.with_(failure_per_5000s=0.0, fault_plan=FaultPlan())
-        )
-        with pytest.raises(SnapshotError, match="clock_drift"):
-            _validate_fork(quiescent, drifty)
 
 
 # ------------------------------------------------------------- provenance
