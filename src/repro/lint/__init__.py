@@ -2,11 +2,12 @@
 
 The PEAS results are only meaningful because every run is a pure function
 of its seed.  This package turns the conventions that guarantee that —
-named :class:`~repro.sim.rng.RngRegistry` streams, no wall-clock reads in
-simulation code, snapshot- and fork-safe callbacks — into machine-checked
-rules with a violations baseline.  Only what no runtime check catches is
-linted: trace-schema and metric-name drift fail at run time
-(:func:`repro.obs.schema.validate_event`,
+draws from :class:`~repro.sim.rng.RngRegistry` streams, no wall-clock
+reads in simulation code, snapshot- and fork-safe callbacks — into
+per-file, machine-checked rules with a violations baseline.  Only what no
+runtime check catches is linted: RNG-stream-name, trace-schema and
+metric-name drift fail at run time (:meth:`repro.sim.rng.RngRegistry.stream`,
+:func:`repro.obs.schema.validate_event`,
 :class:`repro.obs.metrics.MetricsRegistry`), and hot-path cost is
 measured by the perfbench ledger.
 
@@ -14,8 +15,7 @@ Layout:
 
 * :mod:`repro.lint.framework` — the pluggable AST checker framework;
 * :mod:`repro.lint.rules_determinism` — D1xx determinism rules;
-* :mod:`repro.lint.graph` — the whole-program call graph and its cache;
-* :mod:`repro.lint.rules_flow` — W4xx whole-program and capture rules;
+* :mod:`repro.lint.rules_flow` — W403/W404 capture rules;
 * :mod:`repro.lint.baseline` — the accepted-findings ratchet;
 * :mod:`repro.lint.cli` — ``peas-lint`` / ``peas-repro lint``.
 

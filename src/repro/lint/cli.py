@@ -6,15 +6,9 @@ Also exposed as ``peas-repro lint``.  Typical invocations::
     peas-lint src/ --baseline lint-baseline.json     # CI ratchet mode
     peas-lint src/ --select determinism              # one category
     peas-lint src/ --format json --output lint.json  # machine-readable
-    peas-lint src/ --graph json > callgraph.json     # dump the call graph
-    peas-lint src/ --explain <fingerprint>           # print a finding's chain
     peas-lint --list-rules
 
 Exit codes: 0 clean (or fully baselined), 1 new findings, 2 usage error.
-
-The whole-program rules (W401/W402) cache per-file call-graph
-summaries in ``<root>/.peas-lint-cache.json`` keyed by content hash, so
-warm runs skip re-parsing unchanged files; ``--no-cache`` disables this.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from .baseline import (
     save_baseline,
 )
 from .framework import LintError, all_checkers, lint_paths
-from .graph import CACHE_FILENAME, build_program
 from .violations import CATEGORY_DETERMINISM, Violation
 
 __all__ = ["main", "build_parser", "run_lint"]
@@ -67,15 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: cwd)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--graph", choices=("json", "dot"), default=None,
-                        help="dump the whole-program call graph instead of "
-                             "linting")
-    parser.add_argument("--explain", metavar="FINGERPRINT", default=None,
-                        help="print one finding in full (message plus call "
-                             "chain / details) and exit")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the per-file summary "
-                             "cache (.peas-lint-cache.json)")
     return parser
 
 
@@ -126,31 +110,7 @@ def run_lint(argv: Optional[List[str]] = None) -> int:
               f"{', '.join(map(str, missing))}", file=sys.stderr)
         return 2
     root = Path(args.root) if args.root else Path.cwd()
-    cache_path = None if args.no_cache else root / CACHE_FILENAME
-
-    if args.graph:
-        graph = build_program(paths, root=root, cache_path=cache_path)
-        print(graph.to_json() if args.graph == "json" else graph.to_dot(),
-              end="" if args.graph == "dot" else "\n")
-        return 0
-
-    violations = lint_paths(paths, checkers, root=root, cache_path=cache_path)
-
-    if args.explain:
-        matches = [v for v in violations if v.fingerprint() == args.explain]
-        if not matches:
-            print(f"peas-lint: no finding with fingerprint {args.explain!r} "
-                  "in the current lint scope", file=sys.stderr)
-            return 2
-        for violation in matches:
-            print(violation.render())
-            print(f"  fingerprint: {violation.fingerprint()}")
-            if violation.source_line:
-                print(f"  source: {violation.source_line}")
-            if violation.details:
-                for line in violation.details.splitlines():
-                    print(f"  {line}")
-        return 0
+    violations = lint_paths(paths, checkers, root=root)
 
     if args.baseline and args.update_baseline:
         try:

@@ -48,11 +48,9 @@ __all__ = [
     "SIM_SCOPED_PREFIXES",
 ]
 
-#: Packages whose code runs *inside* the simulation: wall-clock reads or
-#: global RNG state here break seed-reproducibility.  (``repro.perf`` and
-#: ``repro.experiments`` measure real wall time on purpose and are out of
-#: scope; ``repro.obs`` only observes — its one audited clock read is the
-#: ``wall_clock_s`` provenance boundary.)
+#: Packages whose code runs *inside* the simulation: set iteration (D104)
+#: and descriptor-less scheduled callbacks (W404) here break
+#: seed-reproducibility and snapshots.
 SIM_SCOPED_PREFIXES = (
     "repro/sim/",
     "repro/net/",
@@ -221,27 +219,11 @@ def lint_paths(
     paths: Sequence[Path],
     checkers: Optional[Sequence[Checker]] = None,
     root: Optional[Path] = None,
-    cache_path: Optional[Path] = None,
 ) -> List[Violation]:
-    """Lint every Python file under ``paths`` with the given rule set.
-
-    Runs the per-file rules first, then — when the rule set contains
-    whole-program checkers (``W401``/``W402``) — builds the
-    :class:`~repro.lint.graph.ProgramGraph` over the same files and runs
-    them once.  ``cache_path`` persists per-file graph summaries between
-    runs (see :class:`~repro.lint.graph.SummaryCache`); ``None`` disables
-    caching.
-    """
+    """Lint every Python file under ``paths`` with the given rule set."""
     active = list(checkers) if checkers is not None else all_checkers()
     findings: List[Violation] = []
     for path in iter_python_files(paths):
         findings.extend(lint_file(path, active, root=root))
-    program = [c for c in active if getattr(c, "whole_program", False)]
-    if program:
-        from .graph import build_program  # late: graph imports this module
-
-        graph = build_program(paths, root=root, cache_path=cache_path)
-        for checker in program:
-            findings.extend(checker.check_program(graph))  # type: ignore[attr-defined]
     findings.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return findings

@@ -45,9 +45,6 @@ class Violation:
     message: str
     #: stripped text of the offending source line (fingerprint input)
     source_line: str = field(default="", compare=False)
-    #: optional multi-line elaboration (e.g. a W401 call chain, printed by
-    #: ``peas-lint --explain <fingerprint>``); not part of the fingerprint
-    details: str = field(default="", compare=False)
 
     def fingerprint(self) -> str:
         """Stable identity for baselining: path + rule + line *content*."""
@@ -55,7 +52,7 @@ class Violation:
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
     def as_dict(self) -> Dict[str, Any]:
-        payload = {
+        return {
             "rule": self.rule,
             "name": self.name,
             "category": self.category,
@@ -65,9 +62,6 @@ class Violation:
             "message": self.message,
             "fingerprint": self.fingerprint(),
         }
-        if self.details:
-            payload["details"] = self.details
-        return payload
 
     def render(self) -> str:
         return (

@@ -40,16 +40,15 @@ __all__ = [
 MANIFEST_SCHEMA = "peas-manifest/1"
 
 
-def wall_clock_s() -> float:  # peas-lint: wallclock-boundary
+def wall_clock_s() -> float:
     """Monotonic wall-clock reading for manifest ``timing`` provenance.
 
-    The single audited host-clock read the simulation stack is allowed to
-    reach: harness and CLI code time *runs* (never simulated events)
-    through this helper, and its value only ever lands in the volatile
-    ``timing`` block that bit-identity comparisons drop.  The marker on
-    the ``def`` line tells the whole-program lint rule (``W401``) not to
-    traverse it; calling it from event-driven code would still be caught
-    at any un-audited ``time.*`` site.
+    The single host-clock read the simulation stack is allowed to reach:
+    harness and CLI code time *runs* (never simulated events) through this
+    helper, and its value only ever lands in the volatile ``timing`` block
+    that bit-identity comparisons drop.  This module is one of lint rule
+    D103's host-timing modules; a clock read anywhere outside them fails
+    lint.
     """
     return time.perf_counter()
 

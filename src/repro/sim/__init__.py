@@ -33,7 +33,7 @@ from .events import (
     EventQueueEmpty,
 )
 from .process import PeriodicProcess, Timer, start_process
-from .rng import RngRegistry, derive_seed
+from .rng import RngRegistry, UndeclaredStreamError, derive_seed
 from .streams import STREAM_NAMES, stream_declared
 from .trace import CounterSet, SeriesRecorder, TimeWeightedValue
 
@@ -57,6 +57,7 @@ __all__ = [
     "PeriodicProcess",
     "start_process",
     "RngRegistry",
+    "UndeclaredStreamError",
     "derive_seed",
     "STREAM_NAMES",
     "stream_declared",

@@ -11,7 +11,10 @@ its own named stream derived from a single master seed.  This gives:
 
 Streams are ``random.Random`` instances seeded by a stable 64-bit hash of
 ``(master_seed, name)`` computed with BLAKE2b, so stream derivation does not
-depend on Python's randomized ``hash()``.
+depend on Python's randomized ``hash()``.  Every name must be declared in
+the :data:`~repro.sim.streams.STREAM_NAMES` catalogue: the registry raises
+:class:`UndeclaredStreamError` the first time it would create a stream
+under any other name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ import hashlib
 import random
 from typing import Any, Dict, Iterator, List
 
-__all__ = ["RngRegistry", "derive_seed"]
+from .streams import stream_declared
+
+__all__ = ["RngRegistry", "UndeclaredStreamError", "derive_seed"]
+
+
+class UndeclaredStreamError(ValueError):
+    """A stream name the ``STREAM_NAMES`` catalogue does not declare."""
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -50,30 +59,22 @@ class RngRegistry:
         self._streams: Dict[str, random.Random] = {}
 
     def stream(self, name: str) -> random.Random:
-        """Return the stream for ``name``, creating it on first use."""
+        """Return the stream for ``name``, creating it on first use.
+
+        Raises :class:`UndeclaredStreamError` when a stream would be
+        created under a name :func:`~repro.sim.streams.stream_declared`
+        rejects.
+        """
         stream = self._streams.get(name)
         if stream is None:
+            if not stream_declared(name):
+                raise UndeclaredStreamError(
+                    f"undeclared RNG stream name {name!r}; add it to "
+                    "repro.sim.streams.STREAM_NAMES"
+                )
             stream = random.Random(derive_seed(self.seed, name))
             self._streams[name] = stream
         return stream
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Create a sub-registry whose master seed is derived from ``name``.
-
-        Used to give each node its own family of streams without every
-        caller having to agree on globally unique stream names.
-        """
-        return RngRegistry(derive_seed(self.seed, name))
-
-    def exponential(self, name: str, rate: float) -> float:
-        """Draw from Exp(rate) on stream ``name``; rate must be positive."""
-        if rate <= 0:
-            raise ValueError(f"exponential rate must be positive, got {rate}")
-        return self.stream(name).expovariate(rate)
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """Draw Uniform(low, high) on stream ``name``."""
-        return self.stream(name).uniform(low, high)
 
     def names(self) -> Iterator[str]:
         """Names of streams created so far (diagnostic)."""
@@ -99,7 +100,8 @@ class RngRegistry:
         Streams absent from ``state`` are left untouched (still lazily
         created from their derived seeds): a stream first drawn from after
         the checkpoint starts at its derived seed, as it would have in the
-        uninterrupted run.
+        uninterrupted run.  A name outside the catalogue raises
+        :class:`UndeclaredStreamError`.
         """
         if int(state["seed"]) != self.seed:
             raise ValueError(

@@ -1,9 +1,10 @@
 """Runtime invariant sanitizer: cheap, toggleable protocol/engine checks.
 
-``SimSanitizer`` is the dynamic counterpart of :mod:`repro.lint`: instead of
-reading the source it watches a *running* simulation and raises
-:class:`InvariantViolation` the moment reality diverges from the protocol's
-contracts:
+``SimSanitizer`` is the dynamic counterpart of :mod:`repro.lint` (as is
+:meth:`~repro.sim.rng.RngRegistry.stream`, which refuses stream names the
+catalogue does not declare): instead of reading the source it watches a
+*running* simulation and raises :class:`InvariantViolation` the moment
+reality diverges from the protocol's contracts:
 
 * **monotonic time** — event timestamps never go backwards;
 * **legal transmission** — sleeping/dead nodes never put frames on the air

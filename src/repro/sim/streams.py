@@ -2,32 +2,31 @@
 
 :data:`STREAM_NAMES` is the single source of truth for the
 :class:`~repro.sim.rng.RngRegistry` stream vocabulary, mirroring the
-``METRIC_NAMES`` design in :mod:`repro.obs.metrics`: a **literal** dict
-(keep it statically parseable — the ``W402`` lint rule reads it as AST,
-never importing this module) mapping stream names to one-line descriptions
-of what draws from them.
+``METRIC_NAMES`` design in :mod:`repro.obs.metrics`: a dict mapping stream
+names to one-line descriptions of what draws from them.
 
 Why a catalogue at all: stream names are the seed-derivation keys
 (``derive_seed(master, name)``), so a typo'd or drifting name silently
 forks the RNG state of whatever component uses it — same master seed,
-different draws, no error.  With the catalogue, every
-``RngRegistry.stream("...")`` call site anywhere in the tree is
-cross-checked statically (``peas-lint`` rule ``W402``) and the registry
-self-check test (``tests/unit/test_streams_registry.py``) asserts the
-catalogue and the call sites cover each other.
+different draws, no error.  With the catalogue, the registry refuses to
+create a stream whose name it does not declare
+(:class:`~repro.sim.rng.UndeclaredStreamError`, raised at the call and on
+snapshot restore), and the self-check test
+(``tests/unit/test_streams_registry.py``) asserts the catalogue and the
+call sites cover each other.
 
 Families: a key ending in ``.*`` declares a dynamically-suffixed family —
 ``node.*`` covers ``node.0``, ``node.1``, ... — for call sites that build
 the name from an f-string with that literal prefix.
 
 Adding a stream: add its name here (alphabetical), then use it.  A name
-used but not declared fails lint; a name declared but never used fails the
-self-check test.
+used but not declared raises on first use; a name declared but never used
+fails the self-check test.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 __all__ = ["STREAM_NAMES", "stream_declared"]
 
@@ -40,6 +39,7 @@ STREAM_NAMES: Dict[str, str] = {
     "channel": "broadcast-channel loss coin flips and RSSI irregularity",
     "deployment": "node placement over the field (all deployment models)",
     "duty": "duty-cycle baseline: initial phase offsets",
+    "events": "sensing target-event arrivals and dwells (detection studies)",
     "failures": "ambient §5.3 Poisson crash process (legacy stream name)",
     "faults.*": "per-plan-entry fault model streams (faults.<i>.<kind>)",
     "grab": "GRAB mesh forwarding coin flips",
@@ -47,12 +47,12 @@ STREAM_NAMES: Dict[str, str] = {
     "span": "Span baseline: backoff and rotation draws",
 }
 
+#: literal heads of the ``.*`` families (``"node."``, ...)
+_FAMILY_PREFIXES: Tuple[str, ...] = tuple(
+    key[:-1] for key in STREAM_NAMES if key.endswith(".*")
+)
+
 
 def stream_declared(name: str) -> bool:
     """Is ``name`` covered by the catalogue (exact entry or family)?"""
-    if name in STREAM_NAMES:
-        return True
-    for key in STREAM_NAMES:
-        if key.endswith(".*") and name.startswith(key[:-1]):
-            return True
-    return False
+    return name in STREAM_NAMES or name.startswith(_FAMILY_PREFIXES)

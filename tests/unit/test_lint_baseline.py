@@ -19,7 +19,6 @@ from repro.lint import (
 )
 from repro.lint.baseline import BaselineError
 from repro.lint.cli import run_lint
-from repro.lint.graph import CACHE_FILENAME
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -91,9 +90,6 @@ def test_determinism_findings_are_refused(tmp_path):
 
 
 def test_cli_update_refuses_determinism(tmp_path, monkeypatch):
-    # Without --root the cache lands in the cwd: keep it out of the checkout.
-    repo_cache = REPO_ROOT / CACHE_FILENAME
-    before = repo_cache.read_bytes() if repo_cache.exists() else None
     monkeypatch.chdir(tmp_path)
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\nx = random.random()\n")
@@ -101,7 +97,6 @@ def test_cli_update_refuses_determinism(tmp_path, monkeypatch):
     assert run_lint([str(dirty), "--baseline", str(baseline),
                      "--update-baseline"]) == 2
     assert not baseline.exists()
-    assert (repo_cache.read_bytes() if repo_cache.exists() else None) == before
 
 
 def test_cli_ratchet_suppresses_then_catches_new(tmp_path):
@@ -145,7 +140,7 @@ def test_committed_baseline_contains_no_determinism_entries():
 
 #: ``repro.lint`` holds only the rules no runtime check covers
 #: (determinism and fork/snapshot safety); a new rule must fit here.
-LINT_LINE_BUDGET = 2450
+LINT_LINE_BUDGET = 1199
 
 
 def test_lint_package_stays_within_its_line_budget():

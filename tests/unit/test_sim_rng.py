@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import RngRegistry, derive_seed
+from repro.sim import RngRegistry, UndeclaredStreamError, derive_seed
 
 
 class TestDeriveSeed:
@@ -23,62 +23,57 @@ class TestDeriveSeed:
 class TestRngRegistry:
     def test_same_name_returns_same_stream(self):
         rngs = RngRegistry(seed=1)
-        assert rngs.stream("a") is rngs.stream("a")
+        assert rngs.stream("channel") is rngs.stream("channel")
 
     def test_streams_are_independent(self):
         rngs = RngRegistry(seed=1)
-        a = [rngs.stream("a").random() for _ in range(5)]
-        b = [rngs.stream("b").random() for _ in range(5)]
+        a = [rngs.stream("deployment").random() for _ in range(5)]
+        b = [rngs.stream("battery").random() for _ in range(5)]
         assert a != b
 
     def test_replay_across_registries(self):
-        draws1 = [RngRegistry(seed=9).stream("x").random() for _ in range(1)]
-        draws2 = [RngRegistry(seed=9).stream("x").random() for _ in range(1)]
+        draws1 = [RngRegistry(seed=9).stream("node.3").random() for _ in range(1)]
+        draws2 = [RngRegistry(seed=9).stream("node.3").random() for _ in range(1)]
         assert draws1 == draws2
 
     def test_different_master_seeds_differ(self):
-        a = RngRegistry(seed=1).stream("x").random()
-        b = RngRegistry(seed=2).stream("x").random()
+        a = RngRegistry(seed=1).stream("node.3").random()
+        b = RngRegistry(seed=2).stream("node.3").random()
         assert a != b
 
     def test_consuming_one_stream_does_not_perturb_another(self):
         rngs1 = RngRegistry(seed=5)
-        rngs1.stream("noise").random()
-        value_after_noise = rngs1.stream("signal").random()
+        rngs1.stream("channel").random()
+        value_after_noise = rngs1.stream("deployment").random()
         rngs2 = RngRegistry(seed=5)
-        value_clean = rngs2.stream("signal").random()
+        value_clean = rngs2.stream("deployment").random()
         assert value_after_noise == value_clean
-
-    def test_spawn_derives_child_registry(self):
-        parent = RngRegistry(seed=3)
-        child_a = parent.spawn("node.1")
-        child_b = parent.spawn("node.2")
-        assert child_a.seed != child_b.seed
-        assert parent.spawn("node.1").seed == child_a.seed
-
-    def test_exponential_draw_positive(self):
-        rngs = RngRegistry(seed=1)
-        for _ in range(100):
-            assert rngs.exponential("e", rate=0.5) > 0
-
-    def test_exponential_invalid_rate(self):
-        with pytest.raises(ValueError):
-            RngRegistry(seed=1).exponential("e", rate=0.0)
-
-    def test_exponential_mean_close_to_inverse_rate(self):
-        rngs = RngRegistry(seed=1)
-        draws = [rngs.exponential("e", rate=2.0) for _ in range(20000)]
-        mean = sum(draws) / len(draws)
-        assert mean == pytest.approx(0.5, rel=0.05)
-
-    def test_uniform_within_bounds(self):
-        rngs = RngRegistry(seed=1)
-        for _ in range(100):
-            value = rngs.uniform("u", 2.0, 3.0)
-            assert 2.0 <= value <= 3.0
 
     def test_names_lists_created_streams(self):
         rngs = RngRegistry(seed=1)
-        rngs.stream("b")
-        rngs.stream("a")
-        assert list(rngs.names()) == ["a", "b"]
+        rngs.stream("node.0")
+        rngs.stream("deployment")
+        assert list(rngs.names()) == ["deployment", "node.0"]
+
+
+class TestUndeclaredStreams:
+    @pytest.mark.parametrize("name", ["nodeX", "unheard-of"])
+    def test_undeclared_name_raises_naming_the_catalogue(self, name):
+        rngs = RngRegistry(seed=1)
+        with pytest.raises(UndeclaredStreamError, match="STREAM_NAMES") as err:
+            rngs.stream(name)
+        assert repr(name) in str(err.value)
+        assert list(rngs.names()) == []
+
+    @pytest.mark.parametrize("name", ["node.anchor0", "faults.3.region"])
+    def test_family_members_pass(self, name):
+        rngs = RngRegistry(seed=1)
+        assert rngs.stream(name) is rngs.stream(name)
+
+    def test_restoring_an_undeclared_stream_raises(self):
+        state = RngRegistry(seed=1).state_dict()
+        state["streams"]["nodeX"] = list(
+            RngRegistry(seed=1).stream("node.0").getstate()
+        )
+        with pytest.raises(UndeclaredStreamError, match="'nodeX'"):
+            RngRegistry(seed=1).load_state(state)

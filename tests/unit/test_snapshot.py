@@ -16,7 +16,7 @@ from repro.harness.snapshot import (
     resume,
 )
 from repro.obs.manifest import code_fingerprint
-from repro.sim import SnapshotError
+from repro.sim import SnapshotError, UndeclaredStreamError
 
 SCENARIO = Scenario(num_nodes=9, seed=4, protocol="duty_cycle")
 
@@ -115,6 +115,13 @@ class TestProvenance:
             resume(document)
         result = resume(document, force=True)
         assert result.end_time >= 600.0  # ran to the horizon's chunk grid
+
+    def test_undeclared_stream_in_snapshot_fails_restore_by_name(self, tmp_path):
+        document = load_snapshot(small_snapshot(tmp_path))
+        streams = document["components"]["rng"]["streams"]
+        streams["nodeX"] = streams["deployment"]
+        with pytest.raises(UndeclaredStreamError, match="'nodeX'"):
+            resume(document)
 
     def test_save_snapshot_creates_parent_dirs(self, tmp_path):
         nested = tmp_path / "a" / "b" / "snap.json"

@@ -1,40 +1,62 @@
 """The STREAM_NAMES catalogue must cover — and be covered by — the tree.
 
-Like the hot-path registry self-check, this pins the catalogue to reality:
-a stream name used at a call site but missing from the catalogue would fork
-RNG state silently on the next rename (caught here and by lint rule W402),
-and a catalogue entry no call site uses is dead weight that hides drift.
+``RngRegistry.stream`` refuses an undeclared name at run time, but only on
+the paths a run takes.  This self-check reads every ``.stream(...)`` call
+site in the program code instead: a name used but missing from the
+catalogue would fail the first run that reaches it, and a catalogue entry
+no call site uses is dead weight that hides drift.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.lint.graph import build_program
-from repro.lint.rules_flow import (
-    STREAMS_MODULE,
-    load_stream_catalogue,
-    stream_name_declared,
-)
 from repro.sim.streams import STREAM_NAMES, stream_declared
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+#: where program code acquires streams (the registry itself is skipped: its
+#: restore path forwards names it reads from a snapshot)
+CODE_ROOTS = ("src/repro", "benchmarks", "examples", "perfbench")
+REGISTRY = REPO_ROOT / "src" / "repro" / "sim" / "rng.py"
+
+
+def _stream_call_sites():
+    """``(where, name, prefix)`` for every ``<x>.stream(<arg>)`` call:
+    ``name`` for a string literal, ``prefix`` (the literal head) for an
+    f-string, neither for anything else."""
+    sites = []
+    for root in CODE_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if path == REGISTRY:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "stream"
+                    and len(node.args) == 1
+                ):
+                    continue
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                arg = node.args[0]
+                name = prefix = None
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    name = arg.value
+                elif isinstance(arg, ast.JoinedStr):
+                    head = arg.values[0] if arg.values else None
+                    if isinstance(head, ast.Constant):
+                        prefix = head.value
+                sites.append((where, name, prefix))
+    return sites
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return build_program([SRC / "repro"], root=SRC.parent)
-
-
-def _call_site_refs(graph):
-    """All name-carrying registry call sites outside the registry itself."""
-    refs = []
-    for module in sorted(graph.by_module):
-        summary = graph.by_module[module]
-        if summary.rel_path.endswith("repro/sim/rng.py"):
-            continue
-        refs.extend(summary.streams)
-    return refs
+def sites():
+    found = _stream_call_sites()
+    assert found, "no stream call sites found — extraction is broken"
+    return found
 
 
 def test_catalogue_is_alphabetical():
@@ -46,29 +68,26 @@ def test_every_entry_has_a_description():
         assert description.strip(), f"catalogue entry {name!r} has no description"
 
 
-def test_every_call_site_is_declared(graph):
-    refs = _call_site_refs(graph)
-    assert refs, "no stream call sites found — extraction is broken"
-    for ref in refs:
-        if ref.name is not None:
-            assert stream_declared(ref.name), (
-                f"stream {ref.name!r} used at a call site but not declared "
-                "in STREAM_NAMES"
+def test_every_call_site_is_declared(sites):
+    for where, name, prefix in sites:
+        if name is not None:
+            assert stream_declared(name), (
+                f"{where}: stream {name!r} is not declared in STREAM_NAMES"
             )
         else:
-            assert ref.prefix is not None, (
-                "dynamic stream name in the tree; W402 should have failed CI"
+            assert prefix is not None, (
+                f"{where}: stream name is neither a literal nor an f-string "
+                "with a literal head"
             )
-            assert stream_declared(ref.prefix + "suffix"), (
-                f"f-string stream prefix {ref.prefix!r} matches no declared "
-                "family in STREAM_NAMES"
+            assert stream_declared(prefix + "suffix"), (
+                f"{where}: f-string stream prefix {prefix!r} matches no "
+                "declared family in STREAM_NAMES"
             )
 
 
-def test_every_declared_name_is_used(graph):
-    refs = _call_site_refs(graph)
-    literal_names = {ref.name for ref in refs if ref.name is not None}
-    prefixes = {ref.prefix for ref in refs if ref.prefix is not None}
+def test_every_declared_name_is_used(sites):
+    literal_names = {name for _where, name, _prefix in sites if name is not None}
+    prefixes = {prefix for _where, _name, prefix in sites if prefix is not None}
     for name in STREAM_NAMES:
         if name.endswith(".*"):
             base = name[:-1]
@@ -84,15 +103,7 @@ def test_every_declared_name_is_used(graph):
 
 def test_stream_declared_covers_families():
     assert stream_declared("node.0")
+    assert stream_declared("node.anchor0")
     assert stream_declared("faults.3.region")
     assert not stream_declared("nodeX")
     assert not stream_declared("unheard-of")
-
-
-def test_ast_catalogue_matches_imported_catalogue(graph):
-    """W402 parses the catalogue as AST; it must see the same dict."""
-    catalogue = load_stream_catalogue(graph)
-    assert catalogue is not None, f"{STREAMS_MODULE} not found in lint scope"
-    assert catalogue == STREAM_NAMES
-    for name in STREAM_NAMES:
-        assert stream_name_declared(name, catalogue) == stream_declared(name)
