@@ -15,7 +15,7 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
-from ..net import Field, Point, SpatialGrid, distance
+from ..net import Point, SpatialGrid, distance
 
 __all__ = [
     "min_pairwise_distance",
@@ -36,12 +36,12 @@ def min_pairwise_distance(points: Sequence[Point]) -> float:
     """
     if len(points) < 2:
         return float("inf")
-    # Grid-accelerated first pass: compare within neighboring buckets only.
+    # Indexed first pass: compare only pairs within two cell widths.
     best = float("inf")
     field_w = max(p[0] for p in points) + 1.0
     field_h = max(p[1] for p in points) + 1.0
     cell = max(min(field_w, field_h) / max(int(math.sqrt(len(points))), 1), 1e-6)
-    grid = SpatialGrid(Field(field_w, field_h), cell_size=cell)
+    grid = SpatialGrid()
     for index, point in enumerate(points):
         grid.insert(index, point)
     for index, point in enumerate(points):
@@ -88,9 +88,7 @@ def rsa_working_set(
         raise ValueError("probe_range must be positive")
     order = list(range(len(candidates)))
     rng.shuffle(order)
-    width = max((p[0] for p in candidates), default=1.0) + 1.0
-    height = max((p[1] for p in candidates), default=1.0) + 1.0
-    grid = SpatialGrid(Field(width, height), cell_size=probe_range)
+    grid = SpatialGrid()
     workers: List[Point] = []
     for index in order:
         point = candidates[index]

@@ -46,7 +46,6 @@ class AfecaLikeProtocol:
         self.rng = rng if rng is not None else random.Random(0)
         # Static sorted-by-distance neighbor lists (nodes are stationary).
         self._neighbors: Dict[Hashable, List[Hashable]] = build_neighbor_lists(
-            network.field,
             {node.node_id: node.position for node in network.nodes.values()},
             radio_range_m,
         )

@@ -53,7 +53,6 @@ class SpanLikeProtocol:
         self.rounds = 0
         # Static sorted-by-distance neighbor lists (nodes are stationary).
         self._neighbors: Dict[Hashable, List[Hashable]] = build_neighbor_lists(
-            network.field,
             {node.node_id: node.position for node in network.nodes.values()},
             radio_range_m,
         )

@@ -32,12 +32,12 @@ from ..obs.tracer import Tracer
 from ..net import (
     PACKET_SIZE_BYTES,
     BroadcastChannel,
-    ColumnarSpatialGrid,
     Field,
     NeighborCache,
     Packet,
     Point,
     RadioModel,
+    SpatialGrid,
 )
 from ..sim import CounterSet, RngRegistry, Simulator
 from .config import PEASConfig
@@ -135,7 +135,7 @@ class PEASNetwork:
         #: size), so this holds a handful of entries.  Every battery here
         #: draws on ``profile``, so one frame energy serves all of them.
         self._frame_charges: Dict[tuple, tuple] = {}
-        self.grid = ColumnarSpatialGrid(field, cell_size=config.probe_range_m)
+        self.grid = SpatialGrid()
         self.neighbors = NeighborCache(self.grid, enabled=neighbor_cache)
         self.channel = BroadcastChannel(
             sim,

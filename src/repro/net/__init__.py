@@ -3,9 +3,9 @@
 This package implements everything below the PEAS protocol:
 
 * :class:`~repro.net.field.Field` — the 2-D deployment area;
-* :class:`~repro.net.spatial.SpatialGrid` — range queries over node positions,
-  and its columnar subclass :class:`~repro.net.columnar.ColumnarSpatialGrid`
-  that every simulation runs on;
+* :class:`~repro.net.spatial.SpatialGrid` — range queries over node
+  positions, answered over the per-node arrays of
+  :class:`~repro.net.columnar.ColumnarNodeStore`;
 * :class:`~repro.net.neighbors.NeighborCache` — memoized neighborhoods;
 * :mod:`~repro.net.deployment` — node placement generators;
 * :class:`~repro.net.radio.RadioModel` — bitrate/airtime, path loss, RSSI;
@@ -15,7 +15,7 @@ This package implements everything below the PEAS protocol:
 """
 
 from .channel import BroadcastChannel, RadioEndpoint, Reception
-from .columnar import ColumnarNodeStore, ColumnarSpatialGrid
+from .columnar import ColumnarNodeStore
 from .deployment import (
     DEPLOYMENTS,
     clustered_deployment,
@@ -46,7 +46,6 @@ __all__ = [
     "distance_sq",
     "SpatialGrid",
     "ColumnarNodeStore",
-    "ColumnarSpatialGrid",
     "NeighborCache",
     "build_neighbor_lists",
     "DEPLOYMENTS",

@@ -26,11 +26,9 @@ Nodes are stationary, so the set of potential receivers of a broadcast is a
 function of ``(sender, range)`` alone; lookups go through a
 :class:`~repro.net.neighbors.NeighborCache` (memoized, sorted by distance,
 invalidated on node death) instead of re-running the grid range query per
-frame.  The channel runs over a
-:class:`~repro.net.columnar.ColumnarSpatialGrid`: attached endpoints publish
-their radio state into its store (:meth:`BroadcastChannel.note_listening`),
-and every broadcast picks its audience in one loop over store rows, traced
-or not.
+frame.  Attached endpoints publish their radio state into the grid's
+columnar store (:meth:`BroadcastChannel.note_listening`), and every
+broadcast picks its audience in one loop over store rows, traced or not.
 """
 
 from __future__ import annotations
@@ -46,11 +44,11 @@ from ..obs import events as trace_events
 from ..sim import CounterSet, Simulator, register_handler
 from ..sim.events import PRIORITY_HIGH
 from ..sim.handlers import RestoreContext
-from .columnar import ColumnarSpatialGrid
 from .field import Point
 from .neighbors import NeighborCache
 from .packet import Packet, ensure_uid_floor, packet_from_dict, packet_to_dict
 from .radio import RadioModel
+from .spatial import SpatialGrid
 
 __all__ = ["BroadcastChannel", "RadioEndpoint", "Reception"]
 
@@ -99,7 +97,7 @@ class BroadcastChannel:
     sim:
         The simulation engine.
     grid:
-        Columnar spatial index over *all* node positions (nodes are
+        Spatial index over *all* node positions (nodes are
         stationary).
     radio:
         Physical-layer model (airtime, RSSI).
@@ -121,7 +119,7 @@ class BroadcastChannel:
     def __init__(
         self,
         sim: Simulator,
-        grid: ColumnarSpatialGrid,
+        grid: SpatialGrid,
         radio: RadioModel,
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,

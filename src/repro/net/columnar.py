@@ -1,22 +1,16 @@
 """Columnar (struct-of-arrays) backing store for per-node state.
 
-The object-graph substrate keeps node state spread across Python objects —
-per-node positions inside bucket dicts, listening state behind a method
-call, half-duplex deadlines in a dict — which is exactly the layout the
+An object graph would keep node state spread across Python objects —
+positions inside per-node records, listening state behind a method call,
+half-duplex deadlines in a dict — which is exactly the layout the
 simulator-survey literature blames for the 10k-node wall: every range query
 and every broadcast fan-out walks pointers one node at a time.
 
 :class:`ColumnarNodeStore` holds the same state as parallel arrays
-(positions, alive mask, listening flag, half-duplex deadline), and
-:class:`ColumnarSpatialGrid` answers range queries as a bounding-box slice
-over an x-sorted view plus a squared-distance mask — identical arithmetic
-to the scalar bucket scan of :class:`~repro.net.spatial.SpatialGrid`, so
-both return the same ids in the same canonical order.
-
-:class:`ColumnarSpatialGrid` is the spatial index every simulation runs on
-(the PEAS network, the baselines' routing topology, the neighbor cache and
-the broadcast channel).  The scalar grid stays as the oracle the property
-tests check it against and as the index of the analysis helpers.
+(positions, alive mask, listening flag, half-duplex deadline).  The spatial
+index :class:`~repro.net.spatial.SpatialGrid` answers its range queries
+over the position columns, and the broadcast channel picks audiences by
+store row.
 
 Rows are append-only: node death marks ``alive[row] = False`` but never
 reuses the row, so a row index doubles as the node's grid insertion index
@@ -26,14 +20,11 @@ the row of a node whose death raced its own in-flight frame).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List
 
 import numpy as np
 
-from .field import Field, Point
-from .spatial import SpatialGrid
-
-__all__ = ["ColumnarNodeStore", "ColumnarSpatialGrid"]
+__all__ = ["ColumnarNodeStore"]
 
 
 class ColumnarNodeStore:
@@ -114,123 +105,3 @@ class ColumnarNodeStore:
             grown[: self.size] = old[: self.size]
             setattr(self, name, grown)
         self._capacity = new_capacity
-
-
-class ColumnarSpatialGrid(SpatialGrid):
-    """Drop-in :class:`SpatialGrid` with vectorized range queries.
-
-    Mutations delegate to the scalar superclass (keeping the bucket grid,
-    position map and insertion order authoritative — mutations are rare:
-    deployment setup plus node deaths) and mirror into the columnar store;
-    the query methods are overridden with numpy implementations over the
-    store's position columns.
-
-    Query strategy: an x-sorted row index (built lazily, invalidated by
-    insert) turns the bounding box ``|x - cx| <= r`` into one
-    ``searchsorted`` slice; the slice is then filtered by the exact
-    squared-distance mask ``dx*dx + dy*dy <= r*r`` — the same float
-    arithmetic as the scalar bucket scan, so membership is bit-identical.
-    """
-
-    def __init__(self, field: Field, cell_size: float) -> None:
-        super().__init__(field, cell_size)
-        self.store = ColumnarNodeStore()
-        #: row indices sorted by x (tombstones included) + their x values
-        self._sorted_rows: Optional[np.ndarray] = None
-        self._sorted_xs: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------- mutation
-    def insert(self, item: Hashable, position: Point) -> None:
-        super().insert(item, position)
-        self.store.append(item, float(position[0]), float(position[1]))
-        self._sorted_rows = None
-        self._sorted_xs = None
-
-    def remove(self, item: Hashable) -> None:
-        super().remove(item)
-        # Tombstone only: the sorted-by-x view stays valid, dead rows are
-        # masked out per query.
-        self.store.kill(item)
-
-    # -------------------------------------------------------------- queries
-    def _sorted_view(self) -> Tuple[np.ndarray, np.ndarray]:
-        rows = self._sorted_rows
-        if rows is None:
-            size = self.store.size
-            xs = self.store.xs[:size]
-            rows = np.argsort(xs, kind="stable").astype(np.intp)
-            self._sorted_rows = rows
-            self._sorted_xs = xs[rows].copy()
-        assert self._sorted_xs is not None
-        return rows, self._sorted_xs
-
-    def query_rows(
-        self, center: Point, radius: float, exclude_row: int = -1
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Live rows within ``radius`` of ``center`` plus squared distances.
-
-        Rows come back sorted by ``(dist_sq, insertion index)`` — the
-        canonical neighbor-list order (a columnar row index *is* the grid
-        insertion index, rows being append-only).
-        """
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        cx, cy = center
-        sorted_rows, sorted_xs = self._sorted_view()
-        lo = int(np.searchsorted(sorted_xs, cx - radius, side="left"))
-        hi = int(np.searchsorted(sorted_xs, cx + radius, side="right"))
-        empty = np.empty(0, dtype=np.intp)
-        if lo >= hi:
-            return empty, np.empty(0, dtype=np.float64)
-        candidates = sorted_rows[lo:hi]
-        store = self.store
-        dx = store.xs[candidates] - cx
-        dy = store.ys[candidates] - cy
-        d_sq = dx * dx + dy * dy
-        mask = (d_sq <= radius * radius) & store.alive[candidates]
-        if exclude_row >= 0:
-            mask &= candidates != exclude_row
-        rows = candidates[mask]
-        if rows.size == 0:
-            return empty, np.empty(0, dtype=np.float64)
-        dists = d_sq[mask]
-        # Primary key: squared distance; tie-break: insertion index (= row).
-        chosen = np.lexsort((rows, dists))
-        return rows[chosen], dists[chosen]
-
-    def row_index(self, item: Hashable) -> int:
-        """The store row of ``item`` (valid even after removal)."""
-        return self.store.row_of[item]
-
-    def within(self, center: Point, radius: float) -> List[Hashable]:
-        rows, _ = self.query_rows(center, radius)
-        if rows.size == 0:
-            return []
-        ids = self.store.ids
-        # Canonical ``within`` order is insertion order (documented in
-        # :class:`SpatialGrid`); rows are insertion-ordered by construction.
-        return [ids[row] for row in np.sort(rows).tolist()]
-
-    def within_annotated(
-        self, center: Point, radius: float
-    ) -> List[Tuple[float, int, Hashable]]:
-        rows, d_sq = self.query_rows(center, radius)
-        ids = self.store.ids
-        return [
-            (dist, row, ids[row])
-            for dist, row in zip(d_sq.tolist(), rows.tolist())
-        ]
-
-    def nearest(self, center: Point) -> Hashable:
-        if not self._positions:
-            raise ValueError("index is empty")
-        store = self.store
-        size = store.size
-        cx, cy = center
-        dx = store.xs[:size] - cx
-        dy = store.ys[:size] - cy
-        d_sq = dx * dx + dy * dy
-        d_sq[~store.alive[:size]] = np.inf
-        # argmin's first-minimum rule == lowest row == earliest insertion,
-        # a deterministic stand-in for the scalar path's "arbitrary" ties.
-        return store.ids[int(np.argmin(d_sq))]

@@ -15,10 +15,10 @@ GAF/Span/AFECA baselines — reads the same canonical ordering, which is what
 makes runs bit-identical whether the cache is enabled or bypassed: the
 brute-force path runs the exact same computation, just without memoizing.
 
-The cache runs over a :class:`~repro.net.columnar.ColumnarSpatialGrid`
-only.  It can be disabled (for golden-seed determinism tests and A/B
-benchmarking) via ``enabled=False`` or the ``REPRO_NEIGHBOR_CACHE=0``
-environment variable.
+The cache reads the grid's store rows and its
+:meth:`~repro.net.spatial.SpatialGrid.query_rows`.  It can be disabled
+(for golden-seed determinism tests and A/B benchmarking) via
+``enabled=False`` or the ``REPRO_NEIGHBOR_CACHE=0`` environment variable.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .columnar import ColumnarSpatialGrid
-from .field import Field, Point
+from .field import Point
+from .spatial import SpatialGrid
 
 __all__ = ["NeighborCache", "build_neighbor_lists"]
 
@@ -68,9 +68,8 @@ class NeighborCache:
     Parameters
     ----------
     grid:
-        The :class:`~repro.net.columnar.ColumnarSpatialGrid` to memoize
-        over (any other grid raises :class:`TypeError`).  The cache
-        registers itself as a mutation listener: an ``insert`` flushes
+        The :class:`~repro.net.spatial.SpatialGrid` to memoize over.  The
+        cache registers itself as a mutation listener: an ``insert`` flushes
         everything (new nodes only appear during setup), a ``remove`` drops
         the entries whose neighborhoods contained — or were centered on —
         the removed node.
@@ -81,12 +80,8 @@ class NeighborCache:
     """
 
     def __init__(
-        self, grid: ColumnarSpatialGrid, enabled: Optional[bool] = None
+        self, grid: SpatialGrid, enabled: Optional[bool] = None
     ) -> None:
-        if not isinstance(grid, ColumnarSpatialGrid):
-            raise TypeError(
-                f"NeighborCache needs a ColumnarSpatialGrid, got {type(grid).__name__}"
-            )
         self.grid = grid
         self.enabled = cache_enabled_default() if enabled is None else bool(enabled)
         self._store = grid.store
@@ -103,7 +98,7 @@ class NeighborCache:
 
     # -------------------------------------------------------------- queries
     def neighbors(self, item: Hashable, radius: float) -> List[Hashable]:
-        """Neighbor ids of ``item`` within ``radius``, nearest first."""
+        """Neighbor ids of ``item`` within ``radius``, closest first."""
         return [node_id for node_id, _ in self.neighbors_with_distance(item, radius)]
 
     def neighbors_with_distance(self, item: Hashable, radius: float) -> List[Neighbor]:
@@ -194,14 +189,13 @@ class NeighborCache:
         frame sent by a node whose death raced its own pending transmission).
         Ordering matches :meth:`neighbors_with_distance` exactly.
         """
-        annotated = self.grid.within_annotated(position, radius)
-        annotated.sort()
+        store = self._store
+        rows, d_sq = self.grid.query_rows(
+            position, radius, exclude_row=store.row_of.get(exclude, -1)
+        )
+        ids = store.ids
         sqrt = math.sqrt
-        return [
-            (node_id, sqrt(d_sq))
-            for d_sq, _, node_id in annotated
-            if node_id != exclude
-        ]
+        return [(ids[row], sqrt(d)) for row, d in zip(rows.tolist(), d_sq.tolist())]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -236,20 +230,17 @@ class NeighborCache:
 
 
 def build_neighbor_lists(
-    field: Field,
-    positions: Dict[Hashable, Point],
-    radius: float,
-    cell_size: Optional[float] = None,
+    positions: Dict[Hashable, Point], radius: float
 ) -> Dict[Hashable, List[Hashable]]:
     """One-shot sorted-by-distance neighbor lists for a static population.
 
     Convenience for the coordination-level baselines (GAF/Span/AFECA) that
     need the full ``id -> [neighbor ids]`` map once at construction: builds
-    a throwaway grid + cache and returns plain lists (nearest first).
+    a throwaway grid + cache and returns plain lists (closest first).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    grid = ColumnarSpatialGrid(field, cell_size=cell_size if cell_size else radius)
+    grid = SpatialGrid()
     for node_id, position in positions.items():
         grid.insert(node_id, position)
     cache = NeighborCache(grid, enabled=True)

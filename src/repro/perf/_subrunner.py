@@ -28,6 +28,12 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workloads", required=True, type=Path)
     parser.add_argument("--rounds", required=True, type=int)
+    parser.add_argument(
+        "--other-tree",
+        action="store_true",
+        help="the tree is the --against side: skip kernels it cannot "
+        "import or construct",
+    )
     args = parser.parse_args()
 
     workloads = _load_workloads(args.workloads)
@@ -44,10 +50,14 @@ def main() -> int:
         try:
             for _ in range(2):
                 fn()
-        except ImportError:
-            # The measured tree predates this kernel's subsystem (e.g.
-            # snapshot_roundtrip against a pre-snapshot checkout); skip it
-            # so the remaining kernels still produce a comparison.
+        except (ImportError, TypeError):
+            # The other tree predates this kernel's subsystem (e.g.
+            # snapshot_roundtrip against a pre-snapshot checkout) or has
+            # another signature (e.g. a SpatialGrid that needs a field and
+            # a cell size): skip it so the remaining kernels still produce a
+            # comparison.  The tree under test must fail on a broken kernel.
+            if not args.other_tree:
+                raise
             continue
         samples = []
         for _ in range(args.rounds):

@@ -178,7 +178,9 @@ def compare_scaling(
     return speedups
 
 
-def measure_tree(src: Path, rounds: int) -> Dict[str, object]:
+def measure_tree(
+    src: Path, rounds: int, other_tree: bool = False
+) -> Dict[str, object]:
     """Measure another source tree on this tree's workload definitions.
 
     Spawns a subprocess whose ``PYTHONPATH`` is ``src`` alone, loads the
@@ -186,6 +188,8 @@ def measure_tree(src: Path, rounds: int) -> Dict[str, object]:
     then resolve against ``src``), and returns the measured micro
     numbers.  This is how a report carries honest speedups vs. a previous
     checkout: both trees execute byte-identical workload code.
+    ``other_tree`` marks the ``--against`` side, which skips the kernels
+    it cannot import or construct; on this tree's side those fail.
     """
     src = Path(src).resolve()
     if not (src / "repro").is_dir():
@@ -200,6 +204,8 @@ def measure_tree(src: Path, rounds: int) -> Dict[str, object]:
         "--rounds",
         str(rounds),
     ]
+    if other_tree:
+        cmd.append("--other-tree")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     proc = subprocess.run(
@@ -251,7 +257,7 @@ def ab_measure(
     other_runs: List[Dict[str, object]] = []
     for _ in range(repeats):
         current_runs.append(measure_tree(current_src, rounds))
-        other_runs.append(measure_tree(other_src, rounds))
+        other_runs.append(measure_tree(other_src, rounds, other_tree=True))
     return _merge_min(current_runs), _merge_min(other_runs)
 
 

@@ -49,12 +49,12 @@ def engine_event_throughput() -> int:
 
 
 def spatial_grid_query_throughput() -> int:
-    """500 radius-10 range queries over an 800-node bucket grid."""
+    """500 radius-10 range queries over an 800-node spatial index."""
     from repro.net import Field, SpatialGrid
 
     rng = random.Random(1)
     field = Field(50.0, 50.0)
-    grid = SpatialGrid(field, cell_size=3.0)
+    grid = SpatialGrid()
     for i in range(800):
         grid.insert(i, field.random_point(rng))
     centers = [field.random_point(rng) for _ in range(500)]
@@ -82,7 +82,7 @@ def coverage_update_throughput() -> float:
 
 def channel_broadcast_throughput() -> int:
     """Steady-state periodic probing: 300 nodes x 4 PROBE rounds (§2)."""
-    from repro.net import BroadcastChannel, ColumnarSpatialGrid, Field, Packet, RadioModel
+    from repro.net import BroadcastChannel, Field, Packet, RadioModel, SpatialGrid
     from repro.sim import Simulator
 
     class Endpoint:
@@ -99,7 +99,7 @@ def channel_broadcast_throughput() -> int:
 
     sim = Simulator()
     field = Field(50.0, 50.0)
-    grid = ColumnarSpatialGrid(field, cell_size=3.0)
+    grid = SpatialGrid()
     channel = BroadcastChannel(sim, grid, RadioModel(), rng=random.Random(3))
     rng = random.Random(4)
     endpoints = [Endpoint(i, field.random_point(rng)) for i in range(300)]

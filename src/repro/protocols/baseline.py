@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..net import DEPLOYMENTS, ColumnarSpatialGrid, Field, NeighborCache
+from ..net import DEPLOYMENTS, Field, NeighborCache, SpatialGrid
 from ..routing import WorkingTopology
 from .base import ProtocolRun, ProtocolSpec
 from .registry import register_protocol
@@ -64,11 +64,10 @@ class BaselineRun(ProtocolRun):
     def topology(self, scenario: "Scenario") -> WorkingTopology:
         # Baselines have no control-plane spatial index; build one over the
         # full deployment so GRAB sees the same geometry as under PEAS.
-        spatial = ColumnarSpatialGrid(
-            self.network.field, cell_size=scenario.config.probe_range_m
-        )
+        spatial = SpatialGrid()
         cache = NeighborCache(spatial)
-        spatial.bulk_insert((i, p) for i, p in enumerate(self.positions))
+        for i, p in enumerate(self.positions):
+            spatial.insert(i, p)
         return WorkingTopology(
             spatial, comm_range=scenario.comm_range_m, neighbors=cache
         )

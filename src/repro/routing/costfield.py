@@ -36,7 +36,7 @@ class WorkingTopology:
     ----------
     grid:
         Spatial index over *alive* node positions (shared with the channel);
-        used to find communication-range neighbor candidates in O(1).
+        used to find communication-range neighbor candidates.
     comm_range:
         Maximum transmission range R_t (paper: 10 m).
     neighbors:

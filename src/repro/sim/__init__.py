@@ -6,7 +6,7 @@ Public surface:
 * :class:`~repro.sim.events.Event` — a scheduled, cancellable callback.
 * :class:`~repro.sim.rng.RngRegistry` — named deterministic RNG streams.
 * :class:`~repro.sim.process.Timer` / :class:`~repro.sim.process.PeriodicProcess`
-  / :func:`~repro.sim.process.start_process` — process-style helpers.
+  — process-style helpers.
 * :class:`~repro.sim.trace.CounterSet` and friends — run statistics.
 * :class:`~repro.sim.sanitizer.SimSanitizer` — toggleable runtime invariant
   checks (``peas-repro run --sanitize``), off by default and bit-identical
@@ -32,10 +32,10 @@ from .events import (
     Event,
     EventQueueEmpty,
 )
-from .process import PeriodicProcess, Timer, start_process
+from .process import PeriodicProcess, Timer
 from .rng import RngRegistry, UndeclaredStreamError, derive_seed
 from .streams import STREAM_NAMES, stream_declared
-from .trace import CounterSet, SeriesRecorder, TimeWeightedValue
+from .trace import CounterSet, SeriesRecorder
 
 __all__ = [
     "Simulator",
@@ -55,13 +55,11 @@ __all__ = [
     "PRIORITY_LOW",
     "Timer",
     "PeriodicProcess",
-    "start_process",
     "RngRegistry",
     "UndeclaredStreamError",
     "derive_seed",
     "STREAM_NAMES",
     "stream_declared",
     "CounterSet",
-    "TimeWeightedValue",
     "SeriesRecorder",
 ]

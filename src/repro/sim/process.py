@@ -6,19 +6,17 @@ idioms the model code uses:
 * :class:`Timer` — a restartable one-shot timer (sleep timers, probe-window
   timeouts, REPLY backoffs);
 * :class:`PeriodicProcess` — a fixed-interval repeating activity (traffic
-  generation, metric sampling);
-* :func:`start_process` — generator-based coroutine processes that ``yield``
-  delays, for sequential scripts such as scenario warm-ups.
+  generation, metric sampling).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .engine import Simulator
 from .events import Event
 
-__all__ = ["Timer", "PeriodicProcess", "start_process"]
+__all__ = ["Timer", "PeriodicProcess"]
 
 
 class Timer:
@@ -149,37 +147,3 @@ class PeriodicProcess:
         )
         self._fn()
 
-
-def start_process(
-    sim: Simulator,
-    generator: Generator[float, None, None],
-    label: Optional[str] = None,
-) -> None:
-    """Run a generator as a coroutine process.
-
-    The generator yields nonnegative delays; the process resumes after each
-    delay and ends when the generator returns.
-
-    >>> sim = Simulator()
-    >>> log = []
-    >>> def script():
-    ...     log.append(("start", sim.now))
-    ...     yield 5.0
-    ...     log.append(("end", sim.now))
-    >>> start_process(sim, script())
-    >>> sim.run()
-    >>> log
-    [('start', 0.0), ('end', 5.0)]
-    """
-
-    # Generator frames cannot be serialized, so coroutine processes are
-    # deliberately outside the snapshot contract (the harness run path never
-    # uses them); the lint markers acknowledge the closure captures.
-    def advance() -> None:
-        try:
-            delay = next(generator)
-        except StopIteration:
-            return
-        sim.schedule(delay, advance, label=label)  # peas-lint: snapshot-exempt
-
-    sim.schedule(0.0, advance, label=label)  # peas-lint: snapshot-exempt

@@ -12,6 +12,8 @@ The contract under test, end to end:
 * sweeps survive in-run failures: captured, retried once, surfaced.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (
@@ -34,6 +36,8 @@ from repro.faults import (
 from repro.harness import RunOptions
 from repro.obs import NdjsonSink, Tracer, validate_trace_file
 from repro.obs.inspect import summarize_trace_file
+
+from .test_perf_invariants import fingerprint_sha256
 
 BASE = Scenario(
     num_nodes=40,
@@ -123,6 +127,53 @@ class TestEndToEnd:
         assert explicit.read_bytes() == default.read_bytes()
         assert r_explicit.extras == r_default.extras
         assert "faults_fired" not in r_default.extras
+
+
+#: One faulted run with every plan kind, traffic on: the region kill's
+#: centre is drawn from its stream and kills through ``grid.within``.
+PINNED = Scenario(
+    num_nodes=80,
+    field_size=(25.0, 25.0),
+    seed=3,
+    failure_per_5000s=4.0,
+    with_traffic=True,
+    fault_plan=FaultPlan((
+        CrashFault(rate_per_5000s=2.0),
+        RegionKillFault(at_s=800.0, radius_m=10.0),
+        TransientOutageFault(rate_per_5000s=20.0, mean_outage_s=100.0),
+        BurstyLossFault(good_mean_s=60.0, bad_mean_s=10.0, bad_loss=0.6),
+        ClockDriftFault(max_skew=0.05),
+    )),
+)
+
+#: sha256 of PINNED's result fingerprint (extras included) and of its
+#: trace bytes.  No other pinned digest runs a fault plan, so these are
+#: what catch a drift in fault arming, firing or recovery accounting.
+#: A deliberate change to the simulation must update them and say why.
+PINNED_FINGERPRINT_SHA256 = (
+    "21186afa4de6886f30a123b230eb363f194c515c35e876eaa13f5ca9ca05c5ab"
+)
+PINNED_TRACE_SHA256 = (
+    "646c63a773e69284ff2a11a0128e6be27952733c4b025a8389d837315b2c197d"
+)
+
+
+class TestPinnedFaultedRun:
+    @pytest.fixture(scope="class")
+    def pinned(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pinned") / "pinned.ndjson"
+        result = _traced_run(PINNED, path, sanitize=False)
+        return path, result
+
+    def test_result_fingerprint_is_pinned(self, pinned):
+        _path, result = pinned
+        assert result.extras["faults_fired"] > 0
+        assert fingerprint_sha256(result) == PINNED_FINGERPRINT_SHA256
+
+    def test_trace_bytes_are_pinned(self, pinned):
+        path, _result = pinned
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_TRACE_SHA256
 
 
 class TestSingleModelRuns:

@@ -16,7 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import ColumnarSpatialGrid, Field, NeighborCache
+from repro.net import NeighborCache, SpatialGrid
 from repro.net.field import distance_sq
 from repro.routing import GrabRouter, WorkingTopology
 
@@ -69,10 +69,10 @@ def fresh_answers(grid, topology):
     same grid members in the same canonical order, same working members in
     the same insertion order."""
     members = sorted(
-        (grid.insertion_index(item), item, position)
+        (grid.row_index(item), item, position)
         for item, position in grid.items()
     )
-    fresh_grid = ColumnarSpatialGrid(Field(SIDE, SIDE), cell_size=3.0)
+    fresh_grid = SpatialGrid()
     for _order, item, position in members:
         fresh_grid.insert(item, position)
     fresh_topology, fresh_router = build_router(fresh_grid)
@@ -100,7 +100,7 @@ def answers(router):
     insert_point=near_station,
 )
 def test_cached_queries_match_fresh_rebuild(positions, script, insert_at, insert_point):
-    grid = ColumnarSpatialGrid(Field(SIDE, SIDE), cell_size=3.0)
+    grid = SpatialGrid()
     for index, position in enumerate(positions):
         grid.insert(index, position)
     topology, router = build_router(grid, NeighborCache(grid))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coverage import CoverageGrid
-from repro.net import Field, SpatialGrid, distance, distance_sq
+from repro.net import Field, SpatialGrid, distance_sq
 
 coords = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
 points = st.tuples(coords, coords)
@@ -19,12 +19,12 @@ class TestSpatialGridProperties:
         st.floats(min_value=0.1, max_value=40.0),
     )
     def test_within_matches_brute_force(self, positions, center, radius):
-        grid = SpatialGrid(Field(30.0, 30.0), cell_size=3.0)
+        grid = SpatialGrid()
         for index, position in enumerate(positions):
             grid.insert(index, position)
-        # The documented membership predicate is d_sq <= radius**2 (both
-        # backends); a sqrt-based oracle disagrees by one ulp on points
-        # sitting exactly on the boundary circle.
+        # The documented membership predicate is d_sq <= radius**2; a
+        # sqrt-based oracle disagrees by one ulp on points sitting exactly
+        # on the boundary circle.
         expected = {
             i
             for i, p in enumerate(positions)
@@ -32,18 +32,9 @@ class TestSpatialGridProperties:
         }
         assert set(grid.within(center, radius)) == expected
 
-    @given(st.lists(points, min_size=1, max_size=40, unique=True), points)
-    def test_nearest_matches_brute_force(self, positions, center):
-        grid = SpatialGrid(Field(30.0, 30.0), cell_size=3.0)
-        for index, position in enumerate(positions):
-            grid.insert(index, position)
-        found = grid.nearest(center)
-        best = min(distance(p, center) for p in positions)
-        assert distance(positions[found], center) == best
-
     @given(st.lists(points, min_size=2, max_size=40, unique=True), st.data())
     def test_remove_then_query_consistent(self, positions, data):
-        grid = SpatialGrid(Field(30.0, 30.0), cell_size=3.0)
+        grid = SpatialGrid()
         for index, position in enumerate(positions):
             grid.insert(index, position)
         removed = data.draw(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import min_pairwise_distance, rsa_working_set
-from repro.net import Field, SpatialGrid, distance
+from repro.net import SpatialGrid, distance
 from repro.routing import WorkingTopology
 
 coords = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -22,7 +22,7 @@ class TestWorkingTopologyProperties:
     )
     def test_adjacency_matches_brute_force_under_churn(self, positions, data):
         """After any add/remove interleaving, adjacency equals ground truth."""
-        grid = SpatialGrid(Field(30.0, 30.0), cell_size=3.0)
+        grid = SpatialGrid()
         for index, position in enumerate(positions):
             grid.insert(index, position)
         topology = WorkingTopology(grid, comm_range=10.0)
@@ -51,7 +51,7 @@ class TestWorkingTopologyProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(points, min_size=1, max_size=25, unique=True))
     def test_components_partition_nodes(self, positions):
-        grid = SpatialGrid(Field(30.0, 30.0), cell_size=3.0)
+        grid = SpatialGrid()
         topology = WorkingTopology(grid, comm_range=8.0)
         for index, position in enumerate(positions):
             grid.insert(index, position)

@@ -6,8 +6,6 @@ import pytest
 
 from repro.net import (
     BroadcastChannel,
-    ColumnarSpatialGrid,
-    Field,
     NeighborCache,
     PACKET_SIZE_BYTES,
     Packet,
@@ -57,7 +55,7 @@ class StubEndpoint:
 
 def make_channel(loss_rate=0.0, energy_hook=None, seed=1):
     sim = Simulator()
-    grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+    grid = SpatialGrid()
     channel = BroadcastChannel(
         sim, grid, RadioModel(), loss_rate=loss_rate,
         rng=random.Random(seed), energy_hook=energy_hook,
@@ -253,7 +251,7 @@ class TestRandomLoss:
 
     def test_invalid_loss_rate(self):
         sim = Simulator()
-        grid = ColumnarSpatialGrid(Field(10.0, 10.0), cell_size=3.0)
+        grid = SpatialGrid()
         with pytest.raises(ValueError):
             BroadcastChannel(sim, grid, RadioModel(), loss_rate=1.0)
 
@@ -429,7 +427,7 @@ class TestNeighborCacheIntegration:
     def _run_traffic(self, cache_enabled, seed=7):
         """Randomized probe traffic; returns (counters, delivery transcript)."""
         sim = Simulator()
-        grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = SpatialGrid()
         cache = NeighborCache(grid, enabled=cache_enabled)
         channel = BroadcastChannel(
             sim, grid, RadioModel(), loss_rate=0.2,

@@ -4,18 +4,12 @@ import math
 
 import pytest
 
-from repro.net import (
-    ColumnarSpatialGrid,
-    Field,
-    NeighborCache,
-    SpatialGrid,
-    build_neighbor_lists,
-)
+from repro.net import NeighborCache, SpatialGrid, build_neighbor_lists
 from repro.net.neighbors import _EXACT_INVALIDATION_MAX, cache_enabled_default
 
 
-def make_grid(points, cell_size=3.0, size=50.0):
-    grid = ColumnarSpatialGrid(Field(size, size), cell_size=cell_size)
+def make_grid(points):
+    grid = SpatialGrid()
     for node_id, position in points.items():
         grid.insert(node_id, position)
     return grid
@@ -46,7 +40,7 @@ class TestQueries:
         assert cache.neighbors("a", 2.0) == ["b"]
 
     def test_distance_tie_broken_by_insertion_order(self):
-        grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = SpatialGrid()
         grid.insert("center", (10.0, 10.0))
         grid.insert("west", (8.0, 10.0))
         grid.insert("east", (12.0, 10.0))  # same distance, inserted later
@@ -55,7 +49,7 @@ class TestQueries:
 
     def test_heterogeneous_ids(self):
         """Int node ids and string anchor ids coexist (no cross-type <)."""
-        grid = ColumnarSpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = SpatialGrid()
         grid.insert(1, (10.0, 10.0))
         grid.insert("anchor0", (11.0, 10.0))
         grid.insert(2, (12.0, 10.0))
@@ -68,10 +62,6 @@ class TestQueries:
         member = cache.neighbors_with_distance("a", 5.0)
         at = cache.neighbors_at((10.0, 10.0), 5.0, exclude="a")
         assert member == at
-
-    def test_scalar_grid_is_rejected(self):
-        with pytest.raises(TypeError, match="ColumnarSpatialGrid"):
-            NeighborCache(SpatialGrid(Field(50.0, 50.0), cell_size=3.0))
 
 
 class TestMemoization:
@@ -120,12 +110,9 @@ class TestInvalidation:
     def test_removed_center_entry_is_dropped_in_a_large_population(self):
         # Above the exact-invalidation size entries revalidate lazily, on
         # their next lookup; the center's own death must fail that check.
-        field = Field(100.0, 100.0)
-        grid = ColumnarSpatialGrid(field, cell_size=3.0)
-        count = _EXACT_INVALIDATION_MAX + 904
-        grid.bulk_insert(
-            (i, (float(i % 100), float(i // 100) * 2.0)) for i in range(count)
-        )
+        grid = SpatialGrid()
+        for i in range(_EXACT_INVALIDATION_MAX + 904):
+            grid.insert(i, (float(i % 100), float(i // 100) * 2.0))
         grid.insert("a", (50.5, 50.5))
         grid.insert("b", (52.5, 50.5))
         cache = NeighborCache(grid, enabled=True)
@@ -185,13 +172,13 @@ class TestEnvDefault:
 
 class TestBuildNeighborLists:
     def test_full_map_sorted_nearest_first(self):
-        lists = build_neighbor_lists(Field(50.0, 50.0), CLUSTER, radius=5.0)
+        lists = build_neighbor_lists(CLUSTER, radius=5.0)
         assert lists["a"] == ["b", "c"]
         assert lists["d"] == []
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            build_neighbor_lists(Field(50.0, 50.0), CLUSTER, radius=0.0)
+            build_neighbor_lists(CLUSTER, radius=0.0)
 
     def test_distances_match_euclidean(self):
         grid = make_grid(CLUSTER)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import ColumnarSpatialGrid, Field, NeighborCache, SpatialGrid
+from repro.net import NeighborCache, SpatialGrid
 from repro.net.field import distance_sq
 from repro.routing import (
     CostField,
@@ -15,8 +15,8 @@ from repro.routing import (
 from repro.sim import Simulator
 
 
-def make_topology(comm_range=10.0, field=50.0):
-    grid = SpatialGrid(Field(field, field), cell_size=3.0)
+def make_topology(comm_range=10.0):
+    grid = SpatialGrid()
     return WorkingTopology(grid, comm_range=comm_range), grid
 
 
@@ -100,7 +100,7 @@ class TestWorkingTopology:
         """With a neighbor cache, reaches are queried uncached and kept by
         the topology: churn and a death add no ``(id, comm_range)`` key to
         the cache, and adjacency still equals a brute-force scan."""
-        grid = ColumnarSpatialGrid(Field(30.0, 30.0), cell_size=3.0)
+        grid = SpatialGrid()
         rng = random.Random(5)
         positions = {i: (rng.uniform(0, 30), rng.uniform(0, 30)) for i in range(40)}
         for i, p in positions.items():
@@ -124,7 +124,7 @@ class TestWorkingTopology:
             }
 
     def test_invalid_range(self):
-        grid = SpatialGrid(Field(10.0, 10.0), cell_size=3.0)
+        grid = SpatialGrid()
         with pytest.raises(ValueError):
             WorkingTopology(grid, comm_range=0.0)
 

@@ -1,8 +1,8 @@
-"""Unit tests for repro.sim.process (Timer, PeriodicProcess, start_process)."""
+"""Unit tests for repro.sim.process (Timer, PeriodicProcess)."""
 
 import pytest
 
-from repro.sim import PeriodicProcess, Timer, start_process
+from repro.sim import PeriodicProcess, Timer
 
 
 class TestTimer:
@@ -112,40 +112,3 @@ class TestPeriodicProcess:
         process.stop()
         assert not process.running
 
-
-class TestStartProcess:
-    def test_sequential_delays(self, sim):
-        log = []
-
-        def script():
-            log.append(("a", sim.now))
-            yield 2.0
-            log.append(("b", sim.now))
-            yield 3.0
-            log.append(("c", sim.now))
-
-        start_process(sim, script())
-        sim.run()
-        assert log == [("a", 0.0), ("b", 2.0), ("c", 5.0)]
-
-    def test_empty_generator_completes(self, sim):
-        def script():
-            return
-            yield  # pragma: no cover
-
-        start_process(sim, script())
-        sim.run()
-        assert sim.now == 0.0
-
-    def test_two_processes_interleave(self, sim):
-        log = []
-
-        def proc(name, delay):
-            for _ in range(2):
-                yield delay
-                log.append((name, sim.now))
-
-        start_process(sim, proc("fast", 1.0))
-        start_process(sim, proc("slow", 1.5))
-        sim.run()
-        assert log == [("fast", 1.0), ("slow", 1.5), ("fast", 2.0), ("slow", 3.0)]

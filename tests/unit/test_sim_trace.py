@@ -1,8 +1,6 @@
 """Unit tests for repro.sim.trace collectors."""
 
-import pytest
-
-from repro.sim import CounterSet, SeriesRecorder, TimeWeightedValue
+from repro.sim import CounterSet, SeriesRecorder
 
 
 class TestCounterSet:
@@ -26,53 +24,6 @@ class TestCounterSet:
         snapshot = counters.as_dict()
         counters.incr("x")
         assert snapshot == {"x": 1}
-
-
-class TestTimeWeightedValue:
-    def test_constant_signal_mean(self):
-        twv = TimeWeightedValue(initial=3.0)
-        assert twv.mean(10.0) == pytest.approx(3.0)
-
-    def test_step_change_mean(self):
-        twv = TimeWeightedValue(initial=0.0)
-        twv.update(10.0, 5.0)
-        assert twv.mean(20.0) == pytest.approx(2.5)
-
-    def test_integral(self):
-        twv = TimeWeightedValue(initial=2.0)
-        twv.update(5.0, 4.0)
-        assert twv.integral(10.0) == pytest.approx(2.0 * 5 + 4.0 * 5)
-
-    def test_add_delta(self):
-        twv = TimeWeightedValue(initial=1.0)
-        twv.add(5.0, 2.0)
-        assert twv.value == 3.0
-
-    def test_time_backwards_rejected(self):
-        twv = TimeWeightedValue()
-        twv.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            twv.update(4.0, 2.0)
-
-    def test_nonzero_start_time(self):
-        twv = TimeWeightedValue(initial=2.0, start_time=10.0)
-        assert twv.mean(20.0) == pytest.approx(2.0)
-
-    def test_zero_span_mean_is_current_value(self):
-        # At now == start_time nothing has been integrated; the mean is
-        # defined as the only value the signal has ever held, not 0/0.
-        twv = TimeWeightedValue(initial=7.5, start_time=10.0)
-        assert twv.mean(10.0) == 7.5
-
-    def test_zero_span_mean_after_zero_dt_update(self):
-        twv = TimeWeightedValue(initial=1.0, start_time=3.0)
-        twv.update(3.0, 9.0)  # zero-duration step at the start instant
-        assert twv.mean(3.0) == 9.0
-
-    def test_backwards_mean_window_rejected(self):
-        twv = TimeWeightedValue(initial=1.0, start_time=10.0)
-        with pytest.raises(ValueError, match="before it starts"):
-            twv.mean(9.0)
 
 
 class TestSeriesRecorder:

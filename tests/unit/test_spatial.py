@@ -9,7 +9,7 @@ from repro.net import Field, SpatialGrid, distance
 
 @pytest.fixture
 def grid():
-    return SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+    return SpatialGrid()
 
 
 class TestBasics:
@@ -37,13 +37,30 @@ class TestBasics:
         grid.insert("a", (4.0, 5.0))
         assert grid.position("a") == (4.0, 5.0)
 
-    def test_bulk_insert(self, grid):
-        grid.bulk_insert([("a", (0.0, 0.0)), ("b", (1.0, 1.0))])
-        assert len(grid) == 2
+    def test_items_iteration(self, grid):
+        grid.insert("a", (1.0, 2.0))
+        assert dict(grid.items()) == {"a": (1.0, 2.0)}
 
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            SpatialGrid(Field(10.0, 10.0), cell_size=0.0)
+    def test_row_index_is_insertion_order_and_survives_removal(self, grid):
+        grid.insert("a", (1.0, 1.0))
+        grid.insert("b", (2.0, 2.0))
+        grid.remove("a")
+        grid.insert("c", (3.0, 3.0))
+        assert [grid.row_index(item) for item in "abc"] == [0, 1, 2]
+
+    def test_listeners_run_after_each_mutation(self, grid):
+        seen = []
+        grid.add_listener(
+            lambda kind, item, position: seen.append(
+                (kind, item, position, item in grid)
+            )
+        )
+        grid.insert("a", (1.0, 1.0))
+        grid.remove("a")
+        assert seen == [
+            ("insert", "a", (1.0, 1.0), True),
+            ("remove", "a", (1.0, 1.0), False),
+        ]
 
 
 class TestWithin:
@@ -64,6 +81,18 @@ class TestWithin:
         with pytest.raises(ValueError):
             grid.within((0.0, 0.0), -1.0)
 
+    def test_sorted_by_insertion_index(self, grid):
+        grid.insert("far", (14.0, 10.0))
+        grid.insert("near", (11.0, 10.0))
+        grid.insert("mid", (12.0, 10.0))
+        assert grid.within((10.0, 10.0), 5.0) == ["far", "near", "mid"]
+
+    def test_removed_items_are_not_returned(self, grid):
+        grid.insert("a", (10.0, 10.0))
+        grid.insert("b", (11.0, 10.0))
+        grid.remove("a")
+        assert grid.within((10.0, 10.0), 5.0) == ["b"]
+
     def test_radius_spanning_many_cells(self, grid):
         for i in range(10):
             grid.insert(i, (i * 5.0, 25.0))
@@ -74,7 +103,7 @@ class TestWithin:
     def test_matches_brute_force_on_random_points(self):
         rng = random.Random(7)
         field = Field(40.0, 40.0)
-        grid = SpatialGrid(field, cell_size=4.0)
+        grid = SpatialGrid()
         points = {i: field.random_point(rng) for i in range(120)}
         for i, p in points.items():
             grid.insert(i, p)
@@ -87,20 +116,21 @@ class TestWithin:
             assert sorted(grid.within(center, radius)) == expected
 
 
-class TestNearest:
-    def test_single_point(self, grid):
-        grid.insert("only", (20.0, 20.0))
-        assert grid.nearest((0.0, 0.0)) == "only"
+class TestQueryRows:
+    def test_sorted_by_distance_then_insertion_index(self, grid):
+        grid.insert("east", (12.0, 10.0))
+        grid.insert("close", (10.5, 10.0))
+        grid.insert("west", (8.0, 10.0))
+        rows, d_sq = grid.query_rows((10.0, 10.0), 3.0)
+        assert rows.tolist() == [1, 0, 2]
+        assert d_sq.tolist() == [0.25, 4.0, 4.0]
 
-    def test_picks_closest(self, grid):
+    def test_exclude_row(self, grid):
         grid.insert("a", (10.0, 10.0))
-        grid.insert("b", (12.0, 10.0))
-        assert grid.nearest((12.5, 10.0)) == "b"
+        grid.insert("b", (11.0, 10.0))
+        rows, _ = grid.query_rows((10.0, 10.0), 3.0, exclude_row=0)
+        assert rows.tolist() == [1]
 
-    def test_empty_raises(self, grid):
-        with pytest.raises(ValueError):
-            grid.nearest((0.0, 0.0))
-
-    def test_items_iteration(self, grid):
-        grid.insert("a", (1.0, 2.0))
-        assert dict(grid.items()) == {"a": (1.0, 2.0)}
+    def test_empty_grid(self, grid):
+        rows, d_sq = grid.query_rows((10.0, 10.0), 3.0)
+        assert rows.size == 0 and d_sq.size == 0
