@@ -13,7 +13,6 @@ from repro.perf.workloads import (
     channel_broadcast_throughput,
     coverage_update_throughput,
     engine_event_throughput,
-    snapshot_roundtrip,
     spatial_grid_query_throughput,
 )
 
@@ -32,7 +31,3 @@ def test_coverage_update_throughput(benchmark):
 
 def test_channel_broadcast_throughput(benchmark):
     assert benchmark(channel_broadcast_throughput) > 0
-
-
-def test_snapshot_roundtrip(benchmark):
-    assert benchmark(snapshot_roundtrip) > 0

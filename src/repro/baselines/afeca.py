@@ -59,6 +59,7 @@ class AfecaLikeProtocol:
 
     # -------------------------------------------------------------- control
     def start(self) -> None:
+        self.network.start()
         for node in self.network.nodes.values():
             # Random initial phase within one awake+sleep cycle.
             delay = self.rng.uniform(0.0, self.awake_s)

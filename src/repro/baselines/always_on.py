@@ -23,5 +23,6 @@ class AlwaysOnProtocol:
         self.network = network
 
     def start(self) -> None:
+        self.network.start()
         for node in self.network.nodes.values():
             node.set_working(True)

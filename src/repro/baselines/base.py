@@ -17,7 +17,7 @@ turn-off policy differs.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from ..energy import (
     MOTE_PROFILE,
@@ -29,8 +29,7 @@ from ..energy import (
     summarize_energy,
 )
 from ..net import Field, Point
-from ..sim import CounterSet, Simulator, Timer, register_handler
-from ..sim.handlers import RestoreContext
+from ..sim import CounterSet, Simulator, Timer
 
 __all__ = ["BaselineNode", "BaselineNetwork"]
 
@@ -57,12 +56,7 @@ class BaselineNode:
         self.alive = True
         self._on_working_change = on_working_change
         self._on_death = on_death
-        self._death_timer = Timer(
-            sim,
-            self.die,
-            label="baseline-depletion",
-            handler=("baseline.depletion", (node_id,)),
-        )
+        self._death_timer = Timer(sim, self.die, label="baseline-depletion")
 
     # ------------------------------------------------------------- control
     def set_working(self, working: bool, until: Optional[float] = None) -> None:
@@ -75,21 +69,21 @@ class BaselineNode:
         if not self.alive or working == self.working:
             return
         self.working = working
-        self.battery.set_mode(
+        remaining = self.battery.set_mode(
             self.sim.now, RadioMode.IDLE if working else RadioMode.SLEEP
         )
-        self._reschedule_death(until)
+        self._reschedule_death(remaining, until)
         self._on_working_change(self, working)
 
     def charge(self, joules: float, category: str) -> None:
         """Charge a coordination cost (election message, beacon, ...)."""
         if not self.alive:
             return
-        self.battery.charge(self.sim.now, joules, category)
-        if self.battery.depleted(self.sim.now):
+        remaining = self.battery.charge(self.sim.now, joules, category)
+        if remaining <= 0.0:
             self.die()
         else:
-            self._reschedule_death()
+            self._reschedule_death(remaining)
 
     def die(self) -> None:
         if not self.alive:
@@ -103,34 +97,33 @@ class BaselineNode:
             self._on_working_change(self, False)
         self._on_death(self)
 
-    def start_sleeping(self) -> None:
-        self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
-        self._reschedule_death()
+    def start_sleeping(self, until: Optional[float] = None) -> None:
+        """Enter the start-up sleep; ``until`` is as in :meth:`set_working`."""
+        self._reschedule_death(
+            self.battery.set_mode(self.sim.now, RadioMode.SLEEP), until
+        )
 
     def remaining_energy(self) -> float:
         return self.battery.remaining(self.sim.now)
 
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        return {
-            "working": self.working,
-            "alive": self.alive,
-            "battery": self.battery.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore fields directly — observer side effects already happened
-        in the snapshotted run; the network restores its own sets."""
-        self.working = bool(state["working"])
-        self.alive = bool(state["alive"])
-        self.battery.load_state(state["battery"])
-
     # ------------------------------------------------------------ internals
-    def _reschedule_death(self, until: Optional[float] = None) -> None:
-        # The deadline is armed before the caller schedules its toggle, so
-        # on a tie the deadline fires first: it stays armed at ``until``.
-        ttd = self.battery.time_to_depletion(self.sim.now)
-        if ttd is None or (until is not None and self.sim.now + ttd > until):
+    def _reschedule_death(
+        self, remaining: float, until: Optional[float] = None
+    ) -> None:
+        """Re-arm the depletion deadline from the ``remaining`` joules the
+        battery just settled at ``now``, at the current mode's draw (the
+        deadline ``NodeBattery.time_to_depletion`` would give, without a
+        second settle).
+
+        The deadline is armed before the caller schedules its toggle, so
+        on a tie the deadline fires first: it stays armed at ``until``.
+        """
+        power = self.battery._power_w
+        if power <= 0:
+            self._death_timer.cancel()
+            return
+        ttd = remaining / power
+        if until is not None and self.sim.now + ttd > until:
             self._death_timer.cancel()
         else:
             self._death_timer.start(ttd)
@@ -141,8 +134,9 @@ class BaselineNetwork:
     :class:`~repro.core.protocol.PEASNetwork`, so coverage, routing and
     failure injection plug in unchanged.
 
-    Subclass-free: a concrete baseline protocol receives the network and
-    drives :meth:`BaselineNode.set_working` from its own scheduling logic.
+    Subclass-free: a concrete baseline protocol receives the network,
+    starts it from its own ``start()`` and drives
+    :meth:`BaselineNode.set_working` from its own scheduling logic.
     """
 
     def __init__(
@@ -177,9 +171,15 @@ class BaselineNetwork:
             self._alive.add(index)
 
     # -------------------------------------------------- PEASNetwork surface
-    def start(self) -> None:
-        for node in self.nodes.values():
-            node.start_sleeping()
+    def start(self, first_toggle: Optional[Mapping[Hashable, float]] = None) -> None:
+        """Put every node to sleep and arm its depletion deadline.
+
+        ``first_toggle`` maps node ids to the exact time of the protocol's
+        first toggle of that node, when the protocol knows it: a deadline
+        after it is not armed (see :meth:`BaselineNode.set_working`).
+        """
+        for node_id, node in self.nodes.items():
+            node.start_sleeping(None if first_toggle is None else first_toggle[node_id])
 
     def kill(self, node_id: Hashable) -> None:
         self.nodes[node_id].die()
@@ -203,26 +203,6 @@ class BaselineNetwork:
             (node.battery for node in self.nodes.values()), self.sim.now
         )
 
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        return {
-            "counters": self.counters.state_dict(),
-            "alive": sorted(self._alive),
-            "working": sorted(self._working),
-            "nodes": [
-                [node_id, node.state_dict()] for node_id, node in self.nodes.items()
-            ],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore into a freshly constructed (never started) population."""
-        self.counters.load_state(state["counters"])
-        saved = {node_id: node_state for node_id, node_state in state["nodes"]}
-        for node_id, node in self.nodes.items():
-            node.load_state(saved[node_id])
-        self._alive = set(state["alive"])
-        self._working = set(state["working"])
-
     # ------------------------------------------------------------ internals
     def _working_changed(self, node: BaselineNode, working: bool) -> None:
         if working:
@@ -234,9 +214,3 @@ class BaselineNetwork:
 
     def _node_died(self, node: BaselineNode) -> None:
         self._alive.discard(node.node_id)
-
-
-@register_handler("baseline.depletion")
-def _resolve_baseline_depletion(ctx: RestoreContext, event) -> None:
-    node_id = event.handler[1][0]
-    ctx.component("network").nodes[node_id]._death_timer.adopt(event)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import random
 
-from ..sim import Simulator, register_handler
-from ..sim.handlers import RestoreContext
 from .base import BaselineNetwork, BaselineNode
 
 __all__ = ["DutyCycleProtocol"]
@@ -55,12 +53,15 @@ class DutyCycleProtocol:
     def start(self) -> None:
         sim = self.network.sim
         on_time = self.duty * self.period_s
-        for node in self.network.nodes.values():
-            phase = self.rng.uniform(0.0, self.period_s)
-            sim.schedule(
-                phase, self._turn_on, node, on_time, label="ris-on",
-                handler=("duty.on", (node.node_id, on_time)),
-            )
+        nodes = self.network.nodes
+        phases = {node_id: self.rng.uniform(0.0, self.period_s) for node_id in nodes}
+        # Each node sleeps until its first ris-on, so the network arms no
+        # start-up deadline that toggle would cancel.
+        self.network.start(
+            {node_id: float(sim.now + phase) for node_id, phase in phases.items()}
+        )
+        for node_id, phase in phases.items():
+            sim.schedule(phase, self._turn_on, nodes[node_id], on_time, label="ris-on")
 
     # ------------------------------------------------------------ internals
     # Each toggle passes the exact time of the next one (the float
@@ -74,10 +75,7 @@ class DutyCycleProtocol:
             node.set_working(True)
             return
         node.set_working(True, until=float(sim.now + on_time))
-        sim.schedule(
-            on_time, self._turn_off, node, label="ris-off",
-            handler=("duty.off", (node.node_id,)),
-        )
+        sim.schedule(on_time, self._turn_off, node, label="ris-off")
 
     def _turn_off(self, node: BaselineNode) -> None:
         if not node.alive:
@@ -85,22 +83,4 @@ class DutyCycleProtocol:
         off_time = self.period_s - self.duty * self.period_s
         on_time = self.duty * self.period_s
         node.set_working(False, until=float(self.network.sim.now + off_time))
-        self.network.sim.schedule(
-            off_time, self._turn_on, node, on_time, label="ris-on",
-            handler=("duty.on", (node.node_id, on_time)),
-        )
-
-
-@register_handler("duty.on")
-def _resolve_duty_on(ctx: RestoreContext, event) -> None:
-    run = ctx.component("protocol")
-    node_id, on_time = event.handler[1]
-    event.fn = run.protocol._turn_on
-    event.args = (run.network.nodes[node_id], float(on_time))
-
-
-@register_handler("duty.off")
-def _resolve_duty_off(ctx: RestoreContext, event) -> None:
-    run = ctx.component("protocol")
-    event.fn = run.protocol._turn_off
-    event.args = (run.network.nodes[event.handler[1][0]],)
+        self.network.sim.schedule(off_time, self._turn_on, node, on_time, label="ris-on")

@@ -56,6 +56,7 @@ class GafLikeProtocol:
 
     # -------------------------------------------------------------- control
     def start(self) -> None:
+        self.network.start()
         for cell in self._cells:
             self._elect(cell)
 

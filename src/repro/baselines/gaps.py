@@ -106,23 +106,6 @@ class CellGapMonitor:
                 if self._count[point] == 0 and self._served.get(point):
                     self._gap_start[point] = time
 
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable gap-tracking state; lattice keys round-trip through
-        JSON as ``[ix, iy]`` pairs and come back as tuples."""
-        return {
-            "count": [[list(k), v] for k, v in self._count.items()],
-            "gap_start": [[list(k), v] for k, v in self._gap_start.items()],
-            "served": [list(k) for k, v in self._served.items() if v],
-            "gaps": list(self.gaps),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._count = {tuple(k): int(v) for k, v in state["count"]}
-        self._gap_start = {tuple(k): float(v) for k, v in state["gap_start"]}
-        self._served = {tuple(k): True for k in state["served"]}
-        self.gaps = [float(g) for g in state["gaps"]]
-
     # -------------------------------------------------------------- queries
     def gap_count(self) -> int:
         return len(self.gaps)

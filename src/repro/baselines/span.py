@@ -59,6 +59,7 @@ class SpanLikeProtocol:
 
     # -------------------------------------------------------------- control
     def start(self) -> None:
+        self.network.start()
         self._round()
 
     def _round(self) -> None:

@@ -56,6 +56,7 @@ class SynchronizedSleepProtocol:
         )
 
     def start(self) -> None:
+        self.network.start()
         self._round()
 
     # ------------------------------------------------------------ internals

@@ -5,8 +5,6 @@ Commands mirror the paper's evaluation artifacts::
     peas-repro run --nodes 320 --seed 1          # one scenario, full metrics
     peas-repro run --protocol duty_cycle          # any registered protocol
     peas-repro run --faults plan.json             # run under a fault plan
-    peas-repro run --snapshot ck.json --stop-after 2000   # resumable prefix
-    peas-repro run --restore ck.json --trace suffix.ndjson  # continue it
     peas-repro robustness                         # fault-regime sweep
     peas-repro fig9                               # coverage lifetime vs N
     peas-repro fig10 / fig11 / table1             # delivery / wakeups / energy
@@ -75,10 +73,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
     from .obs import NdjsonSink, Tracer, save_manifest
 
-    if (args.snapshot or args.restore or args.checkpoint_every is not None
-            or args.stop_after is not None):
-        _cmd_run_snapshot(args)
-        return
     scenario = _scenario_from_args(args)
     tracer = None
     if args.trace:
@@ -95,7 +89,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
         trace_path = Path(args.trace)
         manifest_path = trace_path.parent / (trace_path.stem + ".manifest.json")
         save_manifest(result.manifest, manifest_path)
-        _print_trace_lines(args, result)
+        stats = result.manifest.get("trace", {})
+        print(f"trace: {trace_path} ({stats.get('emitted', 0)} events, "
+              f"{stats.get('dropped', 0)} dropped)")
+        print(f"manifest: {manifest_path}")
         if result.profile is not None:
             import json
 
@@ -105,53 +102,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
             )
             print(f"profile: {profile_path}")
     _print_run_summary(args, result)
-
-
-def _cmd_run_snapshot(args: argparse.Namespace) -> None:
-    """``run`` with any snapshot/restore flag: the harness owns the whole
-    capability stack (trace sink + manifest sidecar included)."""
-    from .harness import RunOptions, resume, run
-    from .harness.snapshot import load_snapshot
-    from .sim import SnapshotError
-
-    options = RunOptions(
-        profile=args.profile,
-        sanitize=args.sanitize,
-        trace_path=args.trace,
-        snapshot_path=args.snapshot,
-        checkpoint_every_s=args.checkpoint_every,
-        stop_after_s=args.stop_after,
-    )
-    if args.restore:
-        try:
-            snapshot = load_snapshot(args.restore)
-            from .experiments import scenario_from_dict
-
-            effective = scenario_from_dict(snapshot["scenario"])
-            provenance = snapshot.get("provenance", {})
-            print(f"restore: {args.restore} "
-                  f"(t={provenance.get('created_at_sim_s')}s, resume)")
-            result = resume(snapshot, options, force=args.force_restore)
-        except SnapshotError as exc:
-            raise SystemExit(f"restore: {exc}")
-    else:
-        effective = _scenario_from_args(args)
-        result = run(effective, options)
-    if args.snapshot:
-        print(f"snapshot: {options.resolved_snapshot_path(effective)}")
-    if args.trace:
-        _print_trace_lines(args, result)
-    _print_run_summary(args, result)
-
-
-def _print_trace_lines(args: argparse.Namespace, result) -> None:
-    from pathlib import Path
-
-    trace_path = Path(args.trace)
-    stats = result.manifest.get("trace", {})
-    print(f"trace: {trace_path} ({stats.get('emitted', 0)} events, "
-          f"{stats.get('dropped', 0)} dropped)")
-    print(f"manifest: {trace_path.parent / (trace_path.stem + '.manifest.json')}")
 
 
 def _print_run_summary(args: argparse.Namespace, result) -> None:
@@ -508,24 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run with cheap invariant assertions (monotonic "
                             "event time, legal transmissions, battery and "
                             "estimator well-formedness); off by default")
-    run_p.add_argument("--snapshot", metavar="PATH", default=None,
-                       help="write a peas-snapshot/1 checkpoint (supports "
-                            "{seed}/{nodes}/{protocol} placeholders); on its "
-                            "own, one final snapshot at the end of the run")
-    run_p.add_argument("--checkpoint-every", type=float, metavar="S",
-                       default=None, dest="checkpoint_every",
-                       help="rewrite --snapshot every S simulated seconds "
-                            "(rounded to the engine's chunk grid)")
-    run_p.add_argument("--stop-after", type=float, metavar="S", default=None,
-                       dest="stop_after",
-                       help="stop once the clock reaches S simulated seconds "
-                            "(with --snapshot: a resumable prefix)")
-    run_p.add_argument("--restore", metavar="PATH", default=None,
-                       help="resume a peas-snapshot/1 file instead of "
-                            "starting fresh; continues the embedded scenario")
-    run_p.add_argument("--force-restore", action="store_true",
-                       help="restore even if the snapshot was written by "
-                            "different source code (code fingerprint)")
 
     inspect_p = sub.add_parser(
         "inspect",
@@ -625,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="also evict records not touched for DAYS days")
     gc_p.add_argument("--all", action="store_true",
-                      help="drop every record and snapshot regardless of "
+                      help="drop every record regardless of "
                            "fingerprint or age")
 
     conn_p = sub.add_parser("connectivity", help="Theorem 3.1 range sweep")

@@ -144,34 +144,6 @@ class RateEstimator:
                 f"{self._measured!r}"
             )
 
-    def state_dict(self) -> dict:
-        """Serializable window state (constructor parameters come from the
-        node's config at reconstruction, not the snapshot)."""
-        return {
-            "count": self._count,
-            "t0": self._t0,
-            "measured": self._measured,
-            "recent": [list(key) for key in self._recent],
-            "windows_completed": self.windows_completed,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore window state saved by :meth:`state_dict`.
-
-        Dedup keys are re-tupled: ``on_probe`` membership tests compare
-        against tuple ``wakeup_key`` values, so restoring lists would
-        silently disable deduplication.
-        """
-        count = state["count"]
-        self._count = None if count is None else int(count)
-        self._t0 = float(state["t0"])
-        measured = state["measured"]
-        self._measured = None if measured is None else float(measured)
-        self._recent.clear()
-        for key in state["recent"]:
-            self._recent.append(tuple(key))
-        self.windows_completed = int(state["windows_completed"])
-
     def on_probe(self, now: float, wakeup_key: Tuple) -> Optional[float]:
         """Register a PROBE arrival; returns a fresh full-window measurement
         when the window completes, else ``None``.

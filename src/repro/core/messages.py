@@ -15,18 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from ..net.packet import register_payload
-
-__all__ = [
-    "ProbeMessage",
-    "ReplyMessage",
-    "PROBE_KIND",
-    "REPLY_KIND",
-    "probe_to_dict",
-    "probe_from_dict",
-    "reply_to_dict",
-    "reply_from_dict",
-]
+__all__ = ["ProbeMessage", "ReplyMessage", "PROBE_KIND", "REPLY_KIND"]
 
 PROBE_KIND = "PROBE"
 REPLY_KIND = "REPLY"
@@ -98,47 +87,3 @@ _set_measured_rate = ReplyMessage.measured_rate.__set__
 _set_desired_rate = ReplyMessage.desired_rate.__set__
 _set_working_duration = ReplyMessage.working_duration.__set__
 _set_answering = ReplyMessage.answering.__set__
-
-
-# --------------------------------------------------------------------------
-# Snapshot codecs (peas-snapshot/1).
-# --------------------------------------------------------------------------
-def probe_to_dict(message: ProbeMessage) -> dict:
-    return {
-        "prober_id": message.prober_id,
-        "wakeup_seq": message.wakeup_seq,
-        "probe_index": message.probe_index,
-    }
-
-
-def probe_from_dict(data: dict) -> ProbeMessage:
-    return ProbeMessage(
-        prober_id=data["prober_id"],
-        wakeup_seq=int(data["wakeup_seq"]),
-        probe_index=int(data["probe_index"]),
-    )
-
-
-def reply_to_dict(message: ReplyMessage) -> dict:
-    return {
-        "worker_id": message.worker_id,
-        "measured_rate": message.measured_rate,
-        "desired_rate": message.desired_rate,
-        "working_duration": message.working_duration,
-        "answering": None if message.answering is None else list(message.answering),
-    }
-
-
-def reply_from_dict(data: dict) -> ReplyMessage:
-    answering = data["answering"]
-    return ReplyMessage(
-        worker_id=data["worker_id"],
-        measured_rate=data["measured_rate"],
-        desired_rate=float(data["desired_rate"]),
-        working_duration=float(data["working_duration"]),
-        answering=None if answering is None else tuple(answering),
-    )
-
-
-register_payload(PROBE_KIND, ProbeMessage, probe_to_dict, probe_from_dict)
-register_payload(REPLY_KIND, ReplyMessage, reply_to_dict, reply_from_dict)

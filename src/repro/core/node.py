@@ -34,10 +34,7 @@ from ..obs.tracer import Tracer
 from ..net.mac import probe_arrival_offset, probe_offsets, reply_phase
 from ..net.channel import BroadcastChannel
 from ..net.field import Point
-from ..sim import (
-    CounterSet, Event, Simulator, SnapshotError, Timer, register_handler,
-)
-from ..sim.handlers import RestoreContext
+from ..sim import CounterSet, Event, Simulator, Timer
 from .adaptive_sleep import RateEstimator, sleep_duration, updated_rate
 from .config import PEASConfig
 from .extensions import ReceptionFilter, overlap_should_sleep
@@ -137,17 +134,9 @@ class PEASNode:
         self._pending_replies: List[ReplyMessage] = []
         self._reply_busy_until = -1.0
 
-        self._sleep_timer = Timer(
-            sim, self._wake, label="wake", handler=("node.wake", (node_id,))
-        )
-        self._window_timer = Timer(
-            sim, self._end_probe_window, label="probe-window",
-            handler=("node.probe-window", (node_id,)),
-        )
-        self._death_timer = Timer(
-            sim, self._die, label="depletion",
-            handler=("node.depletion", (node_id,)),
-        )
+        self._sleep_timer = Timer(sim, self._wake, label="wake")
+        self._window_timer = Timer(sim, self._end_probe_window, label="probe-window")
+        self._death_timer = Timer(sim, self._die, label="depletion")
         #: exact battery depletion deadline (+inf when not draining); in
         #: the heap only while it can fire first (see :meth:`_arm_death`)
         self._death_at = _INF
@@ -314,10 +303,7 @@ class PEASNode:
         offsets = self._probe_offsets
         skew = self.clock_skew
         for index, offset in enumerate(offsets):
-            self.sim.schedule(
-                offset * skew, self._send_probe, index, label="probe-tx",
-                handler=("node.probe-tx", (self._node_id, index)),
-            )
+            self.sim.schedule(offset * skew, self._send_probe, index, label="probe-tx")
         self._window_timer.start(self.config.probe_window_s * skew)
         self._reschedule_death()
 
@@ -451,10 +437,6 @@ class PEASNode:
             self.sim.schedule(
                 retry - now, self._send_reply, answering, feedback, deadline,
                 label="reply-tx",
-                handler=(
-                    "node.reply-tx",
-                    (self._node_id, list(answering), feedback, deadline),
-                ),
             )
             return
         node_id = self._node_id
@@ -515,9 +497,6 @@ class PEASNode:
         self.sim.schedule(
             target - now, self._send_reply, wakeup_key, feedback, deadline,
             label="reply-tx",
-            handler=(
-                "node.reply-tx", (self._node_id, list(wakeup_key), feedback, deadline)
-            ),
         )
 
     def _on_reply(self, message: ReplyMessage) -> None:
@@ -680,109 +659,3 @@ class PEASNode:
         if was_working:
             self.hooks.on_working_stop(self, "death")
         self.hooks.on_death(self, cause)
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable protocol state (identity, config and position come
-        from reconstruction; this is only what the run mutated)."""
-        from .messages import reply_to_dict
-
-        return {
-            "mode": self.mode.value,
-            "rate_hz": self.rate_hz,
-            "clock_skew": self.clock_skew,
-            "death_cause": (
-                None if self.death_cause is None else self.death_cause.value
-            ),
-            "work_started_at": self.work_started_at,
-            "wakeup_count": self.wakeup_count,
-            "wakeup_seq": self._wakeup_seq,
-            "reply_busy_until": self._reply_busy_until,
-            "pending_replies": [
-                reply_to_dict(reply) for reply in self._pending_replies
-            ],
-            "estimator": (
-                None if self.estimator is None else self.estimator.state_dict()
-            ),
-            "battery": self.battery.state_dict(),
-            # The deadline may be out of the heap (see _arm_death), so the
-            # pending event alone does not carry it; JSON has no +inf.
-            "death_at": None if self._death_at == _INF else self._death_at,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict` and republish the
-        radio-on flag so the channel's columnar listening column matches."""
-        from .messages import reply_from_dict
-
-        self.mode = NodeMode(state["mode"])
-        self.rate_hz = float(state["rate_hz"])
-        self.clock_skew = float(state["clock_skew"])
-        cause = state["death_cause"]
-        self.death_cause = None if cause is None else DeathCause(cause)
-        started = state["work_started_at"]
-        self.work_started_at = None if started is None else float(started)
-        self.wakeup_count = int(state["wakeup_count"])
-        self._wakeup_seq = int(state["wakeup_seq"])
-        self._reply_busy_until = float(state["reply_busy_until"])
-        self._pending_replies = [
-            reply_from_dict(spec) for spec in state["pending_replies"]
-        ]
-        if state["estimator"] is None:
-            self.estimator = None
-        else:
-            estimator = RateEstimator(
-                self.config.measurement_window_k,
-                self.config.probe_dedupe_window,
-                mode=self.config.measurement_mode,
-                min_horizon_s=self.config.effective_horizon_s(),
-            )
-            estimator.load_state(state["estimator"])
-            self.estimator = estimator
-        self.battery.load_state(state["battery"])
-        if "death_at" not in state:
-            raise SnapshotError(
-                f"node {self._node_id!r} state has no 'death_at' depletion "
-                "deadline; the snapshot predates saved deadlines"
-            )
-        death_at = state["death_at"]
-        self._death_at = _INF if death_at is None else float(death_at)
-        self._note_listening(self._node_id, self.is_listening())
-
-
-# --------------------------------------------------------------------------
-# Handler resolvers: rebind restored events to the reconstructed nodes.
-# --------------------------------------------------------------------------
-def _node_of(ctx: RestoreContext, node_id) -> PEASNode:
-    return ctx.component("network").nodes[node_id]
-
-
-@register_handler("node.wake")
-def _resolve_wake(ctx: RestoreContext, event) -> None:
-    _node_of(ctx, event.handler[1][0])._sleep_timer.adopt(event)
-
-
-@register_handler("node.probe-window")
-def _resolve_probe_window(ctx: RestoreContext, event) -> None:
-    _node_of(ctx, event.handler[1][0])._window_timer.adopt(event)
-
-
-@register_handler("node.depletion")
-def _resolve_depletion(ctx: RestoreContext, event) -> None:
-    _node_of(ctx, event.handler[1][0])._death_timer.adopt(event)
-
-
-@register_handler("node.probe-tx")
-def _resolve_probe_tx(ctx: RestoreContext, event) -> None:
-    node_id, index = event.handler[1]
-    node = _node_of(ctx, node_id)
-    event.fn = node._send_probe
-    event.args = (int(index),)
-
-
-@register_handler("node.reply-tx")
-def _resolve_reply_tx(ctx: RestoreContext, event) -> None:
-    node_id, answering, feedback, deadline = event.handler[1]
-    node = _node_of(ctx, node_id)
-    event.fn = node._send_reply
-    event.args = (tuple(answering), feedback, float(deadline))

@@ -48,11 +48,6 @@ from .states import DeathCause
 __all__ = ["PEASNetwork", "validate_timing"]
 
 
-def _canonical_id(node_id: Hashable) -> tuple:
-    """Total order over node ids for snapshot set serialization (sensor ids
-    are ints, anchors are strings — a bare ``sorted`` would raise)."""
-    return (isinstance(node_id, str), node_id)
-
 #: observer signature: (time, node, started) where started is True when the
 #: node began working and False when it stopped (death or overlap turnoff).
 WorkingObserver = Callable[[float, PEASNode, bool], None]
@@ -256,42 +251,6 @@ class PEASNetwork:
 
     def total_initial_energy(self) -> float:
         return sum(node.battery.initial_j for node in self.sensor_nodes())
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable deployment state (peas-snapshot/1): protocol
-        counters, channel state, and every node's mutable state in
-        construction order.  Positions, configs, batteries' capacities and
-        RNG streams come from reconstruction, not the snapshot."""
-        key = _canonical_id
-        return {
-            "counters": self.counters.state_dict(),
-            "alive": sorted(self._alive, key=key),
-            "working": sorted(self._working, key=key),
-            "nodes": [
-                [node_id, node.state_dict()] for node_id, node in self.nodes.items()
-            ],
-            "channel": self.channel.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore into a freshly constructed (never started) network.
-
-        Node states load first (each re-publishes its listening flag), dead
-        sensors are detached from the medium exactly as :meth:`PEASNode.fail`
-        would have left them, and the channel's in-flight state loads last so
-        its column resync sees the final grid membership.
-        """
-        self.counters.load_state(state["counters"])
-        saved_nodes = {node_id: node_state for node_id, node_state in state["nodes"]}
-        for node_id, node in self.nodes.items():
-            node.load_state(saved_nodes[node_id])
-        self._alive = set(state["alive"])
-        self._working = set(state["working"])
-        for node_id, node in self.nodes.items():
-            if not node.anchor and node_id not in self._alive:
-                self.channel.detach(node_id)
-        self.channel.load_state(state["channel"])
 
     # ------------------------------------------------------------- internals
     def _energy_hook(

@@ -10,12 +10,10 @@ with zero working nodes and acquires them during the boot phase (§2.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..sim import PeriodicProcess, SeriesRecorder, Simulator, register_handler
-from ..sim.handlers import RestoreContext
+from ..sim import PeriodicProcess, SeriesRecorder, Simulator
 from .grid import CoverageGrid
-from ..net.field import Point
 
 __all__ = ["CoverageTracker", "lifetime_from_series"]
 
@@ -69,11 +67,7 @@ class CoverageTracker:
         self.threshold = threshold
         self.series = SeriesRecorder()
         self._sampler = PeriodicProcess(
-            sim,
-            sample_interval_s,
-            self._sample,
-            label="coverage-sample",
-            handler=("coverage.sample", ()),
+            sim, sample_interval_s, self._sample, label="coverage-sample"
         )
         self.working_count = 0
 
@@ -107,26 +101,6 @@ class CoverageTracker:
     def lifetimes(self) -> Dict[int, Optional[float]]:
         return {k: self.lifetime(k) for k in self.ks}
 
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable sampling state; the coverage lattice itself is
-        derived (a pure function of the working set) and rebuilt on load."""
-        return {
-            "series": self.series.state_dict(),
-            "working_count": self.working_count,
-        }
-
-    def load_state(self, state: dict, working_positions: Iterable[Point]) -> None:
-        """Restore sampling state and rebuild the lattice by re-covering
-        every currently-working position (counts are additive, so the
-        iteration order does not matter).  The pending sample event comes
-        back through the engine queue — do not call :meth:`start` after a
-        restore."""
-        self.series.load_state(state["series"])
-        self.working_count = int(state["working_count"])
-        for position in working_positions:
-            self.grid.add_node(position)
-
     # ------------------------------------------------------------ internals
     @staticmethod
     def _series_name(k: int) -> str:
@@ -137,8 +111,3 @@ class CoverageTracker:
         for k in self.ks:
             self.series.record(self._series_name(k), now, self.grid.fraction(k))
         self.series.record("working_count", now, float(self.working_count))
-
-
-@register_handler("coverage.sample")
-def _resolve_coverage_sample(ctx: RestoreContext, event) -> None:
-    ctx.component("coverage")._sampler.adopt(event)

@@ -8,7 +8,7 @@ can schedule its own death event — the mechanism that produces the paper's
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from .model import PowerProfile, RadioMode
 
@@ -68,11 +68,16 @@ class NodeBattery:
         return remaining / power
 
     # ------------------------------------------------------------- mutation
-    def set_mode(self, now: float, mode: RadioMode) -> None:
-        """Switch the continuous draw; past consumption is settled first."""
+    def set_mode(self, now: float, mode: RadioMode) -> float:
+        """Switch the continuous draw; past consumption is settled first.
+
+        Returns the remaining charge just settled, so a caller can derive
+        the new depletion deadline without a second integration pass.
+        """
         self._integrate(now)
         self._mode = mode
         self._power_w = self.profile.mode_power(mode)
+        return self._remaining
 
     def charge_frame(self, now: float, joules: float, category: str) -> float:
         """Charge one frame's ``joules`` (its
@@ -109,36 +114,15 @@ class NodeBattery:
             raise ValueError("attributed energy must be nonnegative")
         self.by_category[category] = self.by_category.get(category, 0.0) + joules
 
-    def charge(self, now: float, joules: float, category: str) -> None:
-        """Charge an arbitrary extra cost (used by baseline protocols)."""
+    def charge(self, now: float, joules: float, category: str) -> float:
+        """Charge an arbitrary extra cost (used by baseline protocols);
+        returns the remaining charge, as :meth:`charge_frame` does."""
         if joules < 0:
             raise ValueError("charge must be nonnegative")
         self._integrate(now)
         self._remaining = max(0.0, self._remaining - joules)
         self.by_category[category] = self.by_category.get(category, 0.0) + joules
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> Dict[str, Any]:
-        """Serializable battery state.
-
-        ``by_category`` is saved as ordered pairs because its insertion
-        order is run-history and flows into ``energy_report`` output.
-        """
-        return {
-            "remaining": self._remaining,
-            "mode": self._mode.value,
-            "last_update": self._last_update,
-            "by_category": [[k, v] for k, v in self.by_category.items()],
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore state saved by :meth:`state_dict` (profile and
-        ``initial_j`` come from reconstruction, not the snapshot)."""
-        self._remaining = float(state["remaining"])
-        self._mode = RadioMode(state["mode"])
-        self._power_w = self.profile.mode_power(self._mode)
-        self._last_update = float(state["last_update"])
-        self.by_category = {k: float(v) for k, v in state["by_category"]}
+        return self._remaining
 
     # ----------------------------------------------------------- invariants
     def assert_invariants(self, now: float) -> None:

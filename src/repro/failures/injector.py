@@ -17,7 +17,7 @@ converts.
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional
 
 from ..obs import events as trace_events
 from ..obs.tracer import Tracer
@@ -51,10 +51,6 @@ class FailureInjector:
     tracer:
         Optional :class:`repro.obs.Tracer` receiving a ``fail`` event per
         injected failure.
-    handler:
-        Optional snapshot handler descriptor ``(kind, args)`` stamped on
-        every scheduled arrival so the pending event round-trips through
-        ``peas-snapshot/1`` (see :mod:`repro.sim.handlers`).
     """
 
     def __init__(
@@ -65,7 +61,6 @@ class FailureInjector:
         kill: Callable[[Hashable], None],
         rng: random.Random,
         tracer: Optional[Tracer] = None,
-        handler: Optional[Tuple[str, tuple]] = None,
     ) -> None:
         if rate_hz < 0:
             raise ValueError("failure rate must be nonnegative")
@@ -75,7 +70,6 @@ class FailureInjector:
         self.kill = kill
         self.rng = rng
         self._tracer = tracer.active() if tracer is not None else None
-        self._handler = handler
         self.failures_injected = 0
         self.failure_times: List[float] = []
         self._started = False
@@ -94,29 +88,14 @@ class FailureInjector:
             raise ValueError("population must be positive")
         return self.failures_injected / population
 
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable injection history (the pending arrival lives in the
-        engine's queue; the RNG in the registry)."""
-        return {
-            "failures_injected": self.failures_injected,
-            "failure_times": list(self.failure_times),
-            "started": self._started,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.failures_injected = int(state["failures_injected"])
-        self.failure_times = [float(t) for t in state["failure_times"]]
-        self._started = bool(state["started"])
-
     # ------------------------------------------------------------ internals
     def _schedule_next(self) -> None:
         delay = self.rng.expovariate(self.rate_hz)
-        self.sim.schedule(delay, self._fire, label="failure", handler=self._handler)
+        self.sim.schedule(delay, self._fire, label="failure")
 
     def _fire(self) -> None:
         # Canonical victim ordering: the alive set's iteration order depends
-        # on its mutation history, which a snapshot restore cannot replay.
+        # on its mutation history, so the draw must not depend on it.
         victims = sorted(self.alive_provider())
         if victims:
             victim = victims[self.rng.randrange(len(victims))]

@@ -33,8 +33,7 @@ from ..net.field import distance_sq
 from ..net.loss import GilbertElliottLoss
 from ..obs import events as trace_events
 from ..obs.tracer import Tracer
-from ..sim import RngRegistry, Simulator, register_handler
-from ..sim.handlers import RestoreContext
+from ..sim import RngRegistry, Simulator
 from .plan import (
     BurstyLossFault,
     ClockDriftFault,
@@ -46,10 +45,6 @@ from .plan import (
 
 __all__ = ["FaultEngine"]
 
-
-def _fault_index(fault_id: str) -> int:
-    """Recover a plan-entry index from its ``fault<index>`` id."""
-    return int(fault_id[5:])
 
 
 class FaultEngine:
@@ -109,7 +104,6 @@ class FaultEngine:
         self.ambient_injector = self._build_crash(
             CrashFault(rate_per_5000s=ambient_crash_per_5000s),
             rngs.stream("failures"),
-            slot=-1,
         )
         self.region_kills = 0
         self.outages = 0
@@ -126,11 +120,7 @@ class FaultEngine:
             rng = rngs.stream(f"faults.{index}.{entry.kind}")
             self._runtimes.append((fault_id, entry, rng))
             if isinstance(entry, CrashFault):
-                self._plan_crash_injectors.append(
-                    self._build_crash(
-                        entry, rng, slot=len(self._plan_crash_injectors)
-                    )
-                )
+                self._plan_crash_injectors.append(self._build_crash(entry, rng))
 
     # ------------------------------------------------------------ lifecycle
     def prepare(self) -> None:
@@ -147,7 +137,7 @@ class FaultEngine:
         tracer = self._tracer
         now = self.sim.now
         crash_iter = iter(self._plan_crash_injectors)
-        for index, (fault_id, entry, rng) in enumerate(self._runtimes):
+        for fault_id, entry, rng in self._runtimes:
             if tracer is not None:
                 tracer.emit(trace_events.fault_arm(now, fault_id, entry.kind))
             if isinstance(entry, CrashFault):
@@ -157,7 +147,6 @@ class FaultEngine:
                     max(0.0, entry.at_s - now),
                     self._fire_region, fault_id, entry, rng,
                     label="fault-region",
-                    handler=("faults.region", (index,)),
                 )
             elif isinstance(entry, TransientOutageFault):
                 self._arm_outage(fault_id, entry, rng)
@@ -210,9 +199,7 @@ class FaultEngine:
         }
 
     # ------------------------------------------------------------ internals
-    def _build_crash(
-        self, entry: CrashFault, rng: random.Random, slot: int
-    ) -> FailureInjector:
+    def _build_crash(self, entry: CrashFault, rng: random.Random) -> FailureInjector:
         network = self.network
         return FailureInjector(
             self.sim,
@@ -221,7 +208,6 @@ class FaultEngine:
             kill=network.kill,
             rng=rng,
             tracer=self._raw_tracer,
-            handler=("failures.crash", (slot,)),
         )
 
     def _fire_region(
@@ -267,7 +253,6 @@ class FaultEngine:
             rng.expovariate(rate_hz),
             self._fire_outage, fault_id, entry, rng,
             label="fault-outage",
-            handler=("faults.outage-fire", (_fault_index(fault_id),)),
         )
 
     def _fire_outage(
@@ -295,10 +280,6 @@ class FaultEngine:
                     rng.expovariate(1.0 / entry.mean_outage_s),
                     self._restore_outage, fault_id, entry, victim,
                     label="fault-restore",
-                    handler=(
-                        "faults.outage-restore",
-                        (_fault_index(fault_id), victim),
-                    ),
                 )
         self._arm_next_outage(fault_id, entry, rng)
 
@@ -309,7 +290,6 @@ class FaultEngine:
             rng.expovariate(per_5000s(entry.rate_per_5000s)),
             self._fire_outage, fault_id, entry, rng,
             label="fault-outage",
-            handler=("faults.outage-fire", (_fault_index(fault_id),)),
         )
 
     def _restore_outage(
@@ -352,14 +332,12 @@ class FaultEngine:
             max(0.0, entry.start_s - now),
             self._emit_bursty_fire, fault_id, entry,
             label="fault-bursty",
-            handler=("faults.bursty-fire", (_fault_index(fault_id),)),
         )
         if entry.end_s is not None:
             self.sim.schedule(
                 max(0.0, entry.end_s - now),
                 self._emit_bursty_clear, fault_id, entry,
                 label="fault-bursty",
-                handler=("faults.bursty-clear", (_fault_index(fault_id),)),
             )
 
     def _emit_bursty_fire(self, fault_id: str, entry: BurstyLossFault) -> None:
@@ -388,108 +366,3 @@ class FaultEngine:
                 )
             node.clock_skew = rng.uniform(low, high)
             self.nodes_skewed += 1
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable fault-execution state (peas-snapshot/1): injection
-        histories, fault accounting, and the bursty-loss chain.  The plan
-        itself and every RNG stream come from reconstruction."""
-        return {
-            "ambient": self.ambient_injector.state_dict(),
-            "plan_crashes": [
-                injector.state_dict() for injector in self._plan_crash_injectors
-            ],
-            "region_kills": self.region_kills,
-            "outages": self.outages,
-            "restores": self.restores,
-            "nodes_skewed": self.nodes_skewed,
-            "instant_fires": list(self._instant_fires),
-            "loss_process": (
-                None if self.loss_process is None else self.loss_process.state_dict()
-            ),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore into a freshly constructed engine whose :meth:`prepare`
-        already ran (drift skews are overwritten afterwards by the nodes'
-        own ``load_state``; the bursty overlay is re-attached by prepare and
-        its chain state restored here).  :meth:`start` must NOT have run —
-        pending fault events come back through the engine queue."""
-        self.ambient_injector.load_state(state["ambient"])
-        saved_crashes = state["plan_crashes"]
-        if len(saved_crashes) != len(self._plan_crash_injectors):
-            raise ValueError(
-                "snapshot fault plan does not match the reconstructed plan: "
-                f"{len(saved_crashes)} crash injectors saved, "
-                f"{len(self._plan_crash_injectors)} rebuilt"
-            )
-        for injector, saved in zip(self._plan_crash_injectors, saved_crashes):
-            injector.load_state(saved)
-        self.region_kills = int(state["region_kills"])
-        self.outages = int(state["outages"])
-        self.restores = int(state["restores"])
-        self.nodes_skewed = int(state["nodes_skewed"])
-        self._instant_fires = [float(t) for t in state["instant_fires"]]
-        saved_loss = state["loss_process"]
-        if saved_loss is not None:
-            if self.loss_process is None:
-                raise ValueError(
-                    "snapshot has bursty-loss state but the reconstructed "
-                    "plan attached no overlay"
-                )
-            self.loss_process.load_state(saved_loss)
-
-
-# ------------------------------------------------------------ event resolvers
-def _engine_runtime(ctx: RestoreContext, event) -> tuple:
-    faults: FaultEngine = ctx.component("faults")
-    index = int(event.handler[1][0])
-    return (faults, *faults._runtimes[index])
-
-
-@register_handler("failures.crash")
-def _resolve_crash(ctx: RestoreContext, event) -> None:
-    faults: FaultEngine = ctx.component("faults")
-    slot = int(event.handler[1][0])
-    injector = (
-        faults.ambient_injector
-        if slot < 0
-        else faults._plan_crash_injectors[slot]
-    )
-    event.fn = injector._fire
-    event.args = ()
-
-
-@register_handler("faults.region")
-def _resolve_region(ctx: RestoreContext, event) -> None:
-    faults, fault_id, entry, rng = _engine_runtime(ctx, event)
-    event.fn = faults._fire_region
-    event.args = (fault_id, entry, rng)
-
-
-@register_handler("faults.outage-fire")
-def _resolve_outage_fire(ctx: RestoreContext, event) -> None:
-    faults, fault_id, entry, rng = _engine_runtime(ctx, event)
-    event.fn = faults._fire_outage
-    event.args = (fault_id, entry, rng)
-
-
-@register_handler("faults.outage-restore")
-def _resolve_outage_restore(ctx: RestoreContext, event) -> None:
-    faults, fault_id, entry, _rng = _engine_runtime(ctx, event)
-    event.fn = faults._restore_outage
-    event.args = (fault_id, entry, event.handler[1][1])
-
-
-@register_handler("faults.bursty-fire")
-def _resolve_bursty_fire(ctx: RestoreContext, event) -> None:
-    faults, fault_id, entry, _rng = _engine_runtime(ctx, event)
-    event.fn = faults._emit_bursty_fire
-    event.args = (fault_id, entry)
-
-
-@register_handler("faults.bursty-clear")
-def _resolve_bursty_clear(ctx: RestoreContext, event) -> None:
-    faults, fault_id, entry, _rng = _engine_runtime(ctx, event)
-    event.fn = faults._emit_bursty_clear
-    event.args = (fault_id, entry)

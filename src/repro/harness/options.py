@@ -18,12 +18,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RunOptions"]
 
-#: Placeholders substituted into ``trace_path`` / ``snapshot_path``
-#: templates, and the scenario attribute each one reads.
+#: Placeholders substituted into ``trace_path`` templates, and the
+#: scenario attribute each one reads.
 _PATH_FIELDS = {"seed": "seed", "nodes": "num_nodes", "protocol": "protocol"}
 
 
-def _format_path(template: str, scenario: "Scenario", what: str) -> str:
+def _format_path(template: str, scenario: "Scenario") -> str:
     """Substitute the supported per-scenario placeholders into ``template``.
 
     Unknown placeholders raise ``ValueError`` naming the offender and
@@ -36,12 +36,12 @@ def _format_path(template: str, scenario: "Scenario", what: str) -> str:
     except KeyError as exc:
         supported = ", ".join("{%s}" % name for name in _PATH_FIELDS)
         raise ValueError(
-            f"unknown placeholder {{{exc.args[0]}}} in {what} template "
+            f"unknown placeholder {{{exc.args[0]}}} in trace_path template "
             f"{template!r}; supported placeholders: {supported}"
         ) from None
     except IndexError:
         raise ValueError(
-            f"positional placeholder {{}} in {what} template {template!r} "
+            f"positional placeholder {{}} in trace_path template {template!r} "
             "is not supported; use named placeholders: "
             + ", ".join("{%s}" % name for name in _PATH_FIELDS)
         ) from None
@@ -71,50 +71,21 @@ class RunOptions:
         (labeled counters/gauges/histograms) onto ``result.metrics``.
         Collection happens entirely outside the event loop, so results
         and traces are bit-identical either way.
-    snapshot_path:
-        When set, the harness writes a ``peas-snapshot/1`` file here: at
-        every ``checkpoint_every_s`` chunk boundary when that is set,
-        otherwise once when the event loop stops.  Supports the same
-        ``{seed}``/``{nodes}``/``{protocol}`` placeholders as
-        ``trace_path``.
-    checkpoint_every_s:
-        Checkpoint cadence in simulated seconds.  Snapshots land on the
-        run's chunk grid (the first chunk boundary at or past each
-        multiple), so a restored run replays the identical chunk
-        sequence.  Requires ``snapshot_path``.
-    stop_after_s:
-        Stop the event loop at the first chunk boundary at or past this
-        simulated time, as if ``max_time_s`` were reached.  With
-        ``snapshot_path`` this yields a resumable prefix run whose trace
-        is byte-for-byte a prefix of the uninterrupted run's trace.
     store_dir:
         Attach a :class:`repro.store.ResultStore` rooted here to a sweep.
         The sweep executor reads it (a verified ``peas-result/1`` record
         for this ``(scenario, options)`` replays instantly) and persists
         each computed result the moment the run finishes, so pooled
         workers publish durably and concurrently; :func:`repro.harness.run`
-        does not read it.  Runs with side-effect outputs (``trace_path``,
-        ``snapshot_path``, ``stop_after_s``) bypass the store entirely
-        (see :func:`repro.store.store_eligible`).
+        does not read it.  Runs with a side-effect output (``trace_path``)
+        bypass the store entirely (see :func:`repro.store.store_eligible`).
     """
 
     profile: bool = False
     sanitize: bool = False
     trace_path: Optional[str] = None
     metrics: bool = False
-    snapshot_path: Optional[str] = None
-    checkpoint_every_s: Optional[float] = None
-    stop_after_s: Optional[float] = None
     store_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every_s is not None:
-            if self.checkpoint_every_s <= 0:
-                raise ValueError("checkpoint_every_s must be positive")
-            if self.snapshot_path is None:
-                raise ValueError("checkpoint_every_s requires snapshot_path")
-        if self.stop_after_s is not None and self.stop_after_s <= 0:
-            raise ValueError("stop_after_s must be positive")
 
     def with_(self, **changes: Any) -> "RunOptions":
         """A copy with the given fields replaced."""
@@ -124,10 +95,4 @@ class RunOptions:
         """The per-scenario trace file for this run (``None``: no tracing)."""
         if self.trace_path is None:
             return None
-        return _format_path(self.trace_path, scenario, "trace_path")
-
-    def resolved_snapshot_path(self, scenario: "Scenario") -> Optional[str]:
-        """The per-scenario snapshot file (``None``: no snapshotting)."""
-        if self.snapshot_path is None:
-            return None
-        return _format_path(self.snapshot_path, scenario, "snapshot_path")
+        return _format_path(self.trace_path, scenario)

@@ -10,16 +10,14 @@ function, so PEAS-vs-baseline comparisons are controlled by construction:
 divergent harnesses, not divergent protocols, are how power-aware protocol
 comparisons usually die.
 
-The composition lives in :class:`LiveRun`, whose lifecycle is split so
-snapshot/restore (``peas-snapshot/1``, :mod:`repro.harness.snapshot`) can
-reuse it: construction wires every subsystem, ``start()`` boots a fresh
-run, ``load_snapshot()`` instead rehydrates a checkpointed one, and
-``run_loop()``/``collect()`` are shared by both paths.
+The composition lives in :class:`LiveRun`, whose lifecycle is split into
+phases: construction wires every subsystem, ``start()`` boots the run,
+``run_loop()`` drives it and ``collect()`` assembles the result.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..baselines.gaps import CellGapMonitor
 from ..coverage import CoverageGrid, CoverageTracker
@@ -36,14 +34,7 @@ from ..obs.metrics import RunMetrics
 from ..obs.tracer import Tracer
 from ..protocols import BaselineRun, ProtocolRun, get_protocol
 from ..routing import GrabRouter, ReportTraffic
-from ..sim import (
-    EngineProfiler,
-    RestoreContext,
-    RngRegistry,
-    SimSanitizer,
-    Simulator,
-    SnapshotError,
-)
+from ..sim import EngineProfiler, RngRegistry, SimSanitizer, Simulator
 from .options import RunOptions
 
 __all__ = ["LiveRun", "run"]
@@ -65,7 +56,7 @@ def run(
         (``scenario.protocol``, default ``"peas"``).
     options:
         The capability stack (profile / sanitize / trace-to-path /
-        checkpointing); see :class:`~repro.harness.options.RunOptions`.
+        metrics); see :class:`~repro.harness.options.RunOptions`.
     tracer:
         Optional live :class:`repro.obs.Tracer`; when given (and not
         null-sink backed) every subsystem emits structured trace events
@@ -75,25 +66,8 @@ def run(
         Escape hatch for custom-parameterized baselines: a
         ``factory(network, rngs)`` run on a
         :class:`~repro.baselines.base.BaselineNetwork` instead of the
-        registry entry for ``scenario.protocol``.  Such runs cannot be
-        snapshotted (the factory is not recorded in the scenario).
+        registry entry for ``scenario.protocol``.
     """
-    def boot(live: "LiveRun") -> None:
-        live.start()
-
-    return _execute(scenario, options, tracer, protocol_factory, boot)
-
-
-def _execute(
-    scenario: Scenario,
-    options: Optional[RunOptions],
-    tracer: Optional[Tracer],
-    protocol_factory: Optional[Callable],
-    boot: Callable[["LiveRun"], None],
-) -> RunResult:
-    """Shared driver for fresh (:func:`run`) and restored
-    (:func:`repro.harness.snapshot.resume`) runs: tracer-sink ownership,
-    the LiveRun lifecycle, and the manifest/profile sidecars."""
     options = options if options is not None else RunOptions()
     owned_tracer: Optional[Tracer] = None
     trace_file = None
@@ -109,7 +83,7 @@ def _execute(
         live = LiveRun(
             scenario, options, tracer=tracer, protocol_factory=protocol_factory
         )
-        boot(live)
+        live.start()
         live.run_loop()
         result = live.collect()
     finally:
@@ -153,18 +127,9 @@ class LiveRun:
 
     Construction wires the complete substrate (engine, RNG registry,
     protocol network, coverage tracker, gap monitor, GRAB traffic, fault
-    engine — ``faults.prepare()`` included) but schedules **nothing**: the
-    event queue is empty afterwards, which is exactly the precondition
-    both boot paths need.
-
-    * Fresh run: ``start()`` → ``run_loop()`` → ``collect()``.
-    * Restored run: ``load_snapshot(...)`` → ``run_loop()`` →
-      ``collect()`` — the pending events come back through the engine
-      queue, so none of the subsystem ``start()`` methods run.
-
-    ``snapshot_state()`` may be called whenever the engine is paused
-    between events; ``run_loop()`` calls it at chunk boundaries when the
-    options ask for checkpoints.
+    engine — ``faults.prepare()`` included) but schedules **nothing**;
+    ``start()`` then boots the run, ``run_loop()`` drives it and
+    ``collect()`` assembles the result.
     """
 
     def __init__(
@@ -278,13 +243,12 @@ class LiveRun:
         )
         self.faults.prepare()
         self._started = False
-        self._restored = False
 
     # --------------------------------------------------------------- boot
     def start(self) -> None:
-        """Boot a fresh run: initial node sleeps, periodic samplers, faults."""
-        if self._started or self._restored:
-            raise RuntimeError("run already started or restored")
+        """Boot the run: initial node sleeps, periodic samplers, faults."""
+        if self._started:
+            raise RuntimeError("run already started")
         self._started = True
         self.protocol.start()
         self.tracker.start()
@@ -292,149 +256,25 @@ class LiveRun:
             self.traffic.start()
         self.faults.start()
 
-    # ----------------------------------------------------------- snapshot
-    def snapshot_state(self) -> Dict[str, Any]:
-        """The complete ``peas-snapshot/1`` document for this instant.
-
-        Callable whenever the engine is paused between events.  The engine
-        section is captured last: its serializer raises
-        :class:`~repro.sim.SnapshotError` on descriptor-less pending
-        events, so an unserializable run fails before anything partial is
-        produced.
-        """
-        from ..experiments.serialize import scenario_to_dict
-        from .snapshot import SNAPSHOT_SCHEMA, snapshot_provenance
-
-        if self._custom_protocol:
-            raise SnapshotError(
-                "runs built from a protocol_factory cannot be snapshotted: "
-                "the factory is not recorded in the scenario, so a restore "
-                "could not reconstruct the protocol"
-            )
-        components: Dict[str, Any] = {
-            "rng": self.rngs.state_dict(),
-            "protocol": self.protocol.state_dict(),
-            "coverage": self.tracker.state_dict(),
-            "faults": self.faults.state_dict(),
-        }
-        if self.traffic is not None:
-            components["traffic"] = self.traffic.state_dict()
-            components["topology"] = self.topology.state_dict()
-        if self.gap_monitor is not None:
-            components["gaps"] = self.gap_monitor.state_dict()
-        components["engine"] = self.sim.state_dict()
-        return {
-            "format": SNAPSHOT_SCHEMA,
-            "provenance": snapshot_provenance(self.scenario, self.sim),
-            "scenario": scenario_to_dict(self.scenario),
-            "components": components,
-        }
-
-    def load_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Rehydrate a freshly constructed run from a snapshot document, to
-        continue the captured run exactly (fault state included).
-        Provenance checks live in :mod:`repro.harness.snapshot`; this
-        method only applies state.
-        """
-        if self._started or self._restored:
-            raise SnapshotError(
-                "snapshots restore into a freshly constructed run; this one "
-                "has already started"
-            )
-        self._restored = True
-        components = snapshot["components"]
-        self.rngs.load_state(components["rng"])
-        self.protocol.load_state(components["protocol"])
-        working_positions = [
-            self.network.nodes[node_id].position
-            for node_id in self.network.working_ids()
-        ]
-        self.tracker.load_state(components["coverage"], working_positions)
-        if self.traffic is not None:
-            if "topology" not in components:
-                raise SnapshotError(
-                    "scenario runs traffic but the snapshot has no "
-                    "topology/traffic state; it was captured without traffic"
-                )
-            topology_state = components["topology"]
-            positions = {
-                node_id: self.network.nodes[node_id].position
-                for node_id in topology_state["order"]
-            }
-            self.topology.load_state(topology_state, positions)
-            self.traffic.load_state(components["traffic"])
-        if self.gap_monitor is not None and "gaps" in components:
-            self.gap_monitor.load_state(components["gaps"])
-        self.faults.load_state(components["faults"])
-        self.sim.load_state(components["engine"], self._restore_context())
-
-    def _restore_context(self) -> RestoreContext:
-        """Component bindings the handler resolvers look up by name."""
-        ctx = RestoreContext(self.sim)
-        ctx.provide("protocol", self.protocol)
-        ctx.provide("network", self.network)
-        channel = getattr(self.network, "channel", None)
-        if channel is not None:
-            ctx.provide("channel", channel)
-        ctx.provide("coverage", self.tracker)
-        if self.traffic is not None:
-            ctx.provide("traffic", self.traffic)
-        ctx.provide("faults", self.faults)
-        return ctx
-
     # ------------------------------------------------------------ the loop
     def run_loop(self) -> None:
         """Drive the chunked event loop to its stop condition.
 
-        Replays the exact ``until`` sequence of an uninterrupted run (an
-        accumulated float sum from zero — **not** multiples of the chunk,
-        which differ once the sum stops being exactly representable), so a
-        restored run's clock advances through the identical boundaries and
-        end-of-run state is byte-identical.  Handles checkpoint writes and
-        the ``stop_after_s`` early exit from the options.
+        Chunk boundaries are an accumulated float sum from zero
+        (``sim.now + chunk``), **not** multiples of the chunk, which differ
+        once the sum stops being exactly representable.  The boundaries
+        reach the results and the trace: the run stops at the first one
+        after the network dies, and the clock ends on it.
         """
-        scenario, options, sim = self.scenario, self.options, self.sim
+        scenario, sim = self.scenario, self.sim
         network = self.network
         chunk = scenario.run_chunk_s
-        checkpoint_path = options.resolved_snapshot_path(scenario)
-        checkpoint_every = options.checkpoint_every_s
-        next_checkpoint: Optional[float] = None
-        if checkpoint_every is not None and checkpoint_path is not None:
-            next_checkpoint = checkpoint_every
-        if sim.now > 0.0:
-            # Mid-chunk restore: finish the interrupted chunk first, up to
-            # the boundary the uninterrupted run would have used.
-            boundary = 0.0
-            while boundary < sim.now:
-                boundary += chunk
-            if boundary > sim.now and not network.all_dead:
-                sim.run(until=boundary)
-                if self.run_metrics is not None:
-                    self.run_metrics.sample_engine(sim)
-            if next_checkpoint is not None:
-                while next_checkpoint <= sim.now:
-                    next_checkpoint += checkpoint_every
-        stop_after = options.stop_after_s
         while not network.all_dead and sim.now < scenario.max_time_s:
-            if stop_after is not None and sim.now >= stop_after:
-                break
             sim.run(until=sim.now + chunk)
             # Metrics gauges are sampled *between* chunks: zero code runs
             # inside the event loop, so the RNG draw sequence is untouched.
             if self.run_metrics is not None:
                 self.run_metrics.sample_engine(sim)
-            if next_checkpoint is not None and sim.now >= next_checkpoint:
-                self._write_snapshot(checkpoint_path)
-                while next_checkpoint <= sim.now:
-                    next_checkpoint += checkpoint_every
-        if checkpoint_path is not None and next_checkpoint is None:
-            # One-shot snapshot at loop exit (natural end or stop_after_s).
-            self._write_snapshot(checkpoint_path)
-
-    def _write_snapshot(self, target: str) -> None:
-        from .snapshot import save_snapshot
-
-        save_snapshot(self.snapshot_state(), target)
 
     # ------------------------------------------------------------- collect
     def collect(self) -> RunResult:

@@ -3,7 +3,7 @@
 The PEAS results are only meaningful because every run is a pure function
 of its seed.  This package turns the conventions that guarantee that —
 draws from :class:`~repro.sim.rng.RngRegistry` streams, no wall-clock
-reads in simulation code, snapshot- and fork-safe callbacks — into
+reads in simulation code, fork-safe callbacks — into
 per-file, machine-checked rules with a violations baseline.  Only what no
 runtime check catches is linted: RNG-stream-name, trace-schema and
 metric-name drift fail at run time (:meth:`repro.sim.rng.RngRegistry.stream`,
@@ -15,7 +15,7 @@ Layout:
 
 * :mod:`repro.lint.framework` — the pluggable AST checker framework;
 * :mod:`repro.lint.rules_determinism` — D1xx determinism rules;
-* :mod:`repro.lint.rules_flow` — W403/W404 capture rules;
+* :mod:`repro.lint.rules_flow` — the W403 capture rule;
 * :mod:`repro.lint.baseline` — the accepted-findings ratchet;
 * :mod:`repro.lint.cli` — ``peas-lint`` / ``peas-repro lint``.
 

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="peas-lint",
         description=(
             "PEAS reproduction static analysis: determinism and "
-            "fork/snapshot safety."
+            "fork safety."
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src"],

@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 #: Packages whose code runs *inside* the simulation: set iteration (D104)
-#: and descriptor-less scheduled callbacks (W404) here break
-#: seed-reproducibility and snapshots.
+#: here breaks seed-reproducibility.
 SIM_SCOPED_PREFIXES = (
     "repro/sim/",
     "repro/net/",

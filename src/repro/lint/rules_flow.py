@@ -1,37 +1,25 @@
-"""Capture rules: fork and snapshot safety of the callables a file hands off.
+"""Capture rule: fork safety of the callables a file hands off.
 
-Both rules are per-file, since the capture patterns they look for are
-visible in one file:
+The rule is per-file, since the capture patterns it looks for are visible
+in one file:
 
 ========  ==========================  ========================================
 ``W403``  fork-unsafe-capture         lambdas / nested functions / stateful
                                       objects handed to process-pool APIs;
                                       they fail (or worse, half-work) at the
                                       pickle boundary into workers.
-``W404``  unserializable-event-capture  lambdas / nested functions scheduled
-                                      on the simulator without a ``handler=``
-                                      descriptor in sim-scoped code; such
-                                      events make the engine queue
-                                      unsnapshottable (peas-snapshot/1).
 ========  ==========================  ========================================
-
-Escape: ``# peas-lint: snapshot-exempt`` on a schedule line accepts a
-deliberately transient event W404 will not flag (the engine still refuses
-to snapshot it, loudly, at run time).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from .framework import Checker, FileContext, register
-from .violations import CATEGORY_CONCURRENCY, CATEGORY_DETERMINISM, Violation
+from .violations import CATEGORY_CONCURRENCY, Violation
 
-__all__ = [
-    "ForkUnsafeCaptureChecker",
-    "UnserializableEventCaptureChecker",
-]
+__all__ = ["ForkUnsafeCaptureChecker"]
 
 
 # --------------------------------------------------------------------------
@@ -177,81 +165,3 @@ class ForkUnsafeCaptureChecker(Checker):
         ):
             yield from self._check_task_arg(ctx, call, arg.args[0], nested,
                                             role=f"{role} (via partial)")
-
-
-# --------------------------------------------------------------------------
-# W404: unserializable event captures (per-file: the patterns are local).
-# --------------------------------------------------------------------------
-_SCHEDULE_METHODS = {"schedule", "schedule_at"}
-_SNAPSHOT_EXEMPT_MARKER = "peas-lint: snapshot-exempt"
-
-
-@register
-class UnserializableEventCaptureChecker(Checker):
-    rule = "W404"
-    name = "unserializable-event-capture"
-    category = CATEGORY_DETERMINISM
-    description = (
-        "lambdas and nested functions scheduled on the simulator without a "
-        "handler= descriptor cannot be captured by peas-snapshot/1; pass a "
-        "registered handler kind with plain-data args (repro/sim/handlers.py)"
-    )
-
-    def applies_to(self, rel_path: str) -> bool:
-        return Checker.in_sim_scope(rel_path)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        nested = ForkUnsafeCaptureChecker._nested_def_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SCHEDULE_METHODS
-            ):
-                continue
-            if any(keyword.arg == "handler" for keyword in node.keywords):
-                continue
-            callback = self._callback_arg(node)
-            if callback is None:
-                continue
-            if self._exempt(ctx, node):
-                continue
-            if isinstance(callback, ast.Lambda):
-                yield ctx.violation(
-                    self, callback,
-                    f"lambda scheduled via {node.func.attr}() without a "
-                    "handler= descriptor; the event cannot be serialized "
-                    "into peas-snapshot/1 (register a handler kind, or mark "
-                    "'# peas-lint: snapshot-exempt' if it is deliberately "
-                    "transient)",
-                )
-            elif isinstance(callback, ast.Name) and callback.id in nested:
-                yield ctx.violation(
-                    self, callback,
-                    f"nested function '{callback.id}' scheduled via "
-                    f"{node.func.attr}() without a handler= descriptor; the "
-                    "closure cannot be serialized into peas-snapshot/1 "
-                    "(register a handler kind, or mark "
-                    "'# peas-lint: snapshot-exempt' if it is deliberately "
-                    "transient)",
-                )
-
-    @staticmethod
-    def _callback_arg(call: ast.Call) -> Optional[ast.expr]:
-        """The ``fn`` argument: positional index 1, or the ``fn=`` keyword."""
-        if len(call.args) >= 2:
-            return call.args[1]
-        for keyword in call.keywords:
-            if keyword.arg == "fn":
-                return keyword.value
-        return None
-
-    @staticmethod
-    def _exempt(ctx: FileContext, call: ast.Call) -> bool:
-        """Marker anywhere on the call's source lines (multi-line calls put
-        the comment on the opening line)."""
-        end = getattr(call, "end_lineno", call.lineno) or call.lineno
-        return any(
-            _SNAPSHOT_EXEMPT_MARKER in ctx.source_line(line)
-            for line in range(call.lineno, end + 1)
-        )

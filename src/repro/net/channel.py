@@ -41,12 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs pulls net)
     from ..obs.tracer import Tracer
 
 from ..obs import events as trace_events
-from ..sim import CounterSet, Simulator, register_handler
+from ..sim import CounterSet, Simulator
 from ..sim.events import PRIORITY_HIGH
-from ..sim.handlers import RestoreContext
 from .field import Point
 from .neighbors import NeighborCache
-from .packet import Packet, ensure_uid_floor, packet_from_dict, packet_to_dict
+from .packet import Packet
 from .radio import RadioModel
 from .spatial import SpatialGrid
 
@@ -152,15 +151,10 @@ class BroadcastChannel:
         self.loss_process = None
         self.counters = CounterSet()
         self._endpoints: Dict[Hashable, RadioEndpoint] = {}
-        #: packet uid -> (sender_id, packet, receivers, airtime) for every
-        #: completion event still in flight; this is what the ``channel.rx``
-        #: snapshot descriptor resolves against (the completion's own args
-        #: are live objects, so the event carries just the uid)
-        self._pending_tx: Dict[int, tuple] = {}
         #: receiver id -> {packet uid: in-flight reception at that receiver}
         self._incoming: Dict[Hashable, Dict[int, Reception]] = {}
         #: node id -> absolute time its own transmission ends (half duplex),
-        #: read by carrier sense and the snapshot; the audience loop reads
+        #: read by carrier sense; the audience loop reads
         #: the same deadlines from the store's ``tx_until_py`` by row
         self._transmitting_until: Dict[Hashable, float] = {}
         self._store = grid.store
@@ -355,7 +349,6 @@ class BroadcastChannel:
         label = self._rx_labels.get(kind)
         if label is None:
             label = self._rx_labels[kind] = f"rx:{kind}"
-        self._pending_tx[uid] = (sender_id, packet, receivers, airtime)
         self.sim.schedule(
             airtime,
             self._complete,
@@ -365,7 +358,6 @@ class BroadcastChannel:
             airtime,
             priority=PRIORITY_HIGH,
             label=label,
-            handler=("channel.rx", (uid,)),
         )
 
     # ---------------------------------------------------------- completion
@@ -377,7 +369,6 @@ class BroadcastChannel:
         airtime: float,
     ) -> None:
         uid = packet.uid
-        self._pending_tx.pop(uid, None)
         now = self.sim.now
         incoming = self._incoming
         endpoints = self._endpoints
@@ -443,95 +434,3 @@ class BroadcastChannel:
                 rssi = radio.rssi(dist, rng)
             counts["frames_delivered"] += 1
             endpoint.on_packet(packet, rssi, dist)
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Serializable medium state (peas-snapshot/1).
-
-        Covers counters, in-flight frames (the ``_pending_tx`` registry plus
-        each receiver's reception view) and the half-duplex deadlines.  The
-        per-transmit memos, the neighbor cache and the store mirrors are
-        derived state, rebuilt on demand after a restore.  The channel RNG
-        and the bursty-loss overlay are owned elsewhere (RngRegistry and the
-        fault engine respectively).
-        """
-        pending = [
-            [uid, sender_id, packet_to_dict(packet), list(receivers), airtime]
-            for uid, (sender_id, packet, receivers, airtime) in self._pending_tx.items()
-        ]
-        incoming = []
-        for node_id, active in self._incoming.items():
-            if not active:
-                # Emptied per-receiver dicts are an allocation-reuse detail;
-                # a missing entry behaves identically.
-                continue
-            incoming.append(
-                [
-                    node_id,
-                    [
-                        [uid, r.end_time, r.dist, r.corrupted]
-                        for uid, r in active.items()
-                    ],
-                ]
-            )
-        return {
-            "counters": self.counters.state_dict(),
-            "pending_tx": pending,
-            "incoming": incoming,
-            "transmitting_until": [
-                [k, v] for k, v in self._transmitting_until.items()
-            ],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict`.
-
-        Must run *before* the engine's queue restore so the ``channel.rx``
-        resolver can find its pending entries.  Bumps the process-global
-        packet-uid floor past every restored in-flight uid (receptions are
-        keyed by uid, so a collision would cross-wire deliveries).
-        """
-        self.counters.load_state(state["counters"])
-        self._pending_tx = {}
-        max_uid = -1
-        for uid, sender_id, packet_spec, receivers, airtime in state["pending_tx"]:
-            uid = int(uid)
-            self._pending_tx[uid] = (
-                sender_id,
-                packet_from_dict(packet_spec),
-                list(receivers),
-                float(airtime),
-            )
-            if uid > max_uid:
-                max_uid = uid
-        if max_uid >= 0:
-            ensure_uid_floor(max_uid + 1)
-        self._incoming = {}
-        for node_id, entries in state["incoming"]:
-            active: Dict[int, Reception] = {}
-            for uid, end_time, dist, corrupted in entries:
-                uid = int(uid)
-                active[uid] = Reception(
-                    self._pending_tx[uid][1],
-                    float(end_time),
-                    float(dist),
-                    bool(corrupted),
-                )
-            self._incoming[node_id] = active
-        self._transmitting_until = {}
-        store = self._store
-        for node_id, deadline in state["transmitting_until"]:
-            deadline = float(deadline)
-            self._transmitting_until[node_id] = deadline
-            row = store.row_of.get(node_id)
-            if row is not None:
-                store.tx_until_py[row] = deadline
-
-
-@register_handler("channel.rx")
-def _resolve_channel_rx(ctx: RestoreContext, event) -> None:
-    channel = ctx.component("channel")
-    uid = int(event.handler[1][0])
-    sender_id, packet, receivers, airtime = channel._pending_tx[uid]
-    event.fn = channel._complete
-    event.args = (sender_id, packet, receivers, airtime)

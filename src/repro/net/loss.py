@@ -85,16 +85,6 @@ class GilbertElliottLoss:
             self.good_mean_s * self.good_loss + self.bad_mean_s * self.bad_loss
         ) / total
 
-    def state_dict(self) -> dict:
-        """Serializable chain state (sojourn draws come from the owned RNG
-        stream, saved by the registry)."""
-        return {"drops": self.drops, "bad": self._bad, "until": self._until}
-
-    def load_state(self, state: dict) -> None:
-        self.drops = int(state["drops"])
-        self._bad = bool(state["bad"])
-        self._until = float(state["until"])
-
     def drop(self, now: float) -> bool:
         """Should a frame delivered at ``now`` be lost to burst interference?
 

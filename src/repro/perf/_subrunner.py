@@ -51,8 +51,7 @@ def main() -> int:
             for _ in range(2):
                 fn()
         except (ImportError, TypeError):
-            # The other tree predates this kernel's subsystem (e.g.
-            # snapshot_roundtrip against a pre-snapshot checkout) or has
+            # The other tree predates this kernel's subsystem or has
             # another signature (e.g. a SpatialGrid that needs a field and
             # a cell size): skip it so the remaining kernels still produce a
             # comparison.  The tree under test must fail on a broken kernel.

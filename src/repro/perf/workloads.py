@@ -26,7 +26,6 @@ __all__ = [
     "coverage_update_throughput",
     "channel_broadcast_throughput",
     "baseline_run_throughput",
-    "snapshot_roundtrip",
 ]
 
 
@@ -141,38 +140,6 @@ def baseline_run_throughput() -> int:
     return result.failures_injected + int(result.end_time)
 
 
-def snapshot_roundtrip() -> int:
-    """Capture -> serialize -> restore of a mid-size paused PEAS run.
-
-    Measures the full checkpoint cost (snapshot_state + JSON encode) plus
-    the restore path (reconstruction + load), so `--against` comparisons
-    catch regressions in either direction.  Raises ImportError on trees
-    that predate the snapshot layer; the report generator skips kernels
-    that fail to import.
-    """
-    import json
-
-    from repro.experiments import Scenario
-    from repro.harness import LiveRun, RunOptions, resume
-
-    scenario = Scenario(
-        num_nodes=60,
-        field_size=(25.0, 25.0),
-        seed=6,
-        failure_per_5000s=8.0,
-        with_traffic=False,
-        max_time_s=3000.0,
-    )
-    live = LiveRun(scenario, RunOptions())
-    live.start()
-    live.sim.run_bounded(until=scenario.max_time_s, max_events=2000)
-    document = json.loads(json.dumps(live.snapshot_state()))
-    result = resume(document)
-    return len(document["components"]["engine"]["events"]) + int(
-        result.end_time
-    )
-
-
 #: name -> workload, in report order
 KERNEL_WORKLOADS: Dict[str, Callable[[], object]] = {
     "engine_event_throughput": engine_event_throughput,
@@ -180,5 +147,4 @@ KERNEL_WORKLOADS: Dict[str, Callable[[], object]] = {
     "coverage_update_throughput": coverage_update_throughput,
     "channel_broadcast_throughput": channel_broadcast_throughput,
     "baseline_run_throughput": baseline_run_throughput,
-    "snapshot_roundtrip": snapshot_roundtrip,
 }

@@ -77,28 +77,6 @@ class ProtocolRun(ABC):
         """Control-plane MAC window layout for the manifest (``None``: n/a)."""
         return None
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Protocol-layer snapshot state (peas-snapshot/1).
-
-        The default refuses: a protocol is snapshottable only when every
-        event it schedules carries a handler descriptor and its mutable
-        state round-trips.  Adapters that support it override both methods.
-        """
-        from ..sim.handlers import SnapshotError
-
-        raise SnapshotError(
-            f"protocol adapter {type(self).__name__} does not support "
-            "snapshots"
-        )
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        from ..sim.handlers import SnapshotError
-
-        raise SnapshotError(
-            f"protocol adapter {type(self).__name__} does not support "
-            "snapshots"
-        )
-
     def fault_capabilities(self) -> FrozenSet[str]:
         """Fault-plan model kinds this protocol can run under.
 

@@ -11,7 +11,7 @@ only PEAS used to have.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..net import DEPLOYMENTS, Field, NeighborCache, SpatialGrid
 from ..routing import WorkingTopology
@@ -58,7 +58,8 @@ class BaselineRun(ProtocolRun):
         self.protocol = factory(self.network, rngs)
 
     def start(self) -> None:
-        self.network.start()
+        # The protocol starts its network: it may know each node's first
+        # toggle (see ``BaselineNetwork.start``).
         self.protocol.start()
 
     def topology(self, scenario: "Scenario") -> WorkingTopology:
@@ -78,16 +79,6 @@ class BaselineRun(ProtocolRun):
             for category, joules in energy.by_category.items()
             if category in OVERHEAD_CATEGORIES
         )
-
-    def state_dict(self) -> Dict[str, Any]:
-        # The population state covers stateless schedulers (always_on,
-        # duty_cycle — their pending events live in the engine queue).
-        # Schedulers whose events lack handler descriptors (gaf, span, ...)
-        # fail at queue serialization with a SnapshotError naming them.
-        return {"network": self.network.state_dict()}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.network.load_state(state["network"])
 
 
 def baseline_spec(name: str, factory: Callable, description: str) -> ProtocolSpec:

@@ -116,12 +116,6 @@ class PeasRun(ProtocolRun):
 
         return path_hook
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"network": self.network.state_dict()}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.network.load_state(state["network"])
-
     def fault_capabilities(self) -> FrozenSet[str]:
         # PEAS nodes are stun/skew-capable and own a broadcast channel:
         # every registered fault model applies.

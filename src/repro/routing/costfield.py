@@ -18,7 +18,7 @@ maintains:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -109,23 +109,6 @@ class WorkingTopology:
         for neighbor in neighbors:
             self._adjacency[neighbor].discard(node_id)
         self.version += 1
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        """Membership *in insertion order* plus the version counter; edges
-        and positions are derived (recomputed by replaying ``add_working``
-        against the restored grid)."""
-        return {"order": list(self._positions), "version": self.version}
-
-    def load_state(self, state: dict, positions: Mapping[Hashable, Point]) -> None:
-        """Rebuild the graph into a freshly constructed topology by
-        re-adding members in their original insertion order (dict order is
-        behavior: ``connected_components`` and the gradient walk read it)."""
-        if self._positions:
-            raise ValueError("load_state requires an empty topology")
-        for node_id in state["order"]:
-            self.add_working(node_id, positions[node_id])
-        self.version = int(state["version"])
 
     # -------------------------------------------------------------- queries
     def __contains__(self, node_id: Hashable) -> bool:

@@ -156,7 +156,7 @@ class GrabRouter:
             # differ by at most one and the cheapest neighbors cost exactly
             # one less.  Tie-break on a canonical id key: neighbors() is a
             # set whose iteration order depends on its mutation history,
-            # which a snapshot restore cannot replay.
+            # so the hop must not depend on that order.
             cost -= 1
             next_hop = min(
                 (n for n in neighbors(current) if costs.get(n) == cost),

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, List, Optional
 
-from ..sim import PeriodicProcess, SeriesRecorder, Simulator, register_handler
-from ..sim.handlers import RestoreContext
+from ..sim import PeriodicProcess, SeriesRecorder, Simulator
 from .grab import GrabRouter
 
 __all__ = ["ReportTraffic"]
@@ -45,35 +44,13 @@ class ReportTraffic:
         self.delivered = 0
         self.path_hook = path_hook
         self.series = SeriesRecorder()
-        self._process = PeriodicProcess(
-            sim,
-            interval_s,
-            self._report,
-            label="report",
-            handler=("traffic.report", ()),
-        )
+        self._process = PeriodicProcess(sim, interval_s, self._report, label="report")
 
     def start(self) -> None:
         self._process.start()
 
     def stop(self) -> None:
         self._process.stop()
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> dict:
-        return {
-            "generated": self.generated,
-            "delivered": self.delivered,
-            "series": self.series.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore counters and the sampled ratio series; the pending
-        report event comes back through the engine queue, so do not call
-        :meth:`start` after a restore."""
-        self.generated = int(state["generated"])
-        self.delivered = int(state["delivered"])
-        self.series.load_state(state["series"])
 
     # -------------------------------------------------------------- metrics
     def success_ratio(self) -> float:
@@ -117,8 +94,3 @@ class ReportTraffic:
         self.series.record("success_ratio", self.sim.now, ratio)
         if outcome.hops is not None:
             self.series.record("path_hops", self.sim.now, float(outcome.hops))
-
-
-@register_handler("traffic.report")
-def _resolve_traffic_report(ctx: RestoreContext, event) -> None:
-    ctx.component("traffic")._process.adopt(event)

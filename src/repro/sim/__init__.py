@@ -11,18 +11,9 @@ Public surface:
 * :class:`~repro.sim.sanitizer.SimSanitizer` — toggleable runtime invariant
   checks (``peas-repro run --sanitize``), off by default and bit-identical
   when off.
-* :mod:`~repro.sim.handlers` — the handler-descriptor registry that makes
-  the event queue serializable (``peas-snapshot/1`` support).
 """
 
 from .engine import SimulationError, Simulator
-from .handlers import (
-    HANDLER_KINDS,
-    RestoreContext,
-    SnapshotError,
-    handler_registered,
-    register_handler,
-)
 from .profiling import EngineProfiler
 from .sanitizer import InvariantViolation, SimSanitizer
 from .events import (
@@ -45,11 +36,6 @@ __all__ = [
     "InvariantViolation",
     "Event",
     "EventQueueEmpty",
-    "SnapshotError",
-    "RestoreContext",
-    "HANDLER_KINDS",
-    "register_handler",
-    "handler_registered",
     "PRIORITY_HIGH",
     "PRIORITY_DEFAULT",
     "PRIORITY_LOW",

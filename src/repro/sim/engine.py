@@ -8,7 +8,7 @@ provides:
 * a binary-heap event queue with deterministic tie-breaking,
 * O(1) event cancellation with amortized queue compaction,
 * simulation-time bookkeeping (``now``),
-* run-until-time / run-until-empty / bounded-step execution,
+* run-until-time / run-until-empty / single-step execution,
 * hook points used by tracing and metrics.
 
 Performance model: the heap holds bare ``(time, priority, seq)`` tuples —
@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .events import Event, EventQueueEmpty, PRIORITY_DEFAULT
-from .handlers import RestoreContext, SnapshotError
 from .profiling import _GAUGE_PERIOD, EngineProfiler
 
 __all__ = ["Simulator", "SimulationError"]
@@ -61,10 +60,6 @@ class SimulationError(RuntimeError):
     """Raised on misuse of the simulator (e.g. scheduling in the past)."""
 
 
-def _unresolved_handler(*_args: Any) -> None:  # pragma: no cover - guard
-    raise SnapshotError("restored event fired before its handler resolved")
-
-
 class Simulator:
     """A sequential discrete-event simulator.
 
@@ -77,7 +72,7 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         #: Current simulation time in seconds.  A plain attribute, not a
         #: property: model code reads it on every event, and only the
-        #: engine's own loops and :meth:`load_state` write it.
+        #: engine's own loops write it.
         self.now = float(start_time)
         #: heap of (time, priority, seq); seq is the key into ``_slots``
         self._queue: List[Tuple[float, int, int]] = []
@@ -86,8 +81,7 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._executed = 0
-        #: per-simulator insertion-order counter; restored by snapshots so
-        #: post-restore tie-breaks replay identically to the original run
+        #: per-simulator insertion-order counter: the heap key's tie-break
         self._next_seq = 0
         #: Observers called as ``fn(event)`` just before each event fires.
         self.pre_event_hooks: List[Callable[[Event], None]] = []
@@ -127,13 +121,8 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
         label: Optional[str] = None,
-        handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
     ) -> Event:
-        """Schedule ``fn(*args)`` to fire ``delay`` seconds from now.
-
-        ``handler`` is the optional plain-data descriptor that lets the
-        event survive a snapshot (see :mod:`repro.sim.handlers`).
-        """
+        """Schedule ``fn(*args)`` to fire ``delay`` seconds from now."""
         if not delay >= 0:  # also catches NaN, which would corrupt heap order
             if delay != delay:
                 raise ValueError("event time must not be NaN")
@@ -153,7 +142,6 @@ class Simulator:
         event.priority = priority
         event.seq = seq
         event.label = label
-        event.handler = handler
         event._cancelled = False
         event._on_cancel = self._on_cancel
         self._slots[seq] = event
@@ -167,7 +155,6 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
         label: Optional[str] = None,
-        handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
     ) -> Event:
         """Schedule ``fn(*args)`` at the absolute simulation ``time``."""
         if time < self.now:
@@ -176,10 +163,7 @@ class Simulator:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(
-            time, fn, args,
-            priority=priority, label=label, handler=handler, seq=seq,
-        )
+        event = Event(time, fn, args, priority=priority, label=label, seq=seq)
         event._on_cancel = self._on_cancel
         self._slots[seq] = event
         heapq.heappush(self._queue, (event.time, event.priority, seq))
@@ -280,51 +264,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_bounded(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Run at most ``max_events`` events (and/or up to ``until``).
-
-        Unlike :meth:`run`, hitting the event budget is a normal return,
-        not an error, and the clock is **not** advanced to ``until`` when
-        the budget stops execution early — the simulation is left exactly
-        between two events, which is what snapshot-at-an-event-index needs.
-        Returns the number of events fired.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        self._stopped = False
-        fired = 0
-        queue = self._queue
-        slots = self._slots
-        heappop = heapq.heappop
-        hooks = self.pre_event_hooks
-        try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    return fired
-                while queue and queue[0][2] not in slots:
-                    heappop(queue)
-                if not queue:
-                    break
-                if until is not None and queue[0][0] > until:
-                    self.now = until
-                    break
-                event = slots.pop(heappop(queue)[2])
-                self.now = event.time
-                if hooks:
-                    for hook in hooks:
-                        hook(event)
-                event.fn(*event.args)
-                self._executed += 1
-                fired += 1
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-            return fired
-        finally:
-            self._running = False
-
     def _run_profiled(
         self, until: Optional[float], max_events: Optional[int]
     ) -> None:
@@ -400,84 +339,6 @@ class Simulator:
     def stop(self) -> None:
         """Request the current :meth:`run` to return after the active event."""
         self._stopped = True
-
-    # -------------------------------------------------------------- snapshot
-    def state_dict(self) -> Dict[str, Any]:
-        """Serializable engine state: clock, counters, and the live queue.
-
-        Every live event must carry a handler descriptor; tombstones are
-        dropped (reaping them early is a pure performance difference).
-        Raises :class:`~repro.sim.handlers.SnapshotError` naming the labels
-        of any descriptor-less events, so an unserializable queue fails
-        loudly instead of restoring half a simulation.
-        """
-        events = []
-        missing = []
-        for entry in sorted(self._queue):
-            event = self._slots.get(entry[2])
-            if event is None:
-                continue  # tombstone
-            if event.handler is None:
-                missing.append(event.label or repr(event.fn))
-                continue
-            kind, args = event.handler
-            events.append({
-                "t": event.time,
-                "p": event.priority,
-                "seq": event.seq,
-                "label": event.label,
-                "kind": kind,
-                "args": list(args),
-            })
-        if missing:
-            raise SnapshotError(
-                "event queue holds events without handler descriptors and "
-                f"cannot be serialized: {sorted(set(missing))}; schedule "
-                "them with handler=(kind, args) (see repro.sim.handlers)"
-            )
-        return {
-            "now": self.now,
-            "executed": self._executed,
-            "next_seq": self._next_seq,
-            "events": events,
-        }
-
-    def load_state(self, state: Dict[str, Any], ctx: RestoreContext) -> None:
-        """Restore clock, counters and queue from :meth:`state_dict` output.
-
-        The queue must be empty (restore into a freshly constructed run
-        whose initial events were never scheduled).  Each serialized event
-        is resolved through the handler registry against ``ctx``, which
-        rebinds its callable and re-adopts it into any owning timer or
-        periodic process.
-        """
-        if self._queue or self._slots:
-            raise SnapshotError(
-                "cannot load engine state into a simulator with pending "
-                "events; restore into a freshly constructed (unstarted) run"
-            )
-        self.now = float(state["now"])
-        self._executed = int(state["executed"])
-        self._next_seq = int(state["next_seq"])
-        entries: List[Tuple[float, int, int]] = []
-        for spec in state["events"]:
-            event = Event(
-                spec["t"],
-                _unresolved_handler,
-                (),
-                priority=spec["p"],
-                label=spec["label"],
-                handler=(spec["kind"], tuple(spec["args"])),
-                seq=spec["seq"],
-            )
-            ctx.resolve(event)
-            event._on_cancel = self._on_cancel
-            self._slots[event.seq] = event
-            entries.append((event.time, event.priority, event.seq))
-        # state_dict wrote events in sorted order, so the entry list is
-        # already a valid heap; heapify is a cheap idempotent guard.
-        self._queue = entries
-        heapq.heapify(self._queue)
 
     # -------------------------------------------------------------- internals
     def _discard(self, event: Event) -> None:

@@ -8,12 +8,6 @@ simulation run fully deterministic for a given seed.
 Events support O(1) cancellation: cancelling marks the event dead and the
 engine discards it when it is popped from the queue (the standard "lazy
 deletion" heap idiom).
-
-Snapshot support: an event may carry a *handler descriptor* — a
-``(kind, args)`` pair of plain JSON data naming a registered handler kind
-(see :mod:`repro.sim.handlers`).  Descriptors are what lets the engine
-serialize its queue: the callable itself is never persisted, only the
-descriptor, and restore resolves the descriptor back to a bound callable.
 """
 
 from __future__ import annotations
@@ -54,14 +48,10 @@ class Event:
         Tie-break priority among events with equal ``time``; lower fires first.
     label:
         Optional human-readable tag used by tracing.
-    handler:
-        Optional ``(kind, args)`` descriptor of plain JSON data that names
-        a registered handler kind; required for the event to survive a
-        snapshot (see :mod:`repro.sim.handlers`).
     seq:
         Explicit insertion-order key; ``None`` (the default) draws from the
         module-global counter.  The engine passes per-simulator sequence
-        numbers so a restored queue replays identical tie-breaks.
+        numbers, so tie-breaks depend only on that simulator's history.
     """
 
     __slots__ = (
@@ -71,7 +61,6 @@ class Event:
         "priority",
         "seq",
         "label",
-        "handler",
         "_cancelled",
         "_on_cancel",
     )
@@ -83,7 +72,6 @@ class Event:
         args: Tuple[Any, ...] = (),
         priority: int = PRIORITY_DEFAULT,
         label: Optional[str] = None,
-        handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
         seq: Optional[int] = None,
     ) -> None:
         if time != time:  # NaN guard: a NaN timestamp would corrupt heap order.
@@ -94,7 +82,6 @@ class Event:
         self.priority = priority
         self.seq = next(_sequence) if seq is None else seq
         self.label = label
-        self.handler = handler
         self._cancelled = False
         #: set by the engine when scheduled, so cancellation can be reaped
         #: out of the queue's slot table immediately (amortized compaction).

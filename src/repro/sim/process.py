@@ -11,7 +11,7 @@ idioms the model code uses:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from .engine import Simulator
 from .events import Event
@@ -24,12 +24,6 @@ class Timer:
 
     ``start`` (re)arms the timer; starting a running timer cancels the prior
     arming first.  The callback fires at most once per arming.
-
-    ``handler`` is the optional plain-data ``(kind, args)`` descriptor the
-    timer attaches to the events it schedules so its arming survives a
-    snapshot; the registered resolver re-adopts the restored event via
-    :meth:`adopt`.  Descriptor-carrying timers must be armed without extra
-    ``start`` arguments (the descriptor's args are fixed at construction).
     """
 
     def __init__(
@@ -37,12 +31,10 @@ class Timer:
         sim: Simulator,
         fn: Callable[..., Any],
         label: Optional[str] = None,
-        handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
     ) -> None:
         self._sim = sim
         self._fn = fn
         self._label = label
-        self._handler = handler
         self._event: Optional[Event] = None
 
     @property
@@ -60,26 +52,12 @@ class Timer:
         if event is not None:
             event.cancel()
             self._event = None
-        if self._handler is not None and args:
-            raise ValueError(
-                "a snapshot-serializable Timer must be armed without extra "
-                "start() arguments; bake them into the handler descriptor"
-            )
-        self._event = self._sim.schedule(
-            delay, self._fire, *args, label=self._label, handler=self._handler
-        )
+        self._event = self._sim.schedule(delay, self._fire, *args, label=self._label)
 
     def cancel(self) -> None:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def adopt(self, event: Event) -> None:
-        """Re-own a restored event: bind its callable and track its arming
-        (called by handler resolvers during snapshot restore)."""
-        event.fn = self._fire
-        event.args = ()
-        self._event = event
 
     def _fire(self, *args: Any) -> None:
         self._event = None
@@ -100,7 +78,6 @@ class PeriodicProcess:
         interval: float,
         fn: Callable[[], Any],
         label: Optional[str] = None,
-        handler: Optional[Tuple[str, Tuple[Any, ...]]] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -108,7 +85,6 @@ class PeriodicProcess:
         self.interval = float(interval)
         self._fn = fn
         self._label = label
-        self._handler = handler
         self._event: Optional[Event] = None
         self._running = False
 
@@ -121,9 +97,7 @@ class PeriodicProcess:
             return
         self._running = True
         delay = self.interval if first_delay is None else first_delay
-        self._event = self._sim.schedule(
-            delay, self._tick, label=self._label, handler=self._handler
-        )
+        self._event = self._sim.schedule(delay, self._tick, label=self._label)
 
     def stop(self) -> None:
         self._running = False
@@ -131,19 +105,8 @@ class PeriodicProcess:
             self._event.cancel()
             self._event = None
 
-    def adopt(self, event: Event) -> None:
-        """Re-own a restored tick event and mark the process running
-        (called by handler resolvers during snapshot restore)."""
-        event.fn = self._tick
-        event.args = ()
-        self._event = event
-        self._running = True
-
     def _tick(self) -> None:
         if not self._running:
             return
-        self._event = self._sim.schedule(
-            self.interval, self._tick, label=self._label, handler=self._handler
-        )
+        self._event = self._sim.schedule(self.interval, self._tick, label=self._label)
         self._fn()
-

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, Iterator, List
+from typing import Dict, Iterator
 
 from .streams import stream_declared
 
@@ -79,34 +79,3 @@ class RngRegistry:
     def names(self) -> Iterator[str]:
         """Names of streams created so far (diagnostic)."""
         return iter(sorted(self._streams))
-
-    # ------------------------------------------------------------- snapshot
-    def state_dict(self) -> Dict[str, Any]:
-        """Serializable per-stream generator state.
-
-        ``random.Random.getstate()`` is ``(version, (625 ints), gauss_next)``
-        — plain integers and an optional float, so the Mersenne Twister
-        state round-trips through JSON exactly.
-        """
-        streams: Dict[str, List[Any]] = {}
-        for name in sorted(self._streams):
-            version, internal, gauss_next = self._streams[name].getstate()
-            streams[name] = [version, list(internal), gauss_next]
-        return {"seed": self.seed, "streams": streams}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore stream states saved by :meth:`state_dict`.
-
-        Streams absent from ``state`` are left untouched (still lazily
-        created from their derived seeds): a stream first drawn from after
-        the checkpoint starts at its derived seed, as it would have in the
-        uninterrupted run.  A name outside the catalogue raises
-        :class:`UndeclaredStreamError`.
-        """
-        if int(state["seed"]) != self.seed:
-            raise ValueError(
-                f"RNG state was captured under master seed {state['seed']}, "
-                f"cannot load into a registry seeded {self.seed}"
-            )
-        for name, (version, internal, gauss_next) in state["streams"].items():
-            self.stream(name).setstate((version, tuple(internal), gauss_next))

@@ -10,8 +10,8 @@ Why a catalogue at all: stream names are the seed-derivation keys
 forks the RNG state of whatever component uses it — same master seed,
 different draws, no error.  With the catalogue, the registry refuses to
 create a stream whose name it does not declare
-(:class:`~repro.sim.rng.UndeclaredStreamError`, raised at the call and on
-snapshot restore), and the self-check test
+(:class:`~repro.sim.rng.UndeclaredStreamError`, raised at the call), and
+the self-check test
 (``tests/unit/test_streams_registry.py``) asserts the catalogue and the
 call sites cover each other.
 

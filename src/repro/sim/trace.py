@@ -31,17 +31,6 @@ class CounterSet:
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
 
-    def state_dict(self) -> Dict[str, int]:
-        """Serializable counter state (insertion order preserved)."""
-        return dict(self._counts)
-
-    def load_state(self, state: Dict[str, int]) -> None:
-        """Replace all counters with ``state`` (order-preserving, so the
-        restored ``as_dict`` output is byte-identical)."""
-        self._counts.clear()
-        for name, count in state.items():
-            self._counts[name] = int(count)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CounterSet({dict(self._counts)!r})"
 
@@ -65,19 +54,6 @@ class SeriesRecorder:
     def names(self) -> List[str]:
         return sorted(self._series)
 
-    def state_dict(self) -> Dict[str, List[List[float]]]:
-        """Serializable series state (insertion order preserved)."""
-        return {
-            name: [[t, v] for t, v in samples]
-            for name, samples in self._series.items()
-        }
-
-    def load_state(self, state: Dict[str, List[List[float]]]) -> None:
-        """Replace all series with ``state`` (order-preserving)."""
-        self._series.clear()
-        for name, samples in state.items():
-            self._series[name] = [(float(t), float(v)) for t, v in samples]
-
     def first_time_below(self, name: str, threshold: float) -> Optional[float]:
         """First sample time at which the series drops below ``threshold``.
 
@@ -89,4 +65,3 @@ class SeriesRecorder:
             if value < threshold:
                 return time
         return None
-

@@ -84,18 +84,10 @@ def store_eligible(options: Optional["RunOptions"]) -> bool:
     """Whether a run under ``options`` may be served from / saved to the store.
 
     Only side-effect-free runs are cacheable: a run asked to emit a trace
-    file or snapshot produces artifacts a cache replay would silently
-    skip, and ``stop_after_s`` prefix runs exist to *be* interrupted.
+    file produces an artifact a cache replay would silently skip.
     ``None`` options (the harness default) are eligible.
     """
-    if options is None:
-        return True
-    return (
-        options.trace_path is None
-        and options.snapshot_path is None
-        and options.checkpoint_every_s is None
-        and options.stop_after_s is None
-    )
+    return options is None or options.trace_path is None
 
 
 def options_signature(options: Optional["RunOptions"]) -> Dict[str, bool]:

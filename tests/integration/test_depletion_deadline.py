@@ -10,11 +10,8 @@ does the same against its next on/off toggle.
 The reference here is the eager rule this replaced: arm the deadline on
 every mode change.  Both rules must fire the same events in the same order,
 so every ``RunResult`` is identical, including at exact ties between a
-deadline and the timer it races.  Snapshots must carry the deadline, since
-an unarmed one is in no pending event.
+deadline and the timer it races.
 """
-
-import json
 
 import pytest
 
@@ -26,9 +23,9 @@ from repro.core.states import DeathCause, NodeMode
 from repro.energy import MOTE_PROFILE, NodeBattery, PowerProfile
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
-from repro.harness import LiveRun, RunOptions, resume
+from repro.harness import LiveRun
 from repro.net import Field
-from repro.sim import RngRegistry, Simulator, SnapshotError
+from repro.sim import RngRegistry, Simulator
 
 from .test_perf_invariants import DUTY_CYCLE, GOLDEN, result_fingerprint
 
@@ -51,7 +48,7 @@ def _eager_arm_death(self, ttd):
     self._death_timer.start(ttd)
 
 
-def _eager_baseline_reschedule(self, until=None):
+def _eager_baseline_reschedule(self, remaining, until=None):
     ttd = self.battery.time_to_depletion(self.sim.now)
     if ttd is None:
         self._death_timer.cancel()
@@ -204,7 +201,7 @@ class TestExactTies:
 
 #: No traffic (no anchors) and no failures: the one drained node below is
 #: the only one that dies before the horizon.
-SNAPSHOT_SCENARIO = Scenario(
+DRAINED_SCENARIO = Scenario(
     num_nodes=12,
     field_size=(15.0, 15.0),
     seed=3,
@@ -220,18 +217,18 @@ def _drained_prober():
     closes: out of the heap.  The last 10 ms PROBE pulls the true deadline
     0.05 s earlier, inside the window but within ``_DEATH_SLACK_S``, so the
     kept deadline must not move and the node dies at its window end."""
-    live = LiveRun(SNAPSHOT_SCENARIO, RunOptions())
+    live = LiveRun(DRAINED_SCENARIO)
     live.start()
-    last = SNAPSHOT_SCENARIO.config.num_probes - 1
+    last = DRAINED_SCENARIO.config.num_probes - 1
     node = None
     while True:
         event = live.sim.step()
         if node is None and event.label == "wake":
-            woke = live.network.nodes[event.handler[1][0]]
+            woke = event.fn.__self__._fn.__self__  # Timer._fire -> PEASNode._wake
             if woke.mode is NodeMode.PROBING:
                 node = woke
         elif node is not None and event.label == "probe-tx":
-            if event.handler[1] == (node.node_id, last - 1):
+            if event.fn.__self__ is node and event.args == (last - 1,):
                 break
     battery = node.battery
     window_end = node._window_timer.expiry
@@ -244,47 +241,26 @@ def _drained_prober():
     return live, node, window_end
 
 
-def _finish(live):
-    live.run_loop()
-    return live.protocol.state_dict(), result_fingerprint(live.collect())
-
-
-class TestSnapshotCarriesTheDeadline:
-    def test_resumed_prober_dies_as_in_the_straight_run(self):
-        straight, node, window_end = _drained_prober()
+class TestSlackRule:
+    def test_drained_prober_dies_at_its_window_end(self):
+        live, node, window_end = _drained_prober()
         while node.alive:
-            straight.sim.step()
+            live.sim.step()
         # The kept deadline was never pulled in: the node lived to its
         # window end and died there, not mid-window.
-        assert straight.sim.now == window_end
+        assert live.sim.now == window_end
         assert node.death_cause is DeathCause.ENERGY
-        want = _finish(straight)
 
-        paused, node, _ = _drained_prober()
-        document = json.loads(json.dumps(paused.snapshot_state(), allow_nan=False))
-        restored = LiveRun(SNAPSHOT_SCENARIO, RunOptions())
-        restored.load_snapshot(document)
-        assert restored.network.nodes[node.node_id]._death_at == node._death_at
-        assert _finish(restored) == want
 
-    def test_infinite_deadline_round_trips_as_null(self):
-        sim, node = _peas_node(1.0)
-        blank = node.state_dict()  # never armed: no deadline yet
-        assert blank["death_at"] is None
-        node._reschedule_death()
-        armed = node.state_dict()
-        assert armed["death_at"] == node._death_at < float("inf")
-        node.load_state(blank)
-        assert node._death_at == float("inf")
-        node.load_state(armed)
-        assert node._death_at == armed["death_at"]
-
-    def test_snapshot_without_the_deadline_is_refused_by_name(self):
-        live = LiveRun(SNAPSHOT_SCENARIO, RunOptions())
+class TestStartUpDeadlines:
+    def test_duty_cycle_start_arms_no_deadline_its_first_toggle_cancels(self):
+        """Every node's first ris-on comes within one period, long before
+        its battery could empty asleep: ``start()`` queues no deadline."""
+        live = LiveRun(DUTY_CYCLE)
         live.start()
-        live.sim.run(until=50.0)
-        document = live.snapshot_state()
-        for _node_id, state in document["components"]["protocol"]["network"]["nodes"]:
-            del state["death_at"]
-        with pytest.raises(SnapshotError, match="death_at"):
-            resume(document, RunOptions())
+        nodes = live.network.nodes.values()
+        assert len(nodes) == DUTY_CYCLE.num_nodes
+        assert not any(node._death_timer.armed for node in nodes)
+        queued = [event.label for event in live.sim._slots.values()]
+        assert "baseline-depletion" not in queued
+        assert queued.count("ris-on") == DUTY_CYCLE.num_nodes

@@ -12,7 +12,6 @@ from repro.net import (
     RadioModel,
     SpatialGrid,
 )
-from repro.net.packet import packet_from_dict, packet_to_dict
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
@@ -487,10 +486,10 @@ class TestPacketContract:
         assert first.uid != second.uid
         assert first != second  # frames compare by identity
 
-    def test_defaults_and_explicit_uid(self):
-        packet = Packet("REPLY", 4, payload="x", size_bytes=40, uid=12345)
+    def test_defaults_and_explicit_fields(self):
+        packet = Packet("REPLY", 4, payload="x", size_bytes=40)
         assert (packet.kind, packet.sender, packet.payload) == ("REPLY", 4, "x")
-        assert (packet.size_bytes, packet.uid) == (40, 12345)
+        assert packet.size_bytes == 40
         plain = Packet("PROBE", 4)
         assert plain.payload is None and plain.size_bytes == PACKET_SIZE_BYTES
 
@@ -498,14 +497,3 @@ class TestPacketContract:
     def test_non_positive_size_rejected(self, size):
         with pytest.raises(ValueError, match="size_bytes"):
             Packet("PROBE", 1, size_bytes=size)
-
-    def test_round_trips_through_the_snapshot_codec(self):
-        import repro.core  # noqa: F401 - registers the message codecs
-        from repro.core.messages import ProbeMessage, ReplyMessage
-
-        for payload in (None, ProbeMessage(3, 7, 1), ReplyMessage(2, None, 0.02, 5.5, (3, 7))):
-            packet = Packet("PROBE", 3, payload=payload, size_bytes=25)
-            restored = packet_from_dict(packet_to_dict(packet))
-            assert restored.uid == packet.uid
-            assert (restored.kind, restored.sender, restored.size_bytes) == ("PROBE", 3, 25)
-            assert restored.payload == payload

@@ -44,20 +44,6 @@ class TestParser:
         assert args.faults == "plan.json"
         assert build_parser().parse_args(["run"]).faults is None
 
-    def test_run_snapshot_flags(self):
-        args = build_parser().parse_args(
-            ["run", "--snapshot", "ck.json", "--checkpoint-every", "500",
-             "--stop-after", "1200"]
-        )
-        assert args.snapshot == "ck.json"
-        assert args.checkpoint_every == 500.0
-        assert args.stop_after == 1200.0
-        defaults = build_parser().parse_args(["run"])
-        assert defaults.snapshot is None
-        assert defaults.restore is None
-        assert defaults.checkpoint_every is None
-        assert not defaults.force_restore
-
     def test_robustness_command_exists(self):
         assert build_parser().parse_args(["robustness"]).command == "robustness"
 
@@ -108,29 +94,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "schema OK" in out
         assert "per-node state timelines" in out
-
-    def test_run_snapshot_then_restore_stitches_bytes(self, capsys, tmp_path):
-        base = ["run", "--nodes", "12", "--seed", "1", "--no-traffic",
-                "--failure-rate", "4"]
-        assert main(base + ["--trace", str(tmp_path / "full.ndjson")]) == 0
-        assert main(base + ["--trace", str(tmp_path / "prefix.ndjson"),
-                            "--snapshot", str(tmp_path / "ck.json"),
-                            "--stop-after", "1000"]) == 0
-        out = capsys.readouterr().out
-        assert "snapshot:" in out
-        assert main(["run", "--restore", str(tmp_path / "ck.json"),
-                     "--trace", str(tmp_path / "suffix.ndjson")]) == 0
-        out = capsys.readouterr().out
-        assert "restore:" in out and "resume" in out
-        stitched = (tmp_path / "prefix.ndjson").read_bytes() + (
-            tmp_path / "suffix.ndjson").read_bytes()
-        assert stitched == (tmp_path / "full.ndjson").read_bytes()
-
-    def test_run_restore_rejects_wrong_file(self, capsys, tmp_path):
-        bogus = tmp_path / "not-a-snapshot.json"
-        bogus.write_text('{"format": "peas-trace/1"}')
-        with pytest.raises(SystemExit):
-            main(["run", "--restore", str(bogus)])
 
     def test_inspect_invalid_trace_fails(self, capsys, tmp_path):
         trace = tmp_path / "bad.ndjson"

@@ -139,7 +139,7 @@ def test_committed_baseline_contains_no_determinism_entries():
 
 
 #: ``repro.lint`` holds only the rules no runtime check covers
-#: (determinism and fork/snapshot safety); a new rule must fit here.
+#: (determinism and fork safety); a new rule must fit here.
 LINT_LINE_BUDGET = 1199
 
 

@@ -1,4 +1,4 @@
-"""Good/bad fixtures for the capture rules (W403, W404).
+"""Good/bad fixtures for the capture rule (W403).
 
 Same convention as ``test_lint_rules.py``: every rule gets fixtures that
 must fire and fixtures that must stay silent, run through the real
@@ -84,62 +84,4 @@ def test_w403_allows_module_level_functions_and_thread_pools(tmp_path):
                     list(ex.map(lambda v: v, items))  # threads: no pickling
         """,
     }, select=["W403"])
-    assert found == []
-
-
-# --------------------------------------------------------------------- W404
-def test_w404_flags_lambda_and_nested_schedule_captures(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/core/node.py": """
-            def arm(sim):
-                def fire():
-                    pass
-                sim.schedule(1.0, fire)
-                sim.schedule_at(5.0, lambda: None)
-        """,
-    }, select=["W404"])
-    assert rules_of(found) == ["W404", "W404"]
-    messages = " | ".join(v.message for v in found)
-    assert "'fire'" in messages
-    assert "lambda" in messages
-    assert "peas-snapshot/1" in messages
-
-
-def test_w404_accepts_handler_descriptors(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/core/node.py": """
-            def arm(sim, node):
-                def fire():
-                    pass
-                sim.schedule(1.0, fire, handler=("node.fire", (node.id,)))
-                sim.schedule_at(5.0, lambda: None,
-                                handler=("node.sleep", (node.id,)))
-        """,
-    }, select=["W404"])
-    assert found == []
-
-
-def test_w404_respects_snapshot_exempt_marker(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/sim/process.py": """
-            def advance(sim):
-                def step():
-                    pass
-                sim.schedule(0.0, step)  # peas-lint: snapshot-exempt
-        """,
-    }, select=["W404"])
-    assert found == []
-
-
-def test_w404_quiet_outside_sim_scope_and_for_bound_methods(tmp_path):
-    found = lint_tree(tmp_path, {
-        "repro/perf/bench.py": """
-            def arm(sim):
-                sim.schedule(1.0, lambda: None)
-        """,
-        "repro/core/node.py": """
-            def arm(sim, node):
-                sim.schedule(1.0, node.wake)
-        """,
-    }, select=["W404"])
     assert found == []

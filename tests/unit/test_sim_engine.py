@@ -33,8 +33,8 @@ class TestScheduling:
     def test_schedule_sets_every_event_slot(self, sim):
         """``schedule`` builds events without ``Event.__init__``; a slot it
         forgot would only fail when read."""
-        event = sim.schedule(1.0, print, "x", label="tag", handler=("h", ()))
-        built = Event(1.0, print, ("x",), label="tag", handler=("h", ()), seq=event.seq)
+        event = sim.schedule(1.0, print, "x", label="tag")
+        built = Event(1.0, print, ("x",), label="tag", seq=event.seq)
         built._on_cancel = sim._discard
         for name in Event.__slots__:
             assert getattr(event, name) == getattr(built, name), name

@@ -13,12 +13,6 @@ from repro.core import (
     ReplyMessage,
     check_transition,
 )
-from repro.core.messages import (
-    probe_from_dict,
-    probe_to_dict,
-    reply_from_dict,
-    reply_to_dict,
-)
 
 
 class TestStates:
@@ -143,16 +137,6 @@ class TestMessageContract:
     def test_defaults(self):
         assert ProbeMessage(1, 0).probe_index == 0
         assert ReplyMessage(2, None, 0.02, 0.0).answering is None
-
-    def test_snapshot_codecs_round_trip(self):
-        probe = ProbeMessage(**self.PROBE)
-        assert probe_from_dict(probe_to_dict(probe)) == probe
-        for answering in ((7, 3), None):
-            reply = ReplyMessage(**dict(self.REPLY, answering=answering))
-            restored = reply_from_dict(reply_to_dict(reply))
-            assert restored == reply and hash(restored) == hash(reply)
-        unmeasured = ReplyMessage(4, None, 0.02, 0.0)
-        assert reply_from_dict(reply_to_dict(unmeasured)) == unmeasured
 
     @pytest.mark.parametrize("cls, fields", [(ProbeMessage, PROBE), (ReplyMessage, REPLY)])
     def test_pickles_by_value(self, cls, fields):

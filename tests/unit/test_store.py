@@ -85,9 +85,10 @@ class TestEligibility:
 
     @pytest.mark.parametrize("kwargs", [
         {"trace_path": "t.ndjson"},
-        {"snapshot_path": "s.json"},
-        {"snapshot_path": "s.json", "checkpoint_every_s": 100.0},
-        {"stop_after_s": 100.0},
+        {"trace_path": "t.ndjson", "metrics": True},
+        {"trace_path": "t.ndjson", "store_dir": "cache"},
+        {"trace_path": "t_{seed}_{protocol}.ndjson", "profile": True,
+         "sanitize": True},
     ])
     def test_artifact_producing_runs_ineligible(self, kwargs):
         assert not store_eligible(RunOptions(**kwargs))

@@ -15,8 +15,8 @@ import pytest
 from repro.sim.streams import STREAM_NAMES, stream_declared
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-#: where program code acquires streams (the registry itself is skipped: its
-#: restore path forwards names it reads from a snapshot)
+#: where program code acquires streams (the registry itself is skipped: it
+#: creates streams from the names its callers pass)
 CODE_ROOTS = ("src/repro", "benchmarks", "examples", "perfbench")
 REGISTRY = REPO_ROOT / "src" / "repro" / "sim" / "rng.py"
 
