@@ -576,25 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument("--failure-rate", type=float, default=10.66)
 
-    # ``peas-repro lint`` delegates to the standalone peas-lint parser so the
-    # two entry points stay flag-identical; unknown args flow through.
-    sub.add_parser(
-        "lint",
-        help="static analysis: determinism / hot-path / schema rules "
-             "(same flags as peas-lint)",
-        add_help=False,
-    )
-
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "lint":
-        from .lint.cli import main as lint_main
-
-        return lint_main(raw[1:])
-    args = build_parser().parse_args(raw)
+    args = build_parser().parse_args(argv)
     if args.command == "run":
         _cmd_run(args)
     elif args.command in ("fig9", "fig10", "fig11", "table1"):

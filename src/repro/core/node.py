@@ -203,9 +203,9 @@ class PEASNode:
                 )
             self._start_working()
             return
-        self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
+        remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         self._schedule_sleep()
-        self._reschedule_death()
+        self._reschedule_death(remaining)
 
     def fail(self) -> None:
         """Kill the node by injected failure (§5.3)."""
@@ -240,7 +240,7 @@ class PEASNode:
                     cause="outage",
                 )
             )
-        self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
+        remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         self._sleep_timer.cancel()
         self._window_timer.cancel()
         self._pending_replies = []
@@ -250,7 +250,7 @@ class PEASNode:
             self.work_started_at = None
             self.estimator = None
             self.hooks.on_working_stop(self, "outage")
-        self._reschedule_death()
+        self._reschedule_death(remaining)
         return True
 
     def restore(self) -> bool:
@@ -273,10 +273,10 @@ class PEASNode:
                     cause="restored", rate_hz=self.rate_hz,
                 )
             )
-        self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
+        remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         self.counters.incr("restores")
         self._schedule_sleep()
-        self._reschedule_death()
+        self._reschedule_death(remaining)
         return True
 
     # --------------------------------------------------------------- wakeup
@@ -295,7 +295,7 @@ class PEASNode:
             self._tracer.emit(
                 trace_events.state(self.sim.now, self._node_id, "sleeping", "probing")
             )
-        self.battery.set_mode(self.sim.now, RadioMode.IDLE)
+        remaining = self.battery.set_mode(self.sim.now, RadioMode.IDLE)
         self.wakeup_count += 1
         self._wakeup_seq += 1
         self.counters.incr("wakeups")
@@ -305,7 +305,7 @@ class PEASNode:
         for index, offset in enumerate(offsets):
             self.sim.schedule(offset * skew, self._send_probe, index, label="probe-tx")
         self._window_timer.start(self.config.probe_window_s * skew)
-        self._reschedule_death()
+        self._reschedule_death(remaining)
 
     def _send_probe(self, index: int) -> None:
         if self.mode is not _PROBING:
@@ -372,7 +372,7 @@ class PEASNode:
         check_transition(self.mode, NodeMode.SLEEPING)
         self.mode = NodeMode.SLEEPING
         self._note_listening(self._node_id, False)
-        self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
+        remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         if self._tracer is not None:
             self._tracer.emit(
                 trace_events.state(
@@ -385,7 +385,7 @@ class PEASNode:
                 )
             )
         self._schedule_sleep()
-        self._reschedule_death()
+        self._reschedule_death(remaining)
 
     # -------------------------------------------------------------- working
     def _start_working(self) -> None:
@@ -598,8 +598,19 @@ class PEASNode:
         if self._death_at > now + ttd + _DEATH_SLACK_S:
             self._arm_death(ttd)
 
-    def _reschedule_death(self) -> None:
-        ttd = self.battery.time_to_depletion(self.sim.now)
+    def _reschedule_death(self, remaining: Optional[float] = None) -> None:
+        """Recompute the exact depletion deadline at the current draw.
+
+        A mode change passes the ``remaining`` joules its ``set_mode`` just
+        settled, so the battery is not settled a second time at the same
+        instant (same floats as ``time_to_depletion``); without it the
+        battery is settled here.
+        """
+        if remaining is None:
+            ttd = self.battery.time_to_depletion(self.sim.now)
+        else:
+            power = self.battery._power_w
+            ttd = remaining / power if power > 0 else None
         if ttd is None:
             self._death_at = _INF
             self._death_timer.cancel()

@@ -32,8 +32,9 @@ dispatch is one run, which is what makes the rest possible:
 The executor runs in the *parent* process and is the sweep's only source
 of progress: it reports each run's final outcome, each retry, each pool
 restart and each store replay to the attached telemetry at the point it
-decides them.  Wall-clock reads here are legitimate (``repro.experiments``
-is outside the lint's sim scope) and never touch simulation state.
+decides them.  Wall-clock reads here are legitimate (this is one of
+determinism rule D103's host-timing modules) and never touch simulation
+state.
 """
 
 from __future__ import annotations

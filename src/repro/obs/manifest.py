@@ -46,9 +46,9 @@ def wall_clock_s() -> float:
     The single host-clock read the simulation stack is allowed to reach:
     harness and CLI code time *runs* (never simulated events) through this
     helper, and its value only ever lands in the volatile ``timing`` block
-    that bit-identity comparisons drop.  This module is one of lint rule
-    D103's host-timing modules; a clock read anywhere outside them fails
-    lint.
+    that bit-identity comparisons drop.  This module is one of determinism
+    rule D103's host-timing modules; a clock read anywhere outside them
+    fails ``tests/unit/test_determinism_rules.py``.
     """
     return time.perf_counter()
 

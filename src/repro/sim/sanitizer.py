@@ -1,6 +1,7 @@
 """Runtime invariant sanitizer: cheap, toggleable protocol/engine checks.
 
-``SimSanitizer`` is the dynamic counterpart of :mod:`repro.lint` (as is
+``SimSanitizer`` is the dynamic counterpart of the determinism rules in
+``tests/unit/test_determinism_rules.py`` (as is
 :meth:`~repro.sim.rng.RngRegistry.stream`, which refuses stream names the
 catalogue does not declare): instead of reading the source it watches a
 *running* simulation and raises :class:`InvariantViolation` the moment

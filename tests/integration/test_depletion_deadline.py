@@ -7,10 +7,10 @@ Probing); that timer's handler recomputes the deadline, so an armed
 deadline behind it could only ever be cancelled.  The duty-cycle baseline
 does the same against its next on/off toggle.
 
-The reference here is the eager rule this replaced: arm the deadline on
-every mode change.  Both rules must fire the same events in the same order,
-so every ``RunResult`` is identical, including at exact ties between a
-deadline and the timer it races.
+The reference here is the eager rule this replaced: settle the battery
+again and arm the deadline on every mode change.  Both rules must fire the
+same events in the same order, so every ``RunResult`` is identical,
+including at exact ties between a deadline and the timer it races.
 """
 
 import pytest
@@ -48,6 +48,15 @@ def _eager_arm_death(self, ttd):
     self._death_timer.start(ttd)
 
 
+def _eager_peas_reschedule(self, remaining=None):
+    ttd = self.battery.time_to_depletion(self.sim.now)
+    if ttd is None:
+        self._death_at = float("inf")
+        self._death_timer.cancel()
+    else:
+        self._arm_death(ttd)
+
+
 def _eager_baseline_reschedule(self, remaining, until=None):
     ttd = self.battery.time_to_depletion(self.sim.now)
     if ttd is None:
@@ -62,6 +71,7 @@ def eager(monkeypatch):
 
     def apply():
         monkeypatch.setattr(PEASNode, "_arm_death", _eager_arm_death)
+        monkeypatch.setattr(PEASNode, "_reschedule_death", _eager_peas_reschedule)
         monkeypatch.setattr(
             BaselineNode, "_reschedule_death", _eager_baseline_reschedule
         )
@@ -126,6 +136,23 @@ def _peas_node(initial_j):
     node = network.nodes[0]
     node.battery = NodeBattery(MOTE_PROFILE, initial_j, sim.now)
     return sim, node
+
+
+class TestSettleOnce:
+    def test_mode_changes_arm_the_deadline_a_second_settle_gives(self):
+        """Each mode change hands ``_reschedule_death`` the charge its
+        ``set_mode`` settled: the deadline equals the one the battery gives
+        when settled again at the same instant."""
+        sim, node = _peas_node(5.0)
+        steps = (node.start, node._wake, node._go_to_sleep, node.stun,
+                 node.restore)
+        for at, step in enumerate(steps, 1):
+            for timer in (node._sleep_timer, node._window_timer, node._death_timer):
+                timer.cancel()
+            sim.run(until=float(at))
+            step()
+            ttd = node.battery.time_to_depletion(sim.now)
+            assert node._death_at == float(sim.now + ttd), step.__name__
 
 
 class TestExactTies:

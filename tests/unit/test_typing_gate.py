@@ -1,6 +1,6 @@
-"""The strict-typing gate: ``repro.sim`` and ``repro.lint`` must pass mypy
---strict (configured in pyproject.toml; the remaining packages are on the
-ignore burn-down list).
+"""The strict-typing gate: ``repro.sim``, ``repro.obs``, ``repro.faults`` and
+``repro.harness`` must pass mypy --strict (configured in pyproject.toml; the
+remaining packages are on the ignore burn-down list).
 
 Skipped when mypy is not installed (the minimal runtime container); CI
 installs the dev extras and runs both this test and the standalone gate.
