@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Hashable, List, NamedTuple, Optional, Tuple
 
 from ..energy import NodeBattery, RadioMode
-from ..net import PACKET_SIZE_BYTES, Packet
-from ..obs import events as trace_events
+from ..net import Packet
+from ..obs.events import ENERGY, LAMBDA_HAT, PROBE_TX, RATE, REPLY_TX, STATE
 from ..obs.tracer import Tracer
 from ..net.mac import probe_arrival_offset, probe_offsets, reply_phase
 from ..net.channel import BroadcastChannel
@@ -41,7 +41,7 @@ from .extensions import ReceptionFilter, overlap_should_sleep
 from .messages import PROBE_KIND, REPLY_KIND, ProbeMessage, ReplyMessage
 from .states import DeathCause, NodeMode, check_transition
 
-__all__ = ["PEASNode", "NodeHooks"]
+__all__ = ["PEASNode", "NodeHooks", "MacTiming"]
 
 #: How far past true battery depletion a node may linger before it dies.
 #: Every mode change recomputes the exact depletion deadline; per-frame
@@ -60,6 +60,37 @@ _SLEEPING = NodeMode.SLEEPING
 _PROBING = NodeMode.PROBING
 _WORKING = NodeMode.WORKING
 _DEAD = NodeMode.DEAD
+
+
+class MacTiming(NamedTuple):
+    """The control-plane timing of one listening window, for every node.
+
+    Config and airtime never change during a run, so
+    :class:`~repro.core.protocol.PEASNetwork` computes this once and hands
+    it to each node: the per-wakeup burst offsets, the reply phase and the
+    per-index probe arrival offsets, off the hot paths.  The floats are
+    exactly those of the :mod:`repro.net.mac` helpers.
+    """
+
+    airtime: float
+    probe_offsets: Tuple[float, ...]
+    reply_phase: Tuple[float, float]
+    probe_arrivals: Tuple[float, ...]
+
+    @classmethod
+    def of(cls, config: PEASConfig, airtime: float) -> "MacTiming":
+        gap = config.probe_gap_s
+        return cls(
+            airtime,
+            tuple(probe_offsets(config.num_probes, airtime, gap)),
+            reply_phase(
+                config.num_probes, airtime, gap,
+                config.probe_window_s, config.reply_guard_s,
+            ),
+            tuple(
+                probe_arrival_offset(i, airtime, gap) for i in range(config.num_probes)
+            ),
+        )
 
 
 @dataclass
@@ -92,6 +123,7 @@ class PEASNode:
         battery: NodeBattery,
         rng: random.Random,
         reception_filter: ReceptionFilter,
+        timing: MacTiming,
         hooks: Optional[NodeHooks] = None,
         counters: Optional[CounterSet] = None,
         anchor: bool = False,
@@ -140,27 +172,13 @@ class PEASNode:
         #: exact battery depletion deadline (+inf when not draining); in
         #: the heap only while it can fire first (see :meth:`_arm_death`)
         self._death_at = _INF
-        self._probe_airtime = channel.radio.airtime(PACKET_SIZE_BYTES)
+        self._probe_airtime = timing.airtime
         #: bound once: radio-state publication to the channel, which picks
         #: broadcast audiences by the published flag
         self._note_listening = channel.note_listening
-        # Control-plane timing is constant for a run (config + airtime
-        # never change): hoist the per-wakeup burst offsets, the reply
-        # phase and the per-index probe arrival offsets out of the hot
-        # paths.  Same helpers, same floats — computed once instead of per
-        # wakeup / per received PROBE.
-        airtime = self._probe_airtime
-        self._probe_offsets = tuple(
-            probe_offsets(config.num_probes, airtime, config.probe_gap_s)
-        )
-        self._reply_phase = reply_phase(
-            config.num_probes, airtime, config.probe_gap_s,
-            config.probe_window_s, config.reply_guard_s,
-        )
-        self._probe_arrivals = tuple(
-            probe_arrival_offset(i, airtime, config.probe_gap_s)
-            for i in range(config.num_probes)
-        )
+        self._probe_offsets = timing.probe_offsets
+        self._reply_phase = timing.reply_phase
+        self._probe_arrivals = timing.probe_arrivals
 
     # ----------------------------------------------------- channel endpoint
     @property
@@ -196,10 +214,7 @@ class PEASNode:
             self._note_listening(self._node_id, True)
             if self._tracer is not None:
                 self._tracer.emit(
-                    trace_events.state(
-                        self.sim.now, self._node_id, "sleeping", "probing",
-                        cause="anchor",
-                    )
+                    STATE, self.sim.now, self._node_id, "sleeping", "probing", "anchor",
                 )
             self._start_working()
             return
@@ -235,10 +250,7 @@ class PEASNode:
         self._note_listening(self._node_id, False)
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.state(
-                    self.sim.now, self._node_id, previous.value, "stunned",
-                    cause="outage",
-                )
+                STATE, self.sim.now, self._node_id, previous.value, "stunned", "outage",
             )
         remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         self._sleep_timer.cancel()
@@ -268,10 +280,9 @@ class PEASNode:
         self.mode = NodeMode.SLEEPING
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.state(
-                    self.sim.now, self._node_id, "stunned", "sleeping",
-                    cause="restored", rate_hz=self.rate_hz,
-                )
+                STATE,
+                self.sim.now, self._node_id, "stunned", "sleeping",
+                "restored", self.rate_hz,
             )
         remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         self.counters.incr("restores")
@@ -293,7 +304,7 @@ class PEASNode:
         self._note_listening(self._node_id, True)
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.state(self.sim.now, self._node_id, "sleeping", "probing")
+                STATE, self.sim.now, self._node_id, "sleeping", "probing"
             )
         remaining = self.battery.set_mode(self.sim.now, RadioMode.IDLE)
         self.wakeup_count += 1
@@ -316,7 +327,7 @@ class PEASNode:
         self.channel.transmit(node_id, packet, self.filter.tx_range)
         self.counters.incr("probes_sent")
         if self._tracer is not None:
-            self._tracer.emit(trace_events.probe_tx(self.sim.now, node_id, seq, index))
+            self._tracer.emit(PROBE_TX, self.sim.now, node_id, seq, index)
 
     def _end_probe_window(self) -> None:
         if self.mode is not _PROBING:
@@ -327,7 +338,7 @@ class PEASNode:
         self.battery.attribute("probe_idle", idle_j)
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.energy(self.sim.now, self._node_id, "probe_idle", idle_j)
+                ENERGY, self.sim.now, self._node_id, "probe_idle", idle_j
             )
         if self._pending_replies:
             self._adapt_rate(self._pending_replies)
@@ -358,13 +369,12 @@ class PEASNode:
         self.counters.incr("rate_adaptations")
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.rate(
-                    self.sim.now,
-                    self._node_id,
-                    old_rate,
-                    self.rate_hz,
-                    chosen.measured_rate,
-                )
+                RATE,
+                self.sim.now,
+                self._node_id,
+                old_rate,
+                self.rate_hz,
+                chosen.measured_rate,
             )
 
     def _go_to_sleep(self, cause: Optional[str] = None) -> None:
@@ -375,14 +385,13 @@ class PEASNode:
         remaining = self.battery.set_mode(self.sim.now, RadioMode.SLEEP)
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.state(
-                    self.sim.now,
-                    self._node_id,
-                    previous.value,
-                    "sleeping",
-                    cause=cause,
-                    rate_hz=self.rate_hz,
-                )
+                STATE,
+                self.sim.now,
+                self._node_id,
+                previous.value,
+                "sleeping",
+                cause,
+                self.rate_hz,
             )
         self._schedule_sleep()
         self._reschedule_death(remaining)
@@ -397,7 +406,7 @@ class PEASNode:
         self._note_listening(self._node_id, True)
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.state(self.sim.now, self._node_id, "probing", "working")
+                STATE, self.sim.now, self._node_id, "probing", "working"
             )
         self.work_started_at = self.sim.now
         self.estimator = RateEstimator(
@@ -450,7 +459,7 @@ class PEASNode:
         self.counters.incr("replies_sent")
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.reply_tx(now, node_id, feedback, working_duration)
+                REPLY_TX, now, node_id, feedback, working_duration
             )
 
     # ------------------------------------------------------------ reception
@@ -478,9 +487,7 @@ class PEASNode:
         completed = estimator.on_probe(now, wakeup_key)
         if completed is not None and self._tracer is not None:
             self._tracer.emit(
-                trace_events.lambda_hat(
-                    now, self._node_id, completed, estimator.windows_completed
-                )
+                LAMBDA_HAT, now, self._node_id, completed, estimator.windows_completed,
             )
         # Place the REPLY uniformly in the prober's reply phase, keeping
         # this node's own repeated REPLYs separated (half-duplex radio) and
@@ -585,7 +592,7 @@ class PEASNode:
         battery = self.battery
         remaining = battery.charge_frame(now, joules, category)
         if self._tracer is not None:
-            self._tracer.emit(trace_events.energy(now, self._node_id, category, joules))
+            self._tracer.emit(ENERGY, now, self._node_id, category, joules)
         if self.mode is _DEAD:
             return
         if remaining <= 0.0:
@@ -652,10 +659,7 @@ class PEASNode:
         self._note_listening(self._node_id, False)
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.state(
-                    self.sim.now, self._node_id, previous.value, "dead",
-                    cause=cause.value,
-                )
+                STATE, self.sim.now, self._node_id, previous.value, "dead", cause.value,
             )
         self.death_cause = cause
         self.battery.set_mode(self.sim.now, RadioMode.OFF)

@@ -42,7 +42,7 @@ from ..net import (
 from ..sim import CounterSet, RngRegistry, Simulator
 from .config import PEASConfig
 from .extensions import ReceptionFilter
-from .node import NodeHooks, PEASNode
+from .node import MacTiming, NodeHooks, PEASNode
 from .states import DeathCause
 
 __all__ = ["PEASNetwork", "validate_timing"]
@@ -154,6 +154,7 @@ class PEASNetwork:
             on_working_stop=self._node_stopped_working,
             on_death=self._node_died,
         )
+        timing = MacTiming.of(config, self.radio.airtime(PACKET_SIZE_BYTES))
         battery_rng = rngs.stream("battery")
         for index, position in enumerate(positions):
             if not field.contains(position):
@@ -170,6 +171,7 @@ class PEASNetwork:
                 battery=battery,
                 rng=rngs.stream(f"node.{index}"),
                 reception_filter=reception_filter,
+                timing=timing,
                 hooks=hooks,
                 counters=self.counters,
                 tracer=self.tracer,
@@ -197,6 +199,7 @@ class PEASNetwork:
                 battery=battery,
                 rng=rngs.stream(f"node.{anchor_id}"),
                 reception_filter=reception_filter,
+                timing=timing,
                 hooks=hooks,
                 counters=CounterSet(),  # keep protocol counters sensor-only
                 anchor=True,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable, Iterable, List, Optional
 
-from ..obs import events as trace_events
+from ..obs.events import FAIL
 from ..obs.tracer import Tracer
 from ..sim import Simulator
 
@@ -106,5 +106,5 @@ class FailureInjector:
             self.failures_injected += 1
             self.failure_times.append(self.sim.now)
             if self._tracer is not None:
-                self._tracer.emit(trace_events.fail(self.sim.now, victim))
+                self._tracer.emit(FAIL, self.sim.now, victim)
         self._schedule_next()

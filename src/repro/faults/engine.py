@@ -31,7 +31,7 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 from ..failures import FailureInjector, per_5000s
 from ..net.field import distance_sq
 from ..net.loss import GilbertElliottLoss
-from ..obs import events as trace_events
+from ..obs.events import FAIL, FAULT_ARM, FAULT_CLEAR, FAULT_FIRE
 from ..obs.tracer import Tracer
 from ..sim import RngRegistry, Simulator
 from .plan import (
@@ -139,7 +139,7 @@ class FaultEngine:
         crash_iter = iter(self._plan_crash_injectors)
         for fault_id, entry, rng in self._runtimes:
             if tracer is not None:
-                tracer.emit(trace_events.fault_arm(now, fault_id, entry.kind))
+                tracer.emit(FAULT_ARM, now, fault_id, entry.kind)
             if isinstance(entry, CrashFault):
                 next(crash_iter).start()
             elif isinstance(entry, RegionKillFault):
@@ -155,9 +155,7 @@ class FaultEngine:
             elif isinstance(entry, ClockDriftFault):
                 if tracer is not None:
                     tracer.emit(
-                        trace_events.fault_fire(
-                            now, fault_id, entry.kind, self.nodes_skewed
-                        )
+                        FAULT_FIRE, now, fault_id, entry.kind, self.nodes_skewed,
                     )
 
     # ------------------------------------------------------------ reporting
@@ -234,12 +232,12 @@ class FaultEngine:
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
-                trace_events.fault_fire(now, fault_id, entry.kind, len(victims))
+                FAULT_FIRE, now, fault_id, entry.kind, len(victims)
             )
         for victim in victims:
             network.kill(victim)
             if tracer is not None:
-                tracer.emit(trace_events.fail(now, victim))
+                tracer.emit(FAIL, now, victim)
         self.region_kills += len(victims)
         self._instant_fires.append(now)
 
@@ -274,7 +272,7 @@ class FaultEngine:
                 self._instant_fires.append(now)
                 if self._tracer is not None:
                     self._tracer.emit(
-                        trace_events.fault_fire(now, fault_id, entry.kind, 1)
+                        FAULT_FIRE, now, fault_id, entry.kind, 1
                     )
                 self.sim.schedule(
                     rng.expovariate(1.0 / entry.mean_outage_s),
@@ -300,7 +298,7 @@ class FaultEngine:
             self.restores += 1
             if self._tracer is not None:
                 self._tracer.emit(
-                    trace_events.fault_clear(self.sim.now, fault_id, entry.kind)
+                    FAULT_CLEAR, self.sim.now, fault_id, entry.kind
                 )
 
     def _attach_bursty(
@@ -343,13 +341,13 @@ class FaultEngine:
     def _emit_bursty_fire(self, fault_id: str, entry: BurstyLossFault) -> None:
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.fault_fire(self.sim.now, fault_id, entry.kind, 0)
+                FAULT_FIRE, self.sim.now, fault_id, entry.kind, 0
             )
 
     def _emit_bursty_clear(self, fault_id: str, entry: BurstyLossFault) -> None:
         if self._tracer is not None:
             self._tracer.emit(
-                trace_events.fault_clear(self.sim.now, fault_id, entry.kind)
+                FAULT_CLEAR, self.sim.now, fault_id, entry.kind
             )
 
     def _apply_drift(

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Prot
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs pulls net)
     from ..obs.tracer import Tracer
 
-from ..obs import events as trace_events
+from ..obs.events import COLLISION, DROP
 from ..sim import CounterSet, Simulator
 from ..sim.events import PRIORITY_HIGH
 from .field import Point
@@ -314,7 +314,7 @@ class BroadcastChannel:
                 # Receiver is itself on the air: frame is lost to it.
                 n_hd += 1
                 if tracer is not None:
-                    tracer.emit(trace_events.drop(now, node_id, "half_duplex"))
+                    tracer.emit(DROP, now, node_id, "half_duplex")
                 continue
             reception = Reception(packet, end, dist)
             active = incoming.get(node_id)
@@ -333,7 +333,7 @@ class BroadcastChannel:
                     counts["collisions"] += 1
                     if tracer is not None:
                         tracer.emit(
-                            trace_events.collision(now, node_id, corrupted_now)
+                            COLLISION, now, node_id, corrupted_now
                         )
                 active[uid] = reception
             receivers.append(node_id)
@@ -403,7 +403,7 @@ class BroadcastChannel:
                 # the endpoint's state: it reports every change).
                 counts["aborted_receptions"] += 1
                 if tracer is not None:
-                    tracer.emit(trace_events.drop(now, node_id, "aborted"))
+                    tracer.emit(DROP, now, node_id, "aborted")
                 continue
             if energy_hook is not None:
                 energy_hook(node_id, "rx", airtime, packet)
@@ -413,19 +413,19 @@ class BroadcastChannel:
                 if row is None or not listening[row]:
                     counts["aborted_receptions"] += 1
                     if tracer is not None:
-                        tracer.emit(trace_events.drop(now, node_id, "aborted"))
+                        tracer.emit(DROP, now, node_id, "aborted")
                     continue
             if reception.corrupted:
                 continue
             if loss_rate > 0 and rng.random() < loss_rate:
                 counts["random_losses"] += 1
                 if tracer is not None:
-                    tracer.emit(trace_events.drop(now, node_id, "random"))
+                    tracer.emit(DROP, now, node_id, "random")
                 continue
             if loss_process is not None and loss_process.drop(now):
                 counts["bursty_losses"] += 1
                 if tracer is not None:
-                    tracer.emit(trace_events.drop(now, node_id, "bursty"))
+                    tracer.emit(DROP, now, node_id, "bursty")
                 continue
             dist = reception.dist
             if plain_rssi:

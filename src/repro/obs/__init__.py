@@ -5,12 +5,14 @@ through the kernel and protocol layers:
 
 * :mod:`repro.obs.events` — typed trace-event constructors (node state
   transitions, PROBE/REPLY/collision, lambda-hat updates, failure
-  injections, energy category deltas);
+  injections, energy category deltas) and the stdlib-only encoder that
+  writes them, in the trace writer process or in place;
 * :mod:`repro.obs.schema` — the published JSON schema every NDJSON trace
   line conforms to, plus a dependency-free validator;
 * :mod:`repro.obs.sinks` — pluggable sinks: :class:`NullSink` (near-zero
   cost no-op), :class:`RingBufferSink` (bounded in-memory, with a
-  ``dropped`` counter), :class:`NdjsonSink` (file writer with rotation);
+  ``dropped`` counter), :class:`NdjsonSink` (file writer with rotation,
+  encoding on a second CPU);
 * :mod:`repro.obs.tracer` — the :class:`Tracer` handle components emit
   through;
 * :mod:`repro.obs.manifest` — run provenance (git SHA, config hash, seed,
@@ -44,7 +46,7 @@ from .metrics import (
     validate_metrics_file,
 )
 from .schema import SCHEMA_VERSION, TRACE_EVENT_SCHEMA, validate_event, validate_trace_file
-from .sinks import NdjsonSink, NullSink, RingBufferSink, TraceSink
+from .sinks import NdjsonSink, NullSink, RingBufferSink, TraceSink, TraceWriterError
 from .tracer import Tracer, null_tracer
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "NullSink",
     "RingBufferSink",
     "NdjsonSink",
+    "TraceWriterError",
     "SCHEMA_VERSION",
     "TRACE_EVENT_SCHEMA",
     "validate_event",

@@ -1,5 +1,10 @@
 """The tracer handle instrumented components emit through.
 
+An event is emitted as a record: ``tracer.emit(ENERGY, now, node, cat,
+joules)`` passes the event type and its constructor's positional fields
+(:mod:`repro.obs.events`), so no dict is built on the hot path; sinks
+rebuild the dict, or encode the record, where they need it.
+
 Components accept an ``Optional[Tracer]`` and normalize it once at
 construction with :meth:`Tracer.active`: a missing tracer *and* a tracer
 wrapping a :class:`~repro.obs.sinks.NullSink` both normalize to ``None``,
@@ -18,7 +23,7 @@ __all__ = ["Tracer", "null_tracer"]
 
 
 class Tracer:
-    """Routes event dicts to a sink and keeps aggregate stats."""
+    """Routes event records to a sink and keeps aggregate stats."""
 
     __slots__ = ("sink",)
 
@@ -35,8 +40,10 @@ class Tracer:
         instrumented component applies to its ``tracer`` argument."""
         return self if self.enabled else None
 
-    def emit(self, event: Dict[str, Any]) -> None:
-        self.sink.emit(event)
+    def emit(self, *record: Any) -> None:
+        """Emit one event: ``emit(ev, *fields)``, its type and then its
+        constructor's positional fields."""
+        self.sink.emit(record)
 
     def close(self) -> None:
         self.sink.close()

@@ -8,23 +8,26 @@ including non-finite floats, huge ints, ``numpy.float64`` (a ``float``
 subclass) and strings full of quotes, backslashes, control characters,
 lone surrogates and non-ASCII text.
 
-``NdjsonSink`` writes its five most frequent event types from per-type
-templates filled with memoized text, and everything else through
-``encode_event``; the lines one sink writes for events built by every
-constructor must be the same ``json.dumps`` bytes, whatever the history of
-its memos.
+Trace records (an event's type, then its constructor's positional fields)
+are written by ``repro.obs.events.Encoder``: its five most frequent types
+from positional templates filled with memoized text, everything else
+through ``encode_event`` of the rebuilt event.  The lines one sink writes
+for records of every constructor must be the ``json.dumps`` bytes of
+``CONSTRUCTORS[ev](*fields)``, whatever the history of its memos, and the
+same whether the sink encodes in place or in its writer process.
 """
 
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import NdjsonSink, events
+from repro.obs import NdjsonSink, events, sinks
 from repro.obs.events import encode_event
 
 texts = st.text(
@@ -69,82 +72,113 @@ node_ids = st.one_of(
 labels = texts | st.sampled_from(["probe_tx", "sleeping", "energy"])
 maybe = st.none() | numbers
 
-#: one strategy per constructor of ``repro.obs.events``, keyed by event type
-CONSTRUCTED = {
-    events.STATE: st.builds(
-        events.state, numbers, node_ids, labels, labels,
-        cause=st.none() | labels, rate_hz=maybe,
+#: one strategy per event type, drawing records of every arity its
+#: constructor accepts
+RECORDS = {
+    events.STATE: st.one_of(
+        st.tuples(st.just(events.STATE), numbers, node_ids, labels, labels),
+        st.tuples(
+            st.just(events.STATE), numbers, node_ids, labels, labels,
+            st.none() | labels,
+        ),
+        st.tuples(
+            st.just(events.STATE), numbers, node_ids, labels, labels,
+            st.none() | labels, maybe,
+        ),
     ),
-    events.PROBE_TX: st.builds(events.probe_tx, numbers, node_ids, numbers, numbers),
-    events.REPLY_TX: st.builds(events.reply_tx, numbers, node_ids, maybe, numbers),
-    events.COLLISION: st.builds(events.collision, numbers, node_ids, numbers),
-    events.DROP: st.builds(events.drop, numbers, node_ids, labels),
-    events.LAMBDA_HAT: st.builds(events.lambda_hat, numbers, node_ids, numbers, numbers),
-    events.RATE: st.builds(events.rate, numbers, node_ids, numbers, numbers, numbers),
-    events.FAIL: st.builds(events.fail, numbers, node_ids),
-    events.ENERGY: st.builds(events.energy, numbers, node_ids, labels, numbers),
-    events.FAULT_ARM: st.builds(events.fault_arm, numbers, labels, labels),
-    events.FAULT_FIRE: st.builds(events.fault_fire, numbers, labels, labels, numbers),
-    events.FAULT_CLEAR: st.builds(events.fault_clear, numbers, labels, labels),
+    events.PROBE_TX: st.tuples(st.just(events.PROBE_TX), numbers, node_ids, numbers, numbers),
+    events.REPLY_TX: st.tuples(st.just(events.REPLY_TX), numbers, node_ids, maybe, numbers),
+    events.COLLISION: st.tuples(st.just(events.COLLISION), numbers, node_ids, numbers),
+    events.DROP: st.tuples(st.just(events.DROP), numbers, node_ids, labels),
+    events.LAMBDA_HAT: st.tuples(
+        st.just(events.LAMBDA_HAT), numbers, node_ids, numbers, numbers
+    ),
+    events.RATE: st.tuples(
+        st.just(events.RATE), numbers, node_ids, numbers, numbers, numbers
+    ),
+    events.FAIL: st.tuples(st.just(events.FAIL), numbers, node_ids),
+    events.ENERGY: st.tuples(st.just(events.ENERGY), numbers, node_ids, labels, numbers),
+    events.FAULT_ARM: st.tuples(st.just(events.FAULT_ARM), numbers, labels, labels),
+    events.FAULT_FIRE: st.tuples(
+        st.just(events.FAULT_FIRE), numbers, labels, labels, numbers
+    ),
+    events.FAULT_CLEAR: st.tuples(st.just(events.FAULT_CLEAR), numbers, labels, labels),
 }
 
 
 def test_every_event_type_has_a_strategy():
-    assert set(CONSTRUCTED) == set(events.EVENT_TYPES)
+    assert set(RECORDS) == set(events.EVENT_TYPES) == set(events.CONSTRUCTORS)
 
 
-def _sink_lines(event_list):
+def _sink_lines(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.ndjson"
         sink = NdjsonSink(path)
-        for event in event_list:
-            sink.emit(event)
+        for record in records:
+            sink.emit(record)
         sink.close()
         return path.read_text(encoding="utf-8").split("\n")[:-1]
 
 
-def _assert_canonical(event_list):
-    lines = _sink_lines(event_list)
-    assert len(lines) == len(event_list)
-    for line, event in zip(lines, event_list):
+def _assert_canonical(records):
+    lines = _sink_lines(records)
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        event = events.CONSTRUCTORS[record[0]](*record[1:])
         assert line == json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(numbers, min_size=1, max_size=3),
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=2), st.one_of(*CONSTRUCTED.values())),
-        min_size=1,
-        max_size=12,
-    ),
-)
-def test_sink_lines_match_json_dumps_for_every_constructor(times, drawn):
-    # Few distinct ``t`` objects, so consecutive events share one (the
+def _with_shared_times(times, drawn):
+    # Few distinct ``t`` objects, so consecutive records share one (the
     # identity memo's hit path) and equal values recur as other objects.
-    event_list = []
-    for index, event in drawn:
-        event["t"] = times[index % len(times)]
-        event_list.append(event)
-    _assert_canonical(event_list)
+    return [
+        (record[0], times[index % len(times)]) + record[2:] for index, record in drawn
+    ]
+
+
+drawn_records = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.one_of(*RECORDS.values())),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(numbers, min_size=1, max_size=3), drawn_records)
+def test_sink_lines_match_json_dumps_for_every_constructor(times, drawn):
+    _assert_canonical(_with_shared_times(times, drawn))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.lists(numbers, min_size=1, max_size=3), drawn_records)
+def test_multi_batch_trace_matches_json_dumps_on_both_paths(times, drawn):
+    """Several full batches: with a second CPU they go to the writer
+    process (its own memos, fed by unpickled records), with one CPU they
+    are encoded in place; both give the ``json.dumps`` lines."""
+    pattern = _with_shared_times(times, drawn)
+    records = pattern * (2 * sinks.BATCH_RECORDS // len(pattern) + 1)
+    assert len(records) > 2 * sinks.BATCH_RECORDS
+    _assert_canonical(records)
+    with mock.patch.object(sinks, "_usable_cpus", return_value=1):
+        _assert_canonical(records)
 
 
 def test_sink_memos_are_not_poisoned_by_equal_values():
     """``1.0 == 1 == True`` and ``0.0 == -0.0``: a memo keyed on the value
     alone would write the first one's text for all of them."""
-    event_list = [
-        events.energy(0.0, 1, "probe_tx", 1.0),
-        events.energy(0.0, 1, "probe_tx", 1),
-        events.energy(-0.0, 1, "probe_tx", True),
-        events.energy(-0.0, True, "probe_tx", 0.0),
-        events.energy(0.0, True, "probe_tx", -0.0),
-        events.probe_tx(1, 1, 0, 0),
-        events.probe_tx(True, True, False, 1.0),
-        events.collision(float(0), "1", 1),
-        events.collision(-0.0, 1, 1.0),
-        events.state(0.0, 1, "sleeping", "probing", rate_hz=1),
-        events.state(-0.0, True, "sleeping", "probing", rate_hz=True),
-        events.reply_tx(1.0, 1, None, 1.0),
-        events.reply_tx(1, 1, 1, True),
+    records = [
+        (events.ENERGY, 0.0, 1, "probe_tx", 1.0),
+        (events.ENERGY, 0.0, 1, "probe_tx", 1),
+        (events.ENERGY, -0.0, 1, "probe_tx", True),
+        (events.ENERGY, -0.0, True, "probe_tx", 0.0),
+        (events.ENERGY, 0.0, True, "probe_tx", -0.0),
+        (events.PROBE_TX, 1, 1, 0, 0),
+        (events.PROBE_TX, True, True, False, 1.0),
+        (events.COLLISION, float(0), "1", 1),
+        (events.COLLISION, -0.0, 1, 1.0),
+        (events.STATE, 0.0, 1, "sleeping", "probing", None, 1),
+        (events.STATE, -0.0, True, "sleeping", "probing", None, True),
+        (events.REPLY_TX, 1.0, 1, None, 1.0),
+        (events.REPLY_TX, 1, 1, 1, True),
     ]
-    _assert_canonical(event_list)
+    _assert_canonical(records)

@@ -1,4 +1,6 @@
-"""Property-based tests: spatial index and coverage grid vs brute force."""
+"""Property-based tests: coverage grid vs brute force.
+
+The spatial index's brute-force oracle is ``test_prop_columnar.py``."""
 
 import math
 
@@ -6,44 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coverage import CoverageGrid
-from repro.net import Field, SpatialGrid, distance_sq
+from repro.net import Field, distance_sq
 
 coords = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
 points = st.tuples(coords, coords)
-
-
-class TestSpatialGridProperties:
-    @given(
-        st.lists(points, min_size=1, max_size=50, unique=True),
-        points,
-        st.floats(min_value=0.1, max_value=40.0),
-    )
-    def test_within_matches_brute_force(self, positions, center, radius):
-        grid = SpatialGrid()
-        for index, position in enumerate(positions):
-            grid.insert(index, position)
-        # The documented membership predicate is d_sq <= radius**2; a
-        # sqrt-based oracle disagrees by one ulp on points sitting exactly
-        # on the boundary circle.
-        expected = {
-            i
-            for i, p in enumerate(positions)
-            if distance_sq(p, center) <= radius * radius
-        }
-        assert set(grid.within(center, radius)) == expected
-
-    @given(st.lists(points, min_size=2, max_size=40, unique=True), st.data())
-    def test_remove_then_query_consistent(self, positions, data):
-        grid = SpatialGrid()
-        for index, position in enumerate(positions):
-            grid.insert(index, position)
-        removed = data.draw(
-            st.sets(st.integers(0, len(positions) - 1), max_size=len(positions) - 1)
-        )
-        for index in removed:
-            grid.remove(index)
-        survivors = set(grid.within((15.0, 15.0), 50.0))
-        assert survivors == set(range(len(positions))) - removed
 
 
 def _recount(active, radius, spacing, side):

@@ -214,13 +214,13 @@ class TestSchemaValidation:
 class TestSinks:
     def test_null_sink_counts_nothing(self):
         sink = NullSink()
-        sink.emit({"t": 0, "ev": "fail", "node": 1})
+        sink.emit(("fail", 0, 1))
         assert sink.emitted == 0 and sink.dropped == 0
 
     def test_ring_buffer_keeps_newest_and_counts_drops(self):
         sink = RingBufferSink(capacity=2)
         for i in range(5):
-            sink.emit(events.fail(float(i), i))
+            sink.emit((events.FAIL, float(i), i))
         assert sink.emitted == 5
         assert sink.dropped == 3
         assert [e["node"] for e in sink.events()] == [3, 4]
@@ -229,13 +229,13 @@ class TestSinks:
     def test_ring_buffer_unbounded(self):
         sink = RingBufferSink()
         for i in range(10):
-            sink.emit(events.fail(float(i), i))
+            sink.emit((events.FAIL, float(i), i))
         assert sink.dropped == 0 and len(sink) == 10
 
     def test_ring_buffer_type_filter(self):
         sink = RingBufferSink()
-        sink.emit(events.fail(0.0, 1))
-        sink.emit(events.collision(1.0, 2, 2))
+        sink.emit((events.FAIL, 0.0, 1))
+        sink.emit((events.COLLISION, 1.0, 2, 2))
         assert [e["ev"] for e in sink.events("collision")] == ["collision"]
 
     def test_ring_buffer_rejects_bad_capacity(self):
@@ -245,8 +245,8 @@ class TestSinks:
     def test_ndjson_sink_writes_canonical_lines(self, tmp_path):
         path = tmp_path / "out.ndjson"
         sink = NdjsonSink(path)
-        sink.emit(events.fail(1.0, 2))
-        sink.emit(events.collision(2.0, 3, 1))
+        sink.emit((events.FAIL, 1.0, 2))
+        sink.emit((events.COLLISION, 2.0, 3, 1))
         sink.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 2
@@ -256,10 +256,10 @@ class TestSinks:
     def test_ndjson_sink_rotation(self, tmp_path):
         path = tmp_path / "big.ndjson"
         sink = NdjsonSink(path, rotate_bytes=1024)
-        event = events.energy(0.0, 1, "probe_tx", 0.123456)
-        line_len = len(encode_event(event)) + 1
+        record = (events.ENERGY, 0.0, 1, "probe_tx", 0.123456)
+        line_len = len(encode_event(events.energy(*record[1:]))) + 1
         for _ in range(3 * (1024 // line_len) + 3):
-            sink.emit(event)
+            sink.emit(record)
         sink.close()
         assert sink.rotations >= 2
         chunks = sink.chunk_paths()
@@ -289,8 +289,8 @@ class TestTracer:
 
     def test_stats_reflect_sink(self):
         tracer = Tracer(RingBufferSink(capacity=1))
-        tracer.emit(events.fail(0.0, 1))
-        tracer.emit(events.fail(1.0, 2))
+        tracer.emit(events.FAIL, 0.0, 1)
+        tracer.emit(events.FAIL, 1.0, 2)
         assert tracer.stats() == {"emitted": 2, "dropped": 1}
 
 

@@ -1,10 +1,8 @@
 """Unit tests for repro.net.spatial.SpatialGrid."""
 
-import random
-
 import pytest
 
-from repro.net import Field, SpatialGrid, distance
+from repro.net import SpatialGrid
 
 
 @pytest.fixture
@@ -99,21 +97,6 @@ class TestWithin:
         found = grid.within((25.0, 25.0), 12.0)
         expected = [i for i in range(10) if abs(i * 5.0 - 25.0) <= 12.0]
         assert sorted(found) == expected
-
-    def test_matches_brute_force_on_random_points(self):
-        rng = random.Random(7)
-        field = Field(40.0, 40.0)
-        grid = SpatialGrid()
-        points = {i: field.random_point(rng) for i in range(120)}
-        for i, p in points.items():
-            grid.insert(i, p)
-        for _ in range(30):
-            center = field.random_point(rng)
-            radius = rng.uniform(0.5, 15.0)
-            expected = sorted(
-                i for i, p in points.items() if distance(p, center) <= radius
-            )
-            assert sorted(grid.within(center, radius)) == expected
 
 
 class TestQueryRows:
