@@ -27,7 +27,9 @@ Scale (``REPRO_BENCH_SCALE`` or ``--scale``): ``smoke`` = 10 timing rounds,
 definitions in a subprocess (honest A/B: byte-identical bench code on both
 sides) and records per-workload speedups.  ``--baseline FILE`` compares
 against a previously committed report instead; with ``--fail-on-regression``
-the exit code is 1 when any microbenchmark got >15 % slower.
+the exit code is 1 when any microbenchmark got >15 % slower, any scaling
+point >2x slower, or when the baseline has nothing to compare a measured
+section (``micro``, ``scaling``) against.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fail-on-regression",
         action="store_true",
-        help="exit 1 if a microbenchmark regressed >15%% vs --baseline",
+        help="exit 1 if a microbenchmark regressed >15%% (a scaling point "
+        ">2x) vs --baseline, or if --baseline lacks a measured section",
     )
     args = parser.parse_args(argv)
     if args.against is not None and args.skip_micro:
@@ -216,6 +219,16 @@ def main(argv=None) -> int:
                 for name, s in scaling_speedups.items()
                 if s < 1.0 / SCALING_REGRESSION_THRESHOLD
             )
+        # A measured section the baseline cannot be compared with gates
+        # nothing, so it fails the gate rather than passing it silently.
+        missing_sections = [
+            name
+            for name, measured, compared in (
+                ("micro", micro, speedups),
+                ("scaling", scaling, scaling_speedups),
+            )
+            if measured is not None and not compared
+        ]
         report["baseline_comparison"] = {
             "path": str(args.baseline),
             "date": baseline.get("date"),
@@ -225,6 +238,7 @@ def main(argv=None) -> int:
                 k: round(v, 2) for k, v in scaling_speedups.items()
             },
             "scaling_regressions": scaling_regressions,
+            "missing_sections": missing_sections,
         }
         for name, speedup in sorted(speedups.items()):
             flag = "  REGRESSION" if name in regressions else ""
@@ -232,12 +246,20 @@ def main(argv=None) -> int:
         for name, speedup in sorted(scaling_speedups.items()):
             flag = "  REGRESSION" if name in scaling_regressions else ""
             print(f"[bench]   scaling {name:26s} {speedup:5.2f}x vs baseline{flag}")
+        for name in missing_sections:
+            print(
+                f"[bench] baseline {args.baseline} has no {name!r} entries "
+                f"to compare the measured {name} section against"
+            )
         all_regressions = regressions + scaling_regressions
         if all_regressions and args.fail_on_regression:
             print(
                 f"[bench] FAIL: {len(all_regressions)} regression(s): "
                 f"{all_regressions}"
             )
+            exit_code = 1
+        if missing_sections and args.fail_on_regression:
+            print(f"[bench] FAIL: baseline lacks measured section(s): {missing_sections}")
             exit_code = 1
 
     write_report(output, report)

@@ -69,38 +69,25 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from .obs import NdjsonSink, Tracer, save_manifest
+    from .harness import RunOptions, run, sidecar_path
 
     scenario = _scenario_from_args(args)
-    tracer = None
-    if args.trace:
-        tracer = Tracer(NdjsonSink(args.trace))
+    options = RunOptions(
+        trace_path=args.trace, profile=args.profile,
+        sanitize=args.sanitize,
+    )
     try:
-        result = run_scenario(
-            scenario, tracer=tracer, profile=args.profile,
-            sanitize=args.sanitize,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if args.trace:
-        trace_path = Path(args.trace)
-        manifest_path = trace_path.parent / (trace_path.stem + ".manifest.json")
-        save_manifest(result.manifest, manifest_path)
+        trace_path = options.resolved_trace_path(scenario)
+    except ValueError as exc:
+        raise SystemExit(f"error: --trace: {exc}")
+    result = run(scenario, options)
+    if trace_path is not None:
         stats = result.manifest.get("trace", {})
         print(f"trace: {trace_path} ({stats.get('emitted', 0)} events, "
               f"{stats.get('dropped', 0)} dropped)")
-        print(f"manifest: {manifest_path}")
+        print(f"manifest: {sidecar_path(trace_path, 'manifest')}")
         if result.profile is not None:
-            import json
-
-            profile_path = trace_path.parent / (trace_path.stem + ".profile.json")
-            profile_path.write_text(
-                json.dumps(result.profile, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"profile: {profile_path}")
+            print(f"profile: {sidecar_path(trace_path, 'profile')}")
     _print_run_summary(args, result)
 
 
@@ -133,7 +120,7 @@ def _print_run_summary(args: argparse.Namespace, result) -> None:
               f"p95={result.extras['gap_p95_s']:.1f}s")
     manifest = result.manifest
     if manifest:
-        print(f"  provenance: git={manifest.get('git_sha') or 'n/a'} "
+        print(f"  provenance: code={manifest.get('code_fingerprint')} "
               f"config={manifest.get('config_hash')} "
               f"wall={manifest.get('timing', {}).get('wall_time_s')}s")
     if result.profile:
@@ -190,10 +177,9 @@ def _cmd_inspect(args: argparse.Namespace) -> None:
                     "inspect --profile without a path needs a trace argument "
                     "to discover <trace-stem>.profile.json next to"
                 )
-            trace_path = Path(args.trace)
-            profile_path = str(
-                trace_path.parent / (trace_path.stem + ".profile.json")
-            )
+            from .harness import sidecar_path
+
+            profile_path = str(sidecar_path(args.trace, "profile"))
         try:
             profile = json.loads(Path(profile_path).read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -249,7 +235,7 @@ def _sweep_telemetry(args: argparse.Namespace, label: str):
 def _announce_exports(telemetry) -> None:
     if telemetry is not None:
         print(f"telemetry: {telemetry.out_dir}/metrics.ndjson "
-              f"(+ metrics.prom, manifest.json)")
+              f"(+ manifest.json)")
 
 
 def _cmd_deployment_artifact(name: str, args: argparse.Namespace) -> None:
@@ -451,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(peas-faultplan/1 JSON; see docs/ROBUSTNESS.md)")
     run_p.add_argument("--trace", metavar="PATH", default=None,
                        help="stream structured trace events to an NDJSON file "
-                            "(a .manifest.json is written next to it)")
+                            "(a .manifest.json is written next to it; "
+                            "{seed}, {nodes} and {protocol} are substituted)")
     run_p.add_argument("--profile", action="store_true",
                        help="profile the engine and print a self-time breakdown")
     run_p.add_argument("--sanitize", action="store_true",
@@ -485,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--telemetry", metavar="DIR", nargs="?", const="peas-telemetry",
             default=None,
-            help="live sweep progress/ETA plus peas-metrics/1, Prometheus "
-                 "and manifest exports written into DIR "
+            help="live sweep progress/ETA plus peas-metrics/1 and "
+                 "manifest exports written into DIR "
                  "(default ./peas-telemetry)",
         )
 

@@ -142,8 +142,7 @@ class PEASNode:
         self._fixed_power = reception_filter.fixed_power
         self.hooks = hooks if hooks is not None else NodeHooks.noop()
         self.counters = counters if counters is not None else CounterSet()
-        #: normalized trace handle: None unless tracing is really on
-        self._tracer = tracer.active() if tracer is not None else None
+        self._tracer = tracer
 
         #: Anchored nodes model the externally powered source/sink stations:
         #: they start working immediately, never sleep, never yield to

@@ -98,8 +98,8 @@ class PEASNetwork:
         and exists for determinism proofs and benchmarking.
     tracer:
         Optional :class:`repro.obs.Tracer` threaded through the channel
-        and every node; ``None`` (or a null-sink tracer) keeps the whole
-        network on the untraced fast path.
+        and every node; ``None`` keeps the whole network on the untraced
+        fast path.
     """
 
     def __init__(
@@ -121,7 +121,7 @@ class PEASNetwork:
         self.config = config
         self.radio = radio if radio is not None else RadioModel()
         self.profile = profile
-        self.tracer = tracer.active() if tracer is not None else None
+        self.tracer = tracer
         validate_timing(config, self.radio)
 
         self.counters = CounterSet()

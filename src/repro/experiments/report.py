@@ -13,39 +13,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..sim.profiling import sparkline
 from .metrics import RunResult
 
 __all__ = ["sparkline", "timeline_chart", "render_report"]
-
-_SPARK_LEVELS = " .:-=+*#%@"
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """A one-line character chart of a value series.
-
-    Values are resampled to ``width`` buckets (bucket mean) and mapped onto
-    a 10-level character ramp between the series min and max.
-    """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if not values:
-        return ""
-    buckets: List[float] = []
-    per_bucket = max(1, len(values) // width)
-    for start in range(0, len(values), per_bucket):
-        chunk = values[start : start + per_bucket]
-        buckets.append(sum(chunk) / len(chunk))
-        if len(buckets) == width:
-            break
-    low = min(buckets)
-    high = max(buckets)
-    if high <= low:
-        return _SPARK_LEVELS[-1] * len(buckets)
-    scale = len(_SPARK_LEVELS) - 1
-    return "".join(
-        _SPARK_LEVELS[int(round((value - low) / (high - low) * scale))]
-        for value in buckets
-    )
 
 
 def timeline_chart(

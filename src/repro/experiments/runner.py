@@ -38,8 +38,8 @@ def run_scenario(
         What to simulate; ``scenario.protocol`` picks the registered
         protocol (default PEAS).
     tracer:
-        Optional :class:`repro.obs.Tracer`; when given (and not null-sink
-        backed) every subsystem emits structured trace events through it.
+        Optional :class:`repro.obs.Tracer`; when given every subsystem
+        emits structured trace events through it.
         The caller owns the sink (closing it, choosing the path).
     profile:
         Attach an :class:`~repro.sim.EngineProfiler` for the whole run and

@@ -87,8 +87,8 @@ def run_sweep(
     retry, pool restart and store replay from the parent to a live
     progress line, and once the sweep finishes — including the
     ``errors="raise"`` path, so a partly-failed sweep still leaves its
-    exports behind — the merged ``peas-metrics/1`` / Prometheus / manifest
-    files are written to the telemetry's output directory.
+    exports behind — the merged ``peas-metrics/1`` export and manifest
+    are written to the telemetry's output directory.
 
     ``retry`` (a :class:`RetryPolicy`, default two attempts) governs
     failures: each failing run is re-queued at once with the identical

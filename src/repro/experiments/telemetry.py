@@ -15,10 +15,9 @@ touches simulation state:
 
 2. **Canonical exports.**  :meth:`SweepTelemetry.finish` merges every
    per-run ``result.metrics`` snapshot into the same registry, adds the
-   sweep's wall time, and writes ``metrics.ndjson`` (``peas-metrics/1``),
-   ``metrics.prom`` (Prometheus text exposition) and ``manifest.json``
-   (``peas-sweep-manifest/1`` provenance) into the output directory — the
-   inputs ``peas-repro inspect --diff`` compares.
+   sweep's wall time, and writes ``metrics.ndjson`` (``peas-metrics/1``)
+   and ``manifest.json`` (``peas-sweep-manifest/1`` provenance) into the
+   output directory — the inputs ``peas-repro inspect --diff`` compares.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, TextIO, Union
 
 from ..obs.atomic import atomic_write_text
-from ..obs.manifest import config_hash, git_sha, peak_rss_mb
-from ..obs.metrics import MetricsRegistry, save_metrics, save_prometheus
+from ..obs.manifest import code_fingerprint, config_hash, peak_rss_mb
+from ..obs.metrics import MetricsRegistry, save_metrics
 
 __all__ = ["SWEEP_MANIFEST_SCHEMA", "SweepTelemetry"]
 
@@ -47,8 +46,8 @@ class SweepTelemetry:
     Parameters
     ----------
     out_dir:
-        Directory receiving ``metrics.ndjson`` / ``metrics.prom`` /
-        ``manifest.json`` (created on :meth:`finish`).
+        Directory receiving ``metrics.ndjson`` and ``manifest.json``
+        (created on :meth:`finish`).
     label:
         Human-readable sweep name shown on the progress line and recorded
         in the export headers (e.g. ``"fig9"``).
@@ -248,8 +247,7 @@ class SweepTelemetry:
         The counts are already exact — the executor reported each run as
         it settled — so this only folds every result's ``metrics``
         snapshot into the registry and adds the sweep's wall time.
-        Returns the written paths (``metrics`` / ``prometheus`` /
-        ``manifest``).
+        Returns the written paths (``metrics`` / ``manifest``).
         """
         wall_s = time.time() - (self._started_at or time.time())
         self._render(force=True)
@@ -270,18 +268,16 @@ class SweepTelemetry:
             "runs": len(results),
             "ok": ok,
             "errors": self.errors,
-            "git_sha": manifest["git_sha"],
+            "code_fingerprint": manifest["code_fingerprint"],
             "config_digest": manifest["config_digest"],
         }
         paths = {
             "metrics": self.out_dir / "metrics.ndjson",
-            "prometheus": self.out_dir / "metrics.prom",
             "manifest": self.out_dir / "manifest.json",
         }
         save_metrics(registry, paths["metrics"], meta=meta)
-        save_prometheus(registry, paths["prometheus"])
         # Through the shared write-then-rename helper (like the metrics
-        # exports above): a crash mid-finish must never leave a truncated
+        # export above): a crash mid-finish must never leave a truncated
         # manifest where a resumed sweep would read it.
         atomic_write_text(
             paths["manifest"],
@@ -312,7 +308,7 @@ class SweepTelemetry:
             "store": self.store,
             "workers": len(self.workers_seen),
             "wall_s": round(wall_s, 3),
-            "git_sha": git_sha(),
+            "code_fingerprint": code_fingerprint(),
             "protocols": protocols,
             "seed_range": [seeds[0], seeds[-1]] if seeds else [],
             #: one hash per distinct scenario config, plus a digest of the

@@ -69,7 +69,7 @@ class FailureInjector:
         self.alive_provider = alive_provider
         self.kill = kill
         self.rng = rng
-        self._tracer = tracer.active() if tracer is not None else None
+        self._tracer = tracer
         self.failures_injected = 0
         self.failure_times: List[float] = []
         self._started = False

@@ -96,8 +96,7 @@ class FaultEngine:
         self.network = network
         self.plan = plan
         self.field_size = field_size
-        self._raw_tracer = tracer
-        self._tracer = tracer.active() if tracer is not None else None
+        self._tracer = tracer
 
         #: §5.3 background process, expressed as an implicit crash entry on
         #: the stream the pre-plan harness always used.
@@ -205,7 +204,7 @@ class FaultEngine:
             alive_provider=network.alive_ids,
             kill=network.kill,
             rng=rng,
-            tracer=self._raw_tracer,
+            tracer=self._tracer,
         )
 
     def _fire_region(

@@ -9,6 +9,6 @@ of capability switches that pooled sweeps ship to workers, and
 """
 
 from .options import RunOptions
-from .runner import LiveRun, run
+from .runner import LiveRun, run, sidecar_path
 
-__all__ = ["RunOptions", "run", "LiveRun"]
+__all__ = ["RunOptions", "run", "LiveRun", "sidecar_path"]

@@ -17,7 +17,9 @@ phases: construction wires every subsystem, ``start()`` boots the run,
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import json
+from pathlib import Path
+from typing import Callable, Optional, Union
 
 from ..baselines.gaps import CellGapMonitor
 from ..coverage import CoverageGrid, CoverageTracker
@@ -28,7 +30,8 @@ from ..experiments.metrics import (
 )
 from ..experiments.scenario import Scenario
 from ..faults import FaultEngine
-from ..obs import build_manifest
+from ..obs import build_manifest, save_manifest
+from ..obs.atomic import atomic_write_text
 from ..obs.manifest import peak_rss_mb, wall_clock_s
 from ..obs.metrics import RunMetrics
 from ..obs.tracer import Tracer
@@ -37,7 +40,14 @@ from ..routing import GrabRouter, ReportTraffic
 from ..sim import EngineProfiler, RngRegistry, SimSanitizer, Simulator
 from .options import RunOptions
 
-__all__ = ["LiveRun", "run"]
+__all__ = ["LiveRun", "run", "sidecar_path"]
+
+
+def sidecar_path(trace_path: Union[str, Path], kind: str) -> Path:
+    """Where a traced run's ``kind`` sidecar (``manifest``, ``profile``)
+    lives: ``<trace-stem>.<kind>.json`` next to the trace."""
+    trace_path = Path(trace_path)
+    return trace_path.parent / f"{trace_path.stem}.{kind}.json"
 
 
 def run(
@@ -58,10 +68,10 @@ def run(
         The capability stack (profile / sanitize / trace-to-path /
         metrics); see :class:`~repro.harness.options.RunOptions`.
     tracer:
-        Optional live :class:`repro.obs.Tracer`; when given (and not
-        null-sink backed) every subsystem emits structured trace events
-        through it.  The caller owns the sink.  Mutually exclusive with
-        ``options.trace_path``, which makes the harness own a file sink.
+        Optional live :class:`repro.obs.Tracer`; when given every
+        subsystem emits structured trace events through it.  The caller
+        owns the sink.  Mutually exclusive with ``options.trace_path``,
+        which makes the harness own a file sink.
     protocol_factory:
         Escape hatch for custom-parameterized baselines: a
         ``factory(network, rngs)`` run on a
@@ -90,20 +100,14 @@ def run(
         if owned_tracer is not None:
             owned_tracer.close()
     if trace_file is not None:
-        from pathlib import Path
-
-        from ..obs import save_manifest
-
-        path = Path(trace_file)
-        save_manifest(result.manifest, path.parent / (path.stem + ".manifest.json"))
+        save_manifest(result.manifest, sidecar_path(trace_file, "manifest"))
         if result.profile is not None:
             # Profile sidecar next to the trace, so ``peas-repro inspect
             # --profile`` can surface the engine breakdown and gauge series
             # long after the run.
-            import json
-
-            (path.parent / (path.stem + ".profile.json")).write_text(
-                json.dumps(result.profile, indent=2) + "\n", encoding="utf-8"
+            atomic_write_text(
+                sidecar_path(trace_file, "profile"),
+                json.dumps(result.profile, indent=2) + "\n",
             )
     return result
 

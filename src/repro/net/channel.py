@@ -137,8 +137,7 @@ class BroadcastChannel:
         self.neighbors = (
             neighbor_cache if neighbor_cache is not None else NeighborCache(grid)
         )
-        #: normalized: None unless a real (non-null-sink) tracer was given
-        self.tracer = tracer.active() if tracer is not None else None
+        self.tracer = tracer
         #: optional :class:`repro.sim.sanitizer.SimSanitizer`; same idiom as
         #: the tracer — one ``is not None`` test per transmit when attached,
         #: nothing at all otherwise

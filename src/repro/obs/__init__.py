@@ -8,18 +8,17 @@ through the kernel and protocol layers:
   injections, energy category deltas) and the stdlib-only encoder that
   writes them, in the trace writer process or in place;
 * :mod:`repro.obs.schema` — the published JSON schema every NDJSON trace
-  line conforms to, plus a dependency-free validator;
-* :mod:`repro.obs.sinks` — pluggable sinks: :class:`NullSink` (near-zero
-  cost no-op), :class:`RingBufferSink` (bounded in-memory, with a
-  ``dropped`` counter), :class:`NdjsonSink` (file writer with rotation,
-  encoding on a second CPU);
+  line conforms to, and the dependency-free validator that interprets it;
+* :mod:`repro.obs.sinks` — pluggable sinks: :class:`RingBufferSink`
+  (bounded in-memory, with a ``dropped`` counter) and :class:`NdjsonSink`
+  (file writer with rotation, encoding on a second CPU);
 * :mod:`repro.obs.tracer` — the :class:`Tracer` handle components emit
-  through;
-* :mod:`repro.obs.manifest` — run provenance (git SHA, config hash, seed,
-  RNG streams, package versions, wall time, peak RSS);
+  through (tracing off is ``tracer=None``);
+* :mod:`repro.obs.manifest` — run provenance (code fingerprint, config
+  hash, seed, RNG streams, package versions, wall time, peak RSS);
 * :mod:`repro.obs.metrics` — the quantitative side: a dependency-free
-  registry of labeled counters/gauges/histograms, the ``peas-metrics/1``
-  NDJSON export, and a Prometheus text-exposition renderer;
+  registry of labeled counters/gauges/histograms and the
+  ``peas-metrics/1`` NDJSON export;
 * :mod:`repro.obs.diff` — the cross-run comparator behind
   ``peas-repro inspect --diff``;
 * :mod:`repro.obs.inspect` — trace summarization behind
@@ -33,28 +32,30 @@ from ..sim.profiling import EngineProfiler
 from . import events
 from .inspect import TraceSummary, render_summary, summarize_trace
 from .diff import RunDiff, RunRecord, diff_runs, load_run, render_diff
-from .manifest import build_manifest, config_hash, git_sha, load_manifest, save_manifest
+from .manifest import (
+    build_manifest,
+    code_fingerprint,
+    config_hash,
+    load_manifest,
+    save_manifest,
+)
 from .metrics import (
     METRIC_NAMES,
     METRICS_SCHEMA,
     MetricsRegistry,
     RunMetrics,
     load_metrics_file,
-    render_prometheus,
     save_metrics,
-    save_prometheus,
     validate_metrics_file,
 )
 from .schema import SCHEMA_VERSION, TRACE_EVENT_SCHEMA, validate_event, validate_trace_file
-from .sinks import NdjsonSink, NullSink, RingBufferSink, TraceSink, TraceWriterError
-from .tracer import Tracer, null_tracer
+from .sinks import NdjsonSink, RingBufferSink, TraceSink, TraceWriterError
+from .tracer import Tracer
 
 __all__ = [
     "events",
     "Tracer",
-    "null_tracer",
     "TraceSink",
-    "NullSink",
     "RingBufferSink",
     "NdjsonSink",
     "TraceWriterError",
@@ -64,7 +65,7 @@ __all__ = [
     "validate_trace_file",
     "build_manifest",
     "config_hash",
-    "git_sha",
+    "code_fingerprint",
     "save_manifest",
     "load_manifest",
     "TraceSummary",
@@ -78,8 +79,6 @@ __all__ = [
     "save_metrics",
     "load_metrics_file",
     "validate_metrics_file",
-    "render_prometheus",
-    "save_prometheus",
     "RunRecord",
     "RunDiff",
     "load_run",

@@ -1,10 +1,11 @@
 """Atomic file writes: the one write-then-rename helper the stack shares.
 
 Every durable artifact the reproduction emits — ``peas-metrics/1``
-exports, Prometheus text, run and sweep manifests, ``peas-result/1`` store
-records — must never be observable in a half-written state: a store record
-is what a crashed sweep resumes from, and a truncated JSON file at the
-target path is strictly worse than no file.
+exports, run and sweep manifests, engine-profile sidecars,
+``peas-result/1`` store records — must never be observable in a
+half-written state: a store record is what a crashed sweep resumes from,
+and a truncated JSON file at the target path is strictly worse than no
+file.
 
 The recipe is the standard POSIX one: write the full payload to a
 temporary file *in the target directory* (same filesystem, so the rename

@@ -4,9 +4,9 @@ Every telemetry-enabled sweep leaves a self-describing record behind — a
 ``peas-sweep-manifest/1`` provenance file plus a ``peas-metrics/1``
 export.  :func:`diff_runs` loads two such records and reports what moved:
 
-* **provenance drift** — git SHA, config digest, protocols, run counts
-  (the first thing to check before trusting any metric delta: a lifetime
-  "regression" against a different config is not a regression);
+* **provenance drift** — code fingerprint, config digest, protocols, run
+  counts (the first thing to check before trusting any metric delta: a
+  lifetime "regression" against a different config is not a regression);
 * **metric deltas** — every instrument present in either export, matched
   by ``(name, labels)``: counters and gauges by value, histograms by
   mean (sum/count), each with absolute and relative change.
@@ -29,7 +29,7 @@ __all__ = ["RunRecord", "MetricDelta", "RunDiff", "load_run", "diff_runs", "rend
 
 #: manifest fields compared for drift, in report order
 _DRIFT_FIELDS = (
-    "git_sha", "config_digest", "label", "protocols", "runs", "ok", "errors",
+    "code_fingerprint", "config_digest", "label", "protocols", "runs", "ok", "errors",
 )
 
 #: counters excluded from the "top movers" table (reported elsewhere or
@@ -222,7 +222,7 @@ def render_diff(diff: RunDiff, movers_limit: int = 10) -> str:
         for field_name, value_a, value_b in diff.drift:
             lines.append(f"    {field_name}: {value_a!r} -> {value_b!r}")
     else:
-        lines.append("  provenance: identical (same git SHA + config digest)")
+        lines.append("  provenance: identical (same code fingerprint + config digest)")
 
     lifetimes = [
         d for d in diff.changed

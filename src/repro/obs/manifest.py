@@ -2,8 +2,9 @@
 
 A manifest is a plain JSON object serialized alongside experiment output
 (``<trace>.manifest.json`` from the CLI, ``RunResult.manifest`` in memory)
-recording *how* a result was produced: source revision, configuration
-hash, seed and RNG stream ids, package versions, wall time and peak RSS.
+recording *how* a result was produced: the source tree's
+:func:`code_fingerprint`, configuration hash, seed and RNG stream ids,
+package versions, wall time and peak RSS.
 
 Determinism note: the ``timing`` block (wall time, RSS, creation stamp) is
 inherently volatile across runs; everything else is reproducible for a
@@ -14,11 +15,9 @@ drop ``timing`` (see ``tests/integration/test_perf_invariants.py``).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -28,7 +27,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "code_fingerprint",
     "config_hash",
-    "git_sha",
     "package_versions",
     "peak_rss_mb",
     "wall_clock_s",
@@ -82,10 +80,11 @@ _CODE_FINGERPRINT: Optional[str] = None
 def code_fingerprint() -> str:
     """A stable digest of the installed ``repro`` source tree.
 
-    The result-store cache key must change whenever the *code* that
-    produces results changes — a git SHA alone misses dirty working trees
-    (exactly the state a development sweep runs in) and is unavailable in
-    an installed wheel.  So the fingerprint hashes the actual bytes of
+    The code identity of every artifact: run and sweep manifests, metrics
+    export headers and the result-store cache key.  It must change
+    whenever the *code* that produces results changes — a git SHA alone
+    misses dirty working trees (exactly the state a development sweep runs
+    in) and is unavailable in an installed wheel.  So the fingerprint hashes the actual bytes of
     every ``.py`` file under the package, keyed by package-relative path:
     any edit anywhere in ``repro`` yields a new fingerprint, and an
     unchanged tree yields the same one regardless of mtimes, checkout
@@ -106,28 +105,6 @@ def code_fingerprint() -> str:
             digest.update(b"\0")
         _CODE_FINGERPRINT = digest.hexdigest()
     return _CODE_FINGERPRINT
-
-
-@functools.lru_cache(maxsize=None)
-def git_sha() -> Optional[str]:
-    """The HEAD commit of the repository this package runs from, or ``None``
-    outside a git checkout (e.g. an installed wheel).
-
-    Memoized per process like :func:`code_fingerprint`: every run's
-    manifest asks, and each ``git rev-parse`` is a subprocess spawn.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
 
 
 def package_versions() -> Dict[str, str]:
@@ -186,7 +163,7 @@ def build_manifest(
     """
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
-        "git_sha": git_sha(),
+        "code_fingerprint": code_fingerprint(),
         "config_hash": config_hash(config),
         "seed": seed,
         "protocol": protocol,

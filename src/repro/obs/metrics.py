@@ -4,13 +4,9 @@ This is the quantitative side of the observability layer (traces in
 :mod:`repro.obs.tracer` are the qualitative side): named, labeled
 instruments a run populates cheaply, snapshotted into picklable samples
 that cross process-pool boundaries, merged sweep-wide by the sweep
-telemetry, and exported in two canonical formats:
-
-* ``peas-metrics/1`` — NDJSON, one header line plus one line per labeled
-  sample, byte-stable encoding like the trace pipeline (see
-  :func:`save_metrics` / :func:`validate_metrics_file`);
-* Prometheus text exposition — what a long-lived ``peas-repro serve``
-  daemon will expose on a scrape endpoint (see :func:`render_prometheus`).
+telemetry, and exported as ``peas-metrics/1``: NDJSON, one header line
+plus one line per labeled sample, byte-stable encoding like the trace
+pipeline (see :func:`save_metrics` / :func:`validate_metrics_file`).
 
 Design rules, mirroring the tracer:
 
@@ -39,6 +35,8 @@ import re
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from .schema import validate_ndjson
+
 __all__ = [
     "METRICS_SCHEMA",
     "METRIC_NAMES",
@@ -49,8 +47,6 @@ __all__ = [
     "RunMetrics",
     "bucket_bounds",
     "save_metrics",
-    "save_prometheus",
-    "render_prometheus",
     "load_metrics_file",
     "validate_metrics_file",
 ]
@@ -346,6 +342,21 @@ def load_metrics_file(
     return header, samples
 
 
+def _validate_header(obj: object) -> Optional[str]:
+    """The problem with an export's first line, or ``None``."""
+    if not isinstance(obj, dict) or obj.get("schema") != METRICS_SCHEMA:
+        return f"header must declare schema {METRICS_SCHEMA!r}"
+    if (
+        obj.get("bucket_log2_low") != BUCKET_LOG2_LOW
+        or obj.get("bucket_count") != BUCKET_COUNT
+    ):
+        return (
+            f"incompatible bucket layout (expected low={BUCKET_LOG2_LOW}, "
+            f"count={BUCKET_COUNT})"
+        )
+    return None
+
+
 def _validate_sample(obj: object) -> Optional[str]:
     """First problem with one decoded sample line, or ``None``."""
     if not isinstance(obj, dict):
@@ -404,111 +415,13 @@ def validate_metrics_file(
     Returns ``"line N: problem"`` strings (empty = fully valid), truncated
     at ``max_errors`` like the trace validator.
     """
-    errors: List[str] = []
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not valid JSON ({exc})")
-            else:
-                if not saw_header:
-                    saw_header = True
-                    if not isinstance(obj, dict) or obj.get("schema") != METRICS_SCHEMA:
-                        errors.append(
-                            f"line {lineno}: header must declare schema "
-                            f"{METRICS_SCHEMA!r}"
-                        )
-                    elif (
-                        obj.get("bucket_log2_low") != BUCKET_LOG2_LOW
-                        or obj.get("bucket_count") != BUCKET_COUNT
-                    ):
-                        errors.append(
-                            f"line {lineno}: incompatible bucket layout "
-                            f"(expected low={BUCKET_LOG2_LOW}, "
-                            f"count={BUCKET_COUNT})"
-                        )
-                else:
-                    problem = _validate_sample(obj)
-                    if problem is not None:
-                        errors.append(f"line {lineno}: {problem}")
-            if len(errors) >= max_errors:
-                errors.append(f"(stopped after {max_errors} errors)")
-                break
-    if not saw_header and not errors:
-        errors.append("line 1: missing peas-metrics/1 header")
-    return errors
 
+    def check(obj: object, index: int) -> Optional[str]:
+        return _validate_sample(obj) if index else _validate_header(obj)
 
-# --------------------------------------------------------------------------
-# Prometheus text exposition
-# --------------------------------------------------------------------------
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _label_str(labels: Dict[str, str], extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = sorted(labels.items())
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{k}="{_escape_label(v)}"' for k, v in pairs)
-    return "{" + body + "}"
-
-
-def _format_number(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return format(value, ".10g")
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (version 0.0.4)."""
-    by_name: Dict[str, List[Tuple[Dict[str, str], _Instrument]]] = {}
-    for (name, label_key), instrument in sorted(registry._metrics.items()):
-        by_name.setdefault(name, []).append((dict(label_key), instrument))
-    bounds = bucket_bounds()
-    lines: List[str] = []
-    for name, entries in by_name.items():
-        kind, help_text = METRIC_NAMES[name]
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        for labels, instrument in entries:
-            if isinstance(instrument, (Counter, Gauge)):
-                lines.append(
-                    f"{name}{_label_str(labels)} "
-                    f"{_format_number(instrument.value)}"
-                )
-            else:
-                assert isinstance(instrument, Histogram)
-                cumulative = 0
-                for bound, count in zip(bounds, instrument.buckets):
-                    cumulative += count
-                    le = _label_str(labels, ("le", _format_number(bound)))
-                    lines.append(f"{name}_bucket{le} {cumulative}")
-                lines.append(
-                    f"{name}_sum{_label_str(labels)} "
-                    f"{_format_number(instrument.sum)}"
-                )
-                lines.append(
-                    f"{name}_count{_label_str(labels)} {instrument.count}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_prometheus(registry: MetricsRegistry, path: Union[str, Path]) -> None:
-    """Write the Prometheus text-exposition dump next to the NDJSON export
-    (atomically, like :func:`save_metrics`)."""
-    from .atomic import atomic_write_text
-
-    atomic_write_text(path, render_prometheus(registry))
+    return validate_ndjson(
+        path, check, max_errors, if_empty="line 1: missing peas-metrics/1 header"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""The published trace-event schema and a dependency-free validator.
+"""The published trace-event schema and the validator that runs it.
 
 :data:`TRACE_EVENT_SCHEMA` is a standard JSON Schema (draft 2020-12
 vocabulary subset) describing every line of an NDJSON trace; CI validates
 smoke-run traces against it and external tooling can consume it directly.
-:func:`validate_event` is a hand-rolled structural check implementing the
-same contract so validation needs no third-party ``jsonschema`` package.
+:func:`validate_event` interprets that same object, so the schema is the
+only declaration of the trace vocabulary and validation needs no
+third-party ``jsonschema`` package.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from . import events as ev
 
@@ -19,31 +20,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "TRACE_EVENT_SCHEMA",
     "validate_event",
+    "validate_ndjson",
     "validate_trace_file",
     "iter_trace_file",
 ]
 
 SCHEMA_VERSION = "peas-trace/1"
-
-#: (field name, allowed python types) per event type, beyond the common
-#: ``t``/``ev``/``node`` envelope.  ``node`` is an int for sensors and a
-#: string for anchored stations.
-_NUMBER = (int, float)
-_NODE = (int, str)
-_REQUIRED: Dict[str, Tuple[Tuple[str, tuple], ...]] = {
-    ev.STATE: (("from", (str,)), ("to", (str,))),
-    ev.PROBE_TX: (("wakeup", (int,)), ("idx", (int,))),
-    ev.REPLY_TX: (("lam", _NUMBER + (type(None),)), ("tw", _NUMBER)),
-    ev.COLLISION: (("frames", (int,)),),
-    ev.DROP: (("why", (str,)),),
-    ev.LAMBDA_HAT: (("lam", _NUMBER), ("window", (int,))),
-    ev.RATE: (("old_hz", _NUMBER), ("new_hz", _NUMBER), ("lam", _NUMBER)),
-    ev.FAIL: (),
-    ev.ENERGY: (("cat", (str,)), ("j", _NUMBER)),
-    ev.FAULT_ARM: (("kind", (str,)),),
-    ev.FAULT_FIRE: (("kind", (str,)), ("victims", (int,))),
-    ev.FAULT_CLEAR: (("kind", (str,)),),
-}
 
 _STATE_NAMES = ("sleeping", "probing", "working", "stunned", "dead")
 _DROP_REASONS = ("half_duplex", "random", "bursty", "aborted")
@@ -53,18 +35,24 @@ _FAULT_KINDS = (
 )
 
 
-def _variant(ev_type: str, extra: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``oneOf`` arm of the published schema."""
+def _variant(
+    ev_type: str,
+    fields: Dict[str, Any],
+    optional: Sequence[str] = (),
+) -> Dict[str, Any]:
+    """One ``oneOf`` arm of the published schema: the ``t``/``ev``/``node``
+    envelope plus ``fields``, all required except the ``optional`` ones.
+    ``node`` is an int for sensors and a string for anchored stations."""
     properties = {
         "t": {"type": "number", "minimum": 0},
         "ev": {"const": ev_type},
         "node": {"type": ["integer", "string"]},
     }
-    properties.update(extra)
+    properties.update(fields)
     return {
         "type": "object",
         "properties": properties,
-        "required": ["t", "ev", "node"] + [k for k in extra if k != "cause" and k != "rate_hz"],
+        "required": [name for name in properties if name not in optional],
         "additionalProperties": False,
     }
 
@@ -80,7 +68,7 @@ TRACE_EVENT_SCHEMA: Dict[str, Any] = {
             "to": {"enum": list(_STATE_NAMES)},
             "cause": {"type": "string"},
             "rate_hz": {"type": "number"},
-        }),
+        }, optional=("cause", "rate_hz")),
         _variant(ev.PROBE_TX, {
             "wakeup": {"type": "integer", "minimum": 0},
             "idx": {"type": "integer", "minimum": 0},
@@ -115,48 +103,79 @@ TRACE_EVENT_SCHEMA: Dict[str, Any] = {
 }
 
 
-def validate_event(event: object) -> Optional[str]:
-    """Structurally validate one decoded event.
+#: the ``oneOf`` arm for each event type, keyed by its ``ev`` const
+_ARMS: Dict[str, Dict[str, Any]] = {
+    arm["properties"]["ev"]["const"]: arm for arm in TRACE_EVENT_SCHEMA["oneOf"]
+}
 
-    Returns ``None`` when the event conforms to the published schema, or a
-    human-readable description of the first violation found.
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: object) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: JSON Schema type name -> membership test.  As in the draft 2020-12
+#: vocabulary, booleans are not numbers and 2.0 is an integer.
+_TYPES: Dict[str, Callable[[object], bool]] = {
+    "string": lambda value: isinstance(value, str),
+    "null": lambda value: value is None,
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _check_value(value: Any, rule: Dict[str, Any]) -> Optional[str]:
+    """The first keyword of one property ``rule`` that ``value`` breaks."""
+    types = rule.get("type")
+    if types is not None:
+        names = [types] if isinstance(types, str) else types
+        if not any(_TYPES[name](value) for name in names):
+            return f"has bad type {type(value).__name__}"
+    if "const" in rule and value != rule["const"]:
+        return f"must be {rule['const']!r}, got {value!r}"
+    if "enum" in rule and value not in rule["enum"]:
+        return f"must be one of {tuple(rule['enum'])}, got {value!r}"
+    if _is_number(value):
+        if "minimum" in rule and value < rule["minimum"]:
+            return f"must be >= {rule['minimum']}, got {value!r}"
+        if "exclusiveMinimum" in rule and value <= rule["exclusiveMinimum"]:
+            return f"must be > {rule['exclusiveMinimum']}, got {value!r}"
+    return None
+
+
+def validate_event(event: object) -> Optional[str]:
+    """Validate one decoded event against :data:`TRACE_EVENT_SCHEMA`.
+
+    Finds the ``oneOf`` arm whose ``ev`` const matches and applies its
+    ``required``, ``additionalProperties`` and per-property ``type``,
+    ``enum``, ``const``, ``minimum`` and ``exclusiveMinimum``.  Returns
+    ``None`` when the event conforms, or a human-readable description of
+    the first violation found.
     """
     if not isinstance(event, dict):
         return f"event must be an object, got {type(event).__name__}"
     ev_type = event.get("ev")
-    if ev_type not in _REQUIRED:
+    arm = _ARMS.get(ev_type) if isinstance(ev_type, str) else None
+    if arm is None:
         return f"unknown event type {ev_type!r}"
-    t = event.get("t")
-    if not isinstance(t, _NUMBER) or isinstance(t, bool) or t < 0:
-        return f"'t' must be a nonnegative number, got {t!r}"
-    node = event.get("node")
-    if not isinstance(node, _NODE) or isinstance(node, bool):
-        return f"'node' must be an integer or string, got {node!r}"
-    fields = _REQUIRED[ev_type]
-    for name, types in fields:
+    for name in arm["required"]:
         if name not in event:
             return f"{ev_type}: missing field {name!r}"
-        value = event[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            return f"{ev_type}: field {name!r} has bad type {type(value).__name__}"
-    if ev_type == ev.STATE:
-        for key in ("from", "to"):
-            if event[key] not in _STATE_NAMES:
-                return f"state: {key!r} must be one of {_STATE_NAMES}, got {event[key]!r}"
-    elif ev_type == ev.DROP and event["why"] not in _DROP_REASONS:
-        return f"drop: 'why' must be one of {_DROP_REASONS}, got {event['why']!r}"
-    elif ev_type in (ev.FAULT_ARM, ev.FAULT_FIRE, ev.FAULT_CLEAR):
-        if event["kind"] not in _FAULT_KINDS:
-            return (
-                f"{ev_type}: 'kind' must be one of {_FAULT_KINDS}, "
-                f"got {event['kind']!r}"
-            )
-    allowed = {"t", "ev", "node"} | {name for name, _ in fields}
-    if ev_type == ev.STATE:
-        allowed |= {"cause", "rate_hz"}
-    extras = set(event) - allowed
-    if extras:
-        return f"{ev_type}: unexpected fields {sorted(extras)}"
+    properties = arm["properties"]
+    if arm["additionalProperties"] is False:
+        extras = [name for name in event if name not in properties]
+        if extras:
+            return f"{ev_type}: unexpected fields {sorted(extras, key=str)}"
+    for name, value in event.items():
+        if name in properties:
+            problem = _check_value(value, properties[name])
+            if problem is not None:
+                return f"{ev_type}: field {name!r} {problem}"
     return None
 
 
@@ -170,28 +189,46 @@ def iter_trace_file(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
                 yield event
 
 
-def validate_trace_file(path: Union[str, Path], max_errors: int = 20) -> List[str]:
-    """Validate every line of an NDJSON trace.
+def validate_ndjson(
+    path: Union[str, Path],
+    check: Callable[[object, int], Optional[str]],
+    max_errors: int = 20,
+    if_empty: Optional[str] = None,
+) -> List[str]:
+    """Validate every line of an NDJSON file with ``check(obj, index)``.
 
-    Returns a list of ``"line N: problem"`` strings (empty = fully valid),
-    truncated at ``max_errors`` so a systematically broken trace does not
-    produce megabytes of diagnostics.
+    ``index`` counts the lines decoded before this one, so a format with a
+    header line can tell it apart.  Returns ``"line N: problem"`` strings
+    (empty = fully valid), truncated at ``max_errors`` so a systematically
+    broken file does not produce megabytes of diagnostics; ``if_empty`` is
+    the one error of a file with no decodable line.
     """
     errors: List[str] = []
+    decoded = 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                event = json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not valid JSON ({exc})")
+                problem: Optional[str] = f"not valid JSON ({exc})"
             else:
-                problem = validate_event(event)
-                if problem is not None:
-                    errors.append(f"line {lineno}: {problem}")
+                problem = check(obj, decoded)
+                decoded += 1
+            if problem is not None:
+                errors.append(f"line {lineno}: {problem}")
             if len(errors) >= max_errors:
                 errors.append(f"(stopped after {max_errors} errors)")
                 break
+    if if_empty is not None and decoded == 0 and not errors:
+        errors.append(if_empty)
     return errors
+
+
+def validate_trace_file(path: Union[str, Path], max_errors: int = 20) -> List[str]:
+    """Validate every line of an NDJSON trace (see :func:`validate_ndjson`)."""
+    return validate_ndjson(
+        path, lambda event, _index: validate_event(event), max_errors
+    )

@@ -6,11 +6,6 @@ surface — ``emit(record)``, ``close()``, and the ``emitted`` / ``dropped``
 counters — so the tracer, the manifest and tests treat them
 interchangeably:
 
-* :class:`NullSink` — discards everything.  Components additionally treat
-  a tracer wrapping a null sink as *no tracer at all* (see
-  :class:`~repro.obs.tracer.Tracer.active`), so the disabled default costs
-  one ``is not None`` check per site — the PR-1 fast path keeps its
-  numbers.
 * :class:`RingBufferSink` — bounded in-memory buffer keeping the newest
   events, each rebuilt as its dict (``CONSTRUCTORS[ev](*fields)``).
   Evictions are counted and exposed via ``dropped``, so a full buffer
@@ -35,7 +30,7 @@ from typing import Any, Deque, Dict, List, Optional, Protocol, Union
 from . import events
 from .events import CONSTRUCTORS, Encoder, Record
 
-__all__ = ["TraceSink", "NullSink", "RingBufferSink", "NdjsonSink", "TraceWriterError"]
+__all__ = ["TraceSink", "RingBufferSink", "NdjsonSink", "TraceWriterError"]
 
 #: records :class:`NdjsonSink` collects before it hands them on: about
 #: 27 KiB pickled on a PEAS trace, inside one 64 KiB pipe buffer
@@ -67,22 +62,6 @@ class TraceSink(Protocol):
     def emit(self, record: Record) -> None: ...
 
     def close(self) -> None: ...
-
-
-class NullSink:
-    """Discards every event (the default: tracing off)."""
-
-    __slots__ = ("emitted", "dropped")
-
-    def __init__(self) -> None:
-        self.emitted = 0
-        self.dropped = 0
-
-    def emit(self, record: Record) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class RingBufferSink:

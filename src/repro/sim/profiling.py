@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["EngineProfiler", "LabelStats"]
+__all__ = ["EngineProfiler", "LabelStats", "sparkline"]
 
 #: histogram buckets: [<1us, <2us, <4us, ... <~0.5s, rest]
 _HIST_BUCKETS = 30
@@ -30,8 +30,38 @@ _GAUGE_PERIOD = 256
 #: the keep-stride doubles, so memory stays bounded while the series keeps
 #: covering the whole run at halving resolution
 _GAUGE_SERIES_CAP = 2048
-#: sparkline cells for the rendered gauge section
-_SPARK_CHARS = " ▁▂▃▄▅▆▇█"
+#: sparkline levels, lowest to highest
+_SPARK_LEVELS = " .:-=+*#%@"
+
+
+def sparkline(values: Sequence[float], width: int = 60) -> str:
+    """A one-line character chart of a value series.
+
+    Values are resampled to ``width`` buckets (bucket mean) and mapped onto
+    a 10-level character ramp between the series min and max.  A flat
+    series renders at the top level, or blank when it is flat at zero (a
+    run that never left a tombstone).
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if not values:
+        return ""
+    buckets: List[float] = []
+    per_bucket = max(1, len(values) // width)
+    for start in range(0, len(values), per_bucket):
+        chunk = values[start : start + per_bucket]
+        buckets.append(sum(chunk) / len(chunk))
+        if len(buckets) == width:
+            break
+    low = min(buckets)
+    high = max(buckets)
+    if high <= low:
+        return _SPARK_LEVELS[-1 if high else 0] * len(buckets)
+    scale = len(_SPARK_LEVELS) - 1
+    return "".join(
+        _SPARK_LEVELS[int(round((value - low) / (high - low) * scale))]
+        for value in buckets
+    )
 
 
 class LabelStats:
@@ -155,25 +185,6 @@ class EngineProfiler:
         return self.render(self.as_dict(), limit=limit)
 
     @staticmethod
-    def _sparkline(values: Sequence[float], width: int = 56) -> str:
-        """Resample a series to ``width`` cells (bucket maxima) and render
-        each cell as a block character scaled to the series maximum."""
-        if not values:
-            return ""
-        top = max(values)
-        if top <= 0:
-            return _SPARK_CHARS[0] * min(width, len(values))
-        cells = min(width, len(values))
-        chars = []
-        for cell in range(cells):
-            lo = cell * len(values) // cells
-            hi = max(lo + 1, (cell + 1) * len(values) // cells)
-            peak = max(values[lo:hi])
-            index = round(peak / top * (len(_SPARK_CHARS) - 1))
-            chars.append(_SPARK_CHARS[index])
-        return "".join(chars)
-
-    @staticmethod
     def render_gauges(profile: Dict[str, Any]) -> str:
         """The "gauges" section: queue occupancy over simulated time.
 
@@ -195,15 +206,14 @@ class EngineProfiler:
                 for heap, live in zip(heaps, lives)
             ]
             span = f"t=[{series[0][0]:.0f}s..{series[-1][0]:.0f}s]"
-            spark = EngineProfiler._sparkline
             lines.append(
-                f"  heap size  |{spark(heaps)}| peak {int(max(heaps))} {span}"
+                f"  heap size  |{sparkline(heaps)}| peak {int(max(heaps))} {span}"
             )
             lines.append(
-                f"  live evts  |{spark(lives)}| peak {int(max(lives))}"
+                f"  live evts  |{sparkline(lives)}| peak {int(max(lives))}"
             )
             lines.append(
-                f"  tombstone% |{spark(ratios)}| peak {max(ratios) * 100:.0f}%"
+                f"  tombstone% |{sparkline(ratios)}| peak {max(ratios) * 100:.0f}%"
             )
         return "\n".join(lines)
 

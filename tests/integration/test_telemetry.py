@@ -23,12 +23,19 @@ from repro.experiments import (
 )
 from repro.harness import RunOptions
 from repro.harness.runner import run as run_scenario
-from repro.obs import diff_runs, load_run, render_diff, validate_metrics_file
+from repro.obs import (
+    code_fingerprint,
+    diff_runs,
+    load_run,
+    render_diff,
+    validate_metrics_file,
+)
 from repro.obs.metrics import (
     _DROP_REASONS,
     _FRAME_OUTCOMES,
     METRIC_NAMES,
     MetricsRegistry,
+    load_metrics_file,
 )
 
 BASE = Scenario(
@@ -122,9 +129,16 @@ class TestSerialTelemetry:
         assert manifest["protocols"] == ["peas"]
         assert manifest["seed_range"] == [0, 1]
         assert len(manifest["config_hashes"]) == 2
-        prom = (tmp_path / "out" / "metrics.prom").read_text()
-        assert "# TYPE peas_sweep_runs_total counter" in prom
-        assert 'peas_sweep_runs_total{status="ok"} 2' in prom
+        assert manifest["code_fingerprint"] == code_fingerprint()
+        header, samples = load_metrics_file(tmp_path / "out" / "metrics.ndjson")
+        assert header["code_fingerprint"] == code_fingerprint()
+        assert {
+            "name": "peas_sweep_runs_total", "type": "counter",
+            "labels": {"status": "ok"}, "value": 2.0,
+        } in samples
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "manifest.json", "metrics.ndjson",
+        ]
 
     def test_exports_survive_failed_runs(self, tmp_path):
         telemetry = SweepTelemetry(
@@ -228,10 +242,10 @@ class TestDiffWorkflow:
         a = self.run_sweep_with_export(tmp_path, "a", [0, 1])
         b = self.run_sweep_with_export(tmp_path, "b", [0, 1])
         diff = diff_runs(load_run(a), load_run(b))
-        # Same config digest and git SHA; only the label + wall-clock
-        # instruments move.
+        # Same config digest and code fingerprint; only the label +
+        # wall-clock instruments move.
         drift_fields = [f for f, _va, _vb in diff.drift]
-        assert "git_sha" not in drift_fields
+        assert "code_fingerprint" not in drift_fields
         assert "config_digest" not in drift_fields
         moved = {d.name for d in diff.changed}
         assert moved <= {"peas_sweep_wall_seconds", "peas_run_wall_seconds",

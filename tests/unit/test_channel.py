@@ -355,7 +355,7 @@ class TestEnergyHook:
                 kind == "rx" and self._die(channel, nid)
             )
         )
-        channel.tracer = Tracer(sink).active()
+        channel.tracer = Tracer(sink)
         attach(channel, "s", (10.0, 10.0))
         receiver = attach(channel, "r", (11.0, 10.0))
         channel.transmit("s", Packet("PROBE", "s"), tx_range=3.0)

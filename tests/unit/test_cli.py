@@ -1,8 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import code_fingerprint
 
 
 class TestParser:
@@ -94,6 +97,47 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "schema OK" in out
         assert "per-node state timelines" in out
+
+    def test_run_trace_prints_each_sidecar(self, capsys, tmp_path):
+        trace = tmp_path / "run.ndjson"
+        assert main(["run", "--nodes", "12", "--seed", "1", "--no-traffic",
+                     "--failure-rate", "0", "--trace", str(trace),
+                     "--profile", "--sanitize"]) == 0
+        out = capsys.readouterr().out
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        emitted = manifest["trace"]["emitted"]
+        assert emitted == len(trace.read_text().splitlines()) > 0
+        lines = out.splitlines()
+        assert lines[:3] == [
+            f"trace: {trace} ({emitted} events, 0 dropped)",
+            f"manifest: {tmp_path / 'run.manifest.json'}",
+            f"profile: {tmp_path / 'run.profile.json'}",
+        ]
+        profile = json.loads((tmp_path / "run.profile.json").read_text())
+        assert profile["events"] > 0
+        assert manifest["code_fingerprint"] == code_fingerprint()
+        assert f"provenance: code={code_fingerprint()}" in out
+        assert "invariant checks, 0 violations" in out
+        # The harness leaves no scratch file of its atomic writes behind.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.manifest.json", "run.ndjson", "run.profile.json",
+        ]
+
+    def test_inspect_rejects_out_of_range_fields(self, capsys, tmp_path):
+        trace = tmp_path / "bad.ndjson"
+        trace.write_text(
+            '{"cat":"probe_tx","ev":"energy","j":-1.0,"node":1,"t":1.0}\n'
+            '{"ev":"collision","frames":0,"node":1,"t":1.0}\n'
+            '{"ev":"lambda_hat","lam":-2.0,"node":1,"t":1.0,"window":0}\n'
+            '{"ev":"reply_tx","lam":null,"node":1,"t":1.0,"tw":-5}\n'
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", str(trace), "--validate"])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "4 schema violation(s)" in err
+        for line in range(1, 5):
+            assert f"line {line}:" in err
 
     def test_inspect_invalid_trace_fails(self, capsys, tmp_path):
         trace = tmp_path / "bad.ndjson"

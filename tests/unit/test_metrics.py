@@ -3,7 +3,7 @@
 Covers the three instrument kinds, the name catalogue (enforced at the
 call, and exercised name by name by a run plus a sweep export), the
 log2 bucketing (exact at power-of-two edges), cross-worker merge
-semantics, NDJSON round-trip + validation, and the Prometheus renderer.
+semantics, and NDJSON round-trip + validation.
 """
 
 import io
@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     _bucket_index,
     bucket_bounds,
     load_metrics_file,
-    render_prometheus,
     save_metrics,
     validate_metrics_file,
 )
@@ -204,34 +203,6 @@ class TestExportRoundTrip:
         path.write_text('{"schema":"nope/9"}\n')
         with pytest.raises(ValueError, match="unsupported metrics schema"):
             load_metrics_file(path)
-
-
-class TestPrometheusRendering:
-    def test_counter_gauge_and_histogram_exposition(self):
-        registry = MetricsRegistry()
-        registry.counter("peas_runs_total", protocol="peas", status="ok").inc(3)
-        registry.gauge("peas_sim_heap_size").set(42)
-        hist = registry.histogram("peas_run_wall_seconds")
-        hist.observe(0.25)
-        hist.observe(0.25)
-        hist.observe(1e9)
-        text = render_prometheus(registry)
-        assert "# TYPE peas_runs_total counter" in text
-        assert 'peas_runs_total{protocol="peas",status="ok"} 3' in text
-        assert "# TYPE peas_sim_heap_size gauge" in text
-        assert "peas_sim_heap_size 42" in text
-        # Buckets are cumulative and end at +Inf == count.
-        assert 'peas_run_wall_seconds_bucket{le="0.25"} 2' in text
-        assert 'peas_run_wall_seconds_bucket{le="+Inf"} 3' in text
-        assert "peas_run_wall_seconds_count 3" in text
-        # Every catalogue name rendered carries its HELP line.
-        assert f"# HELP peas_runs_total {METRIC_NAMES['peas_runs_total'][1]}" in text
-
-    def test_label_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter("peas_runs_total", status='we"ird\\x').inc()
-        text = render_prometheus(registry)
-        assert 'status="we\\"ird\\\\x"' in text
 
 
 class _FakeSim:

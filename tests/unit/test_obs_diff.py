@@ -8,7 +8,7 @@ from repro.obs.diff import MetricDelta, diff_runs, load_run, render_diff
 from repro.obs.metrics import MetricsRegistry, save_metrics
 
 
-def write_run(path, label, *, runs=2, git="abc1234", wall=1.0, energy=5.0):
+def write_run(path, label, *, runs=2, code="abc1234", wall=1.0, energy=5.0):
     path.mkdir(parents=True, exist_ok=True)
     registry = MetricsRegistry()
     registry.counter("peas_runs_total", status="ok").inc(runs)
@@ -24,7 +24,7 @@ def write_run(path, label, *, runs=2, git="abc1234", wall=1.0, energy=5.0):
         "runs": runs,
         "ok": runs,
         "errors": 0,
-        "git_sha": git,
+        "code_fingerprint": code,
         "config_digest": "cfg-1",
         "protocols": ["peas"],
     }))
@@ -62,13 +62,25 @@ class TestDiffRuns:
         assert diff.unchanged == 4
         assert "provenance: identical" in render_diff(diff)
 
+    def test_code_fingerprint_alone_is_drift(self, tmp_path):
+        # Two trees at one git HEAD, one of them edited: same config, same
+        # metrics, different code.
+        a = load_run(write_run(tmp_path / "a", "same", code="clean"))
+        b = load_run(write_run(tmp_path / "b", "same", code="edited"))
+        diff = diff_runs(a, b)
+        assert diff.drift == [("code_fingerprint", "clean", "edited")]
+        assert diff.changed == []
+        report = render_diff(diff)
+        assert "provenance drift" in report
+        assert "provenance: identical" not in report
+
     def test_drift_and_deltas_reported(self, tmp_path):
         a = load_run(write_run(tmp_path / "a", "a", runs=2, energy=5.0))
         b = load_run(
-            write_run(tmp_path / "b", "b", runs=4, git="def5678", energy=7.5)
+            write_run(tmp_path / "b", "b", runs=4, code="def5678", energy=7.5)
         )
         diff = diff_runs(a, b)
-        assert ("git_sha", "abc1234", "def5678") in diff.drift
+        assert ("code_fingerprint", "abc1234", "def5678") in diff.drift
         assert ("runs", 2, 4) in diff.drift
         by_name = {d.name: d for d in diff.changed}
         runs = by_name["peas_runs_total"]

@@ -39,6 +39,9 @@ class TestSparkline:
         assert len(line) == 10
         assert set(line) == {"@"}
 
+    def test_all_zero_series_is_blank(self):
+        assert sparkline([0.0] * 10, width=10) == " " * 10
+
     def test_monotone_series_monotone_ramp(self):
         line = sparkline(list(range(100)), width=10)
         levels = " .:-=+*#%@"
